@@ -103,6 +103,7 @@ type Store struct {
 
 	compacting  bool
 	compactDone chan struct{} // non-nil while compacting; closed at end
+	sealed      uint64        // own segments sealed by rotation so far
 	closed      bool
 
 	// lastWriteErr is the sticky outcome of the most recent append: set on
@@ -277,6 +278,7 @@ func (s *Store) rotateLocked() error {
 	}
 	s.seen[s.segName] = &segInfo{consumed: s.segBytes, garbage: s.ownGarbage}
 	s.ownGarbage = 0
+	s.sealed++
 	return s.openSegment()
 }
 
@@ -416,26 +418,38 @@ func segmentNames(dir string) ([]string, error) {
 }
 
 // maybeCompactLocked starts a background compaction when garbage crosses
-// the threshold. At most one compaction runs per store at a time.
+// the threshold. At most one compaction runs per store at a time, so a
+// Record that seals garbage while a pass runs triggers nothing: the pass
+// re-checks the threshold before it ends, but only if segments were sealed
+// meanwhile — the garbage a pass leaves otherwise (the active segment, live
+// peers' segments) cannot be compacted, and re-running would spin.
 func (s *Store) maybeCompactLocked() {
 	if s.opt.NoAutoCompact || s.compacting || s.garbageLocked() < s.opt.CompactGarbageBytes {
 		return
 	}
 	done := make(chan struct{})
 	s.compacting, s.compactDone = true, done
+	sealed := s.sealed
 	go func() {
-		s.compact()
-		s.finishCompaction(done)
+		for {
+			s.compact()
+			s.mu.Lock()
+			if s.sealed == sealed || s.closed || s.garbageLocked() < s.opt.CompactGarbageBytes {
+				s.finishCompactionLocked(done)
+				s.mu.Unlock()
+				return
+			}
+			sealed = s.sealed
+			s.mu.Unlock()
+		}
 	}()
 }
 
-// finishCompaction clears the compacting flag and wakes the waiters.
+// finishCompactionLocked clears the compacting flag and wakes the waiters.
 // (A plain channel, not a WaitGroup: re-arming a WaitGroup from zero
 // while a waiter is mid-Wait is documented misuse and can panic.)
-func (s *Store) finishCompaction(done chan struct{}) {
-	s.mu.Lock()
+func (s *Store) finishCompactionLocked(done chan struct{}) {
 	s.compacting, s.compactDone = false, nil
-	s.mu.Unlock()
 	close(done)
 }
 
@@ -461,7 +475,9 @@ func (s *Store) Compact() error {
 	s.compacting, s.compactDone = true, done
 	s.mu.Unlock()
 	err := s.compact()
-	s.finishCompaction(done)
+	s.mu.Lock()
+	s.finishCompactionLocked(done)
+	s.mu.Unlock()
 	return err
 }
 

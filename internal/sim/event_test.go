@@ -103,6 +103,51 @@ func TestEventDrivenMatchesTickLoopMultiChannel(t *testing.T) {
 	}
 }
 
+// TestEventDrivenMatchesTickLoopSampled extends the identity property to
+// the sampled driver: its warmruns, windows, and pre-fast-forward drains
+// run the same clock loop, so the two loop flavours must agree there too —
+// window samples, estimates, and the fast-forward clock jumps included.
+func TestEventDrivenMatchesTickLoopSampled(t *testing.T) {
+	for _, mode := range []config.Mode{
+		config.ModeUnprotected,
+		config.ModeSecDDRCTR,
+		config.ModeIntegrityTree,
+	} {
+		for _, name := range []string{"mcf", "lbm", "pr"} {
+			mode, name := mode, name
+			t.Run(name+"/"+mode.String(), func(t *testing.T) {
+				t.Parallel()
+				p, ok := trace.ByName(name)
+				if !ok {
+					t.Fatalf("unknown workload %s", name)
+				}
+				opt := Options{
+					Config:       config.Table1(mode),
+					Workload:     p,
+					InstrPerCore: 40_000,
+					WarmupInstr:  20_000,
+					Seed:         42,
+					Fidelity:     testFidelity(),
+				}
+				event, err := Run(opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tick, err := runTickLoop(opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(event.Estimates) == 0 {
+					t.Fatal("sampled run recorded no measurement windows")
+				}
+				if !reflect.DeepEqual(event, tick) {
+					t.Errorf("event-driven Result diverges from tick loop:\nevent: %+v\ntick:  %+v", event, tick)
+				}
+			})
+		}
+	}
+}
+
 // TestEventDrivenActuallySkips guards the fast-forward path against
 // silently regressing to "never skip": the identity property above would
 // still pass, but the speedup would be gone.

@@ -30,26 +30,20 @@ type Instrument struct {
 
 // RunInstrumented executes one simulation like Run while recording into
 // ins. The instrumentation observes the run without perturbing it: the
-// Result is byte-identical to Run(opt)'s.
+// Result is byte-identical to Run(opt)'s, at either fidelity.
 func RunInstrumented(opt Options, ins *Instrument) (Result, error) {
-	if ins == nil || ins.Timeline == nil {
-		return Run(opt)
+	var tl *obs.Timeline
+	if ins != nil {
+		tl = ins.Timeline
 	}
-	s, err := warmSystem(opt, false)
-	if err != nil {
-		return Result{}, err
+	return run(opt, false, tl)
+}
+
+// mark records a run-phase marker on the timeline, if one is attached.
+func (s *system) mark(name string) {
+	if s.tl != nil {
+		s.tl.Instant("run", name, s.cpuNow, 0)
 	}
-	s.tl = ins.Timeline
-	s.tl.Instant("run", "warmup-done", s.cpuNow, 0)
-	if err := s.resume(opt); err != nil {
-		return Result{}, err
-	}
-	s.tl.Instant("run", "measured-start", s.cpuNow, 0)
-	if err := s.runMeasured(); err != nil {
-		return Result{}, err
-	}
-	s.tl.Instant("run", "measured-end", s.cpuNow, 0)
-	return s.collect(), nil
 }
 
 // profState is the profiler's cold state, reached from system through a
@@ -184,8 +178,9 @@ func (s *system) armProfiler() {
 
 // pollTimeline emits timeline events covering the memory activity since
 // the previous poll. It runs once per executed (non-skipped) iteration of
-// the measured loop: the timeline's resolution follows the event-driven
-// loop's, which is exactly the set of cycles where anything happened.
+// the clock loop after resume: the timeline's resolution follows the
+// event-driven loop's, which is exactly the set of cycles where anything
+// happened.
 func (s *system) pollTimeline() {
 	p := s.prof
 	cpuMHz := int64(s.opt.Config.Core.ClockMHz)

@@ -106,9 +106,25 @@ func itoa(i int) string { return string(rune('0' + i)) }
 // TestRunInstrumentedTimeline is the timeline golden-shape test: the trace
 // must be valid Chrome trace-event JSON with monotone timestamps, only the
 // documented phase kinds, the run markers, and it must not perturb the
-// Result.
+// Result — at exact and at sampled fidelity.
 func TestRunInstrumentedTimeline(t *testing.T) {
-	opt := scenarioOptions(t, "phase-alternate")
+	for _, tc := range []struct {
+		name     string
+		fidelity Fidelity
+	}{
+		{"exact", Fidelity{}},
+		{"sampled", testFidelity()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := scenarioOptions(t, "phase-alternate")
+			opt.Fidelity = tc.fidelity
+			requireInstrumentedTimeline(t, opt)
+		})
+	}
+}
+
+func requireInstrumentedTimeline(t *testing.T, opt Options) {
+	t.Helper()
 	tl := obs.NewTimeline(opt.Config.Core.ClockMHz, 256, 0)
 	got, err := RunInstrumented(opt, &Instrument{Timeline: tl})
 	if err != nil {

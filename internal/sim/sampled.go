@@ -315,7 +315,6 @@ func (s *system) runSampled() error {
 	}
 	for i := range s.cores {
 		s.finishCycle[i] = s.cpuNow
-		s.frozen[i] = false
 	}
 	return nil
 }
@@ -413,74 +412,7 @@ func (s *system) recordWindow(pre winCounters, preRet, target []uint64) {
 // non-nil it records each core's crossing cycle with the same cpuNow+1
 // convention runMeasured uses for finish cycles.
 func (s *system) runDetailedUntil(target []uint64, fin []int64, total uint64) error {
-	opt := s.opt
-	tickLoop := !s.eventDriven
-	cpuMHz := opt.Config.Core.ClockMHz
-	memMHz := opt.Config.DRAM.ClockMHz
-	remaining := 0
-	crossed := make([]bool, len(s.cores))
-	for i, c := range s.cores {
-		s.frozen[i] = c.Retired >= total
-		if c.Retired >= target[i] {
-			crossed[i] = true
-			if fin != nil {
-				fin[i] = s.cpuNow
-			}
-		} else {
-			remaining++
-		}
-	}
-	for remaining > 0 {
-		if s.cpuNow >= opt.MaxCycles {
-			return fmt.Errorf("sim: %s/%v sampled run exceeded cycle cap %d (%d cores mid-phase)",
-				opt.WorkloadName(), opt.Config.Security.Mode, opt.MaxCycles, remaining)
-		}
-		if !tickLoop {
-			if jump := s.idleCycles(cpuMHz, memMHz); jump > 0 {
-				s.skipEvents++
-				s.skipCycles += jump
-				s.cpuNow += jump
-				total := int64(s.memAcc) + jump*int64(memMHz)
-				s.memNow += total / int64(cpuMHz)
-				s.memAcc = int(total % int64(cpuMHz))
-				continue
-			}
-		}
-		s.memAcc += memMHz
-		for s.memAcc >= cpuMHz {
-			s.memAcc -= cpuMHz
-			s.memTick()
-		}
-		if debugHook != nil {
-			debugHook(s)
-		}
-		for i, c := range s.cores {
-			if s.frozen[i] {
-				continue
-			}
-			if tickLoop || s.coreNextAt[i] <= s.cpuNow {
-				c.Tick(s.cpuNow)
-				if !tickLoop {
-					s.coreNextAt[i] = c.NextEvent(s.cpuNow)
-				}
-			}
-			if !crossed[i] && c.Retired >= target[i] {
-				crossed[i] = true
-				if fin != nil {
-					fin[i] = s.cpuNow + 1
-				}
-				remaining--
-			}
-			if c.Retired >= total {
-				s.frozen[i] = true
-			}
-		}
-		if s.tl != nil {
-			s.pollTimeline()
-		}
-		s.cpuNow++
-	}
-	return nil
+	return s.advance(stint{goal: target, freeze: total, crossed: fin, what: "sampled run"})
 }
 
 // drainMemory freezes every core and ticks the memory domain until
@@ -491,40 +423,10 @@ func (s *system) runDetailedUntil(target []uint64, fin []int64, total uint64) er
 // synchronizing the high-watermark drain burst with the next measurement
 // window and biasing its bandwidth sample high.
 func (s *system) drainMemory() error {
-	opt := s.opt
-	tickLoop := !s.eventDriven
-	cpuMHz := opt.Config.Core.ClockMHz
-	memMHz := opt.Config.DRAM.ClockMHz
-	for i := range s.cores {
-		s.frozen[i] = true
-	}
-	for !(len(s.byToken) == 0 && s.engine.IdleExceptWrites()) {
-		if s.cpuNow >= opt.MaxCycles {
-			return fmt.Errorf("sim: %s/%v sampled run exceeded cycle cap %d (draining)",
-				opt.WorkloadName(), opt.Config.Security.Mode, opt.MaxCycles)
-		}
-		if !tickLoop {
-			if jump := s.idleCycles(cpuMHz, memMHz); jump > 0 {
-				s.skipEvents++
-				s.skipCycles += jump
-				s.cpuNow += jump
-				total := int64(s.memAcc) + jump*int64(memMHz)
-				s.memNow += total / int64(cpuMHz)
-				s.memAcc = int(total % int64(cpuMHz))
-				continue
-			}
-		}
-		s.memAcc += memMHz
-		for s.memAcc >= cpuMHz {
-			s.memAcc -= cpuMHz
-			s.memTick()
-		}
-		if debugHook != nil {
-			debugHook(s)
-		}
-		s.cpuNow++
-	}
-	return nil
+	return s.advance(stint{
+		settled: func() bool { return len(s.byToken) == 0 && s.engine.IdleExceptWrites() },
+		what:    "sampled run (draining)",
+	})
 }
 
 // jumpClocks advances both clock domains by jump CPU cycles with the exact
@@ -534,14 +436,7 @@ func (s *system) jumpClocks(jump int64) {
 	if jump <= 0 {
 		return
 	}
-	cpuMHz := s.opt.Config.Core.ClockMHz
-	memMHz := s.opt.Config.DRAM.ClockMHz
-	s.skipEvents++
-	s.skipCycles += jump
-	s.cpuNow += jump
-	total := int64(s.memAcc) + jump*int64(memMHz)
-	s.memNow += total / int64(cpuMHz)
-	s.memAcc = int(total % int64(cpuMHz))
+	s.skip(jump)
 	for _, ctl := range s.engine.Controllers() {
 		ctl.Channel().SkipRefreshTo(s.memNow)
 	}

@@ -235,12 +235,13 @@ type system struct {
 	skipEvents int64 // fast-forward jumps taken (diagnostics)
 	skipCycles int64 // CPU cycles skipped by fast-forwarding (diagnostics)
 
-	// frozen marks cores that reached their warmup target and stopped
-	// ticking until the measured region starts. It is distinct from
-	// finishCycle on purpose: completions must keep flowing to frozen cores
-	// while the memory system drains (memTick delivers when finishCycle is
-	// zero), or the drain would deadlock on a frozen core's outstanding
-	// loads.
+	// frozen marks cores that reached the current stint's freeze threshold
+	// and stopped ticking (see advance): the warmup target during warmup,
+	// the run's total target afterwards, every core during a sampled drain.
+	// It is distinct from finishCycle on purpose: completions must keep
+	// flowing to frozen cores while the memory system drains (memTick
+	// delivers when finishCycle is zero), or the drain would deadlock on a
+	// frozen core's outstanding loads.
 	frozen []bool
 
 	finishCycle []int64
@@ -499,20 +500,19 @@ func (s *system) memTick() {
 
 // idleCycles returns how many whole loop iterations (CPU cycles) can be
 // skipped because no component would change state in any of them: every
-// unfinished core's next event lies beyond the skipped window, and none of
+// unfrozen core's next event lies beyond the skipped window, and none of
 // the memory cycles the window contains can perform controller, channel, or
 // engine work. Returns 0 when the current cycle must be simulated. The
-// per-iteration warmup/finish bookkeeping in run() cannot fire inside a
-// skipped window either: retirement counts are frozen while cores are
-// inert, and both thresholds are checked in the same iteration a count
-// crosses them.
+// per-core goal/freeze bookkeeping in advance cannot fire inside a skipped
+// window either: retirement counts are frozen while cores are inert, and
+// both thresholds are checked in the same iteration a count crosses them.
 func (s *system) idleCycles(cpuMHz, memMHz int) int64 {
 	// Cores first: the check is O(1) per core, and in compute-heavy phases
 	// some core is almost always active, short-circuiting before the more
 	// expensive memory-side scan.
 	minCore := cpu.EventNever
 	for i, c := range s.cores {
-		if s.finishCycle[i] != 0 || s.frozen[i] {
+		if s.frozen[i] {
 			continue
 		}
 		t := s.coreNextAt[i]
@@ -562,6 +562,119 @@ func (s *system) idleCycles(cpuMHz, memMHz int) int64 {
 	return jump
 }
 
+// stint describes one run of the clock loop (advance): how far each core
+// must retire before the loop may stop, when a core stops ticking, and
+// what else must hold at the stop. Every phase of a run — warmup, the
+// exact measured region, the sampled warmruns and windows, and the
+// pre-fast-forward drain — is a stint; they differ only in this data.
+type stint struct {
+	// goal is each core's retirement goal: the loop runs until every core
+	// has retired at least goal[i] instructions. Nil means freeze for every
+	// core.
+	goal []uint64
+	// freeze is the retirement count at which a core stops ticking. Frozen
+	// cores keep receiving completions while finishCycle is zero (see the
+	// frozen field).
+	freeze uint64
+	// crossed, when non-nil, records the cycle each core reached its goal:
+	// cpuNow+1 for a crossing in the tick at cpuNow, or cpuNow for a core
+	// already at its goal on entry.
+	crossed []int64
+	// settled, when non-nil, must also hold before the loop stops — a
+	// memory-side fixpoint checked once every goal is reached.
+	settled func() bool
+	// what names the stint in the cycle-cap error.
+	what string
+}
+
+// advance is the simulator's one clock loop. Each iteration either jumps
+// both clock domains over a window idleCycles proves inert (event-driven
+// mode only) or executes one CPU cycle: the memory ticks the clock ratio
+// owes, then one tick of every unfrozen core. A core whose cached next
+// event lies beyond this cycle cannot change state, so the event-driven
+// loop skips its Tick; completions delivered by this iteration's memory
+// ticks invalidate the cache, so an async wake is never missed. The
+// reference loop ticks unconditionally. Retirement only changes in Tick,
+// so the goal and freeze checks run right after it, at identical cycles in
+// both loop flavours, and a crossing can never hide inside a jump.
+func (s *system) advance(st stint) error {
+	tickLoop := !s.eventDriven
+	cpuMHz := s.opt.Config.Core.ClockMHz
+	memMHz := s.opt.Config.DRAM.ClockMHz
+	goal := st.goal
+	if goal == nil {
+		goal = make([]uint64, len(s.cores))
+		for i := range goal {
+			goal[i] = st.freeze
+		}
+	}
+	short := 0
+	for i, c := range s.cores {
+		s.frozen[i] = c.Retired >= st.freeze
+		if c.Retired < goal[i] {
+			short++
+		} else if st.crossed != nil {
+			st.crossed[i] = s.cpuNow
+		}
+	}
+	for short > 0 || (st.settled != nil && !st.settled()) {
+		if s.cpuNow >= s.opt.MaxCycles {
+			return fmt.Errorf("sim: %s/%v %s exceeded cycle cap %d (%d cores short of goal)",
+				s.opt.WorkloadName(), s.opt.Config.Security.Mode, st.what, s.opt.MaxCycles, short)
+		}
+		if !tickLoop {
+			if jump := s.idleCycles(cpuMHz, memMHz); jump > 0 {
+				s.skip(jump)
+				continue
+			}
+		}
+		s.memAcc += memMHz
+		for s.memAcc >= cpuMHz {
+			s.memAcc -= cpuMHz
+			s.memTick()
+		}
+		if debugHook != nil {
+			debugHook(s)
+		}
+		for i, c := range s.cores {
+			if s.frozen[i] || !(tickLoop || s.coreNextAt[i] <= s.cpuNow) {
+				continue
+			}
+			before := c.Retired
+			c.Tick(s.cpuNow)
+			if !tickLoop {
+				s.coreNextAt[i] = c.NextEvent(s.cpuNow)
+			}
+			if before < goal[i] && c.Retired >= goal[i] {
+				short--
+				if st.crossed != nil {
+					st.crossed[i] = s.cpuNow + 1
+				}
+			}
+			if c.Retired >= st.freeze {
+				s.frozen[i] = true
+			}
+		}
+		if s.tl != nil {
+			s.pollTimeline()
+		}
+		s.cpuNow++
+	}
+	return nil
+}
+
+// skip advances both clock domains by jump CPU cycles with the exact
+// arithmetic the tick loop would have performed over them.
+func (s *system) skip(jump int64) {
+	cpuMHz := int64(s.opt.Config.Core.ClockMHz)
+	s.skipEvents++
+	s.skipCycles += jump
+	s.cpuNow += jump
+	total := int64(s.memAcc) + jump*int64(s.opt.Config.DRAM.ClockMHz)
+	s.memNow += total / cpuMHz
+	s.memAcc = int(total % cpuMHz)
+}
+
 // Run executes one simulation and returns its metrics. The clock advance is
 // event-driven: whenever every core and every memory-channel component is
 // provably inert, both clock domains jump straight to the next cycle at
@@ -570,15 +683,15 @@ func (s *system) idleCycles(cpuMHz, memMHz int) int64 {
 // result-identical to the reference tick loop (runTickLoop) for every
 // configuration — the property tests assert this across modes, workloads,
 // and channel counts.
-func Run(opt Options) (Result, error) { return run(opt, false) }
+func Run(opt Options) (Result, error) { return run(opt, false, nil) }
 
 // runTickLoop executes the same simulation with the reference cycle-by-
 // cycle loop. It exists so tests and benchmarks can compare the two
 // advance strategies; production callers should use Run.
-func runTickLoop(opt Options) (Result, error) { return run(opt, true) }
+func runTickLoop(opt Options) (Result, error) { return run(opt, true, nil) }
 
-func run(opt Options, tickLoop bool) (Result, error) {
-	s, err := runSystem(opt, tickLoop)
+func run(opt Options, tickLoop bool, tl *obs.Timeline) (Result, error) {
+	s, err := runTraced(opt, tickLoop, tl)
 	if err != nil {
 		return Result{}, err
 	}
@@ -591,16 +704,27 @@ func run(opt Options, tickLoop bool) (Result, error) {
 // forked run execute exactly the same three phases; the only difference is
 // that a fork deep-copies the warmed system between the first two.
 func runSystem(opt Options, tickLoop bool) (*system, error) {
+	return runTraced(opt, tickLoop, nil)
+}
+
+// runTraced is runSystem recording into tl (nil: no timeline). The
+// timeline attaches between warmup and resume, so it covers the measured
+// region of either fidelity and never reaches a warmed snapshot.
+func runTraced(opt Options, tickLoop bool, tl *obs.Timeline) (*system, error) {
 	s, err := warmSystem(opt, tickLoop)
 	if err != nil {
 		return nil, err
 	}
+	s.tl = tl
+	s.mark("warmup-done")
 	if err := s.resume(opt); err != nil {
 		return nil, err
 	}
+	s.mark("measured-start")
 	if err := s.runMeasuredRegion(); err != nil {
 		return nil, err
 	}
+	s.mark("measured-end")
 	return s, nil
 }
 
@@ -695,60 +819,10 @@ func warmSystem(opt Options, tickLoop bool) (*system, error) {
 	}
 	s.llc.Accesses, s.llc.Hits, s.llc.Misses, s.llc.Evictions, s.llc.Writebacks = 0, 0, 0, 0, 0
 
-	// Timed warmup. Each core runs until it reaches the warmup target and
-	// freezes; after the last freeze the loop keeps ticking the memory
-	// domain until it drains. Freezes are detected at the top of each
-	// executed iteration — retirement counts only change in core ticks, so
-	// a crossing can never hide inside a fast-forwarded window, and both
-	// loop flavours freeze at identical cycles.
-	cpuMHz := wopt.Config.Core.ClockMHz
-	memMHz := wopt.Config.DRAM.ClockMHz
-	warming := n
-	for {
-		for i, c := range s.cores {
-			if !s.frozen[i] && c.Retired >= wopt.WarmupInstr {
-				s.frozen[i] = true
-				warming--
-			}
-		}
-		if warming == 0 && s.drained() {
-			break
-		}
-		if s.cpuNow >= wopt.MaxCycles {
-			return nil, fmt.Errorf("sim: %s warmup exceeded cycle cap %d (%d cores warming)",
-				wopt.WorkloadName(), wopt.MaxCycles, warming)
-		}
-		if !tickLoop {
-			if jump := s.idleCycles(cpuMHz, memMHz); jump > 0 {
-				s.skipEvents++
-				s.skipCycles += jump
-				s.cpuNow += jump
-				total := int64(s.memAcc) + jump*int64(memMHz)
-				s.memNow += total / int64(cpuMHz)
-				s.memAcc = int(total % int64(cpuMHz))
-				continue
-			}
-		}
-		s.memAcc += memMHz
-		for s.memAcc >= cpuMHz {
-			s.memAcc -= cpuMHz
-			s.memTick()
-		}
-		if debugHook != nil {
-			debugHook(s)
-		}
-		for i, c := range s.cores {
-			if s.frozen[i] {
-				continue
-			}
-			if tickLoop || s.coreNextAt[i] <= s.cpuNow {
-				c.Tick(s.cpuNow)
-				if !tickLoop {
-					s.coreNextAt[i] = c.NextEvent(s.cpuNow)
-				}
-			}
-		}
-		s.cpuNow++
+	// Timed warmup: each core freezes at the warmup target, and the loop
+	// keeps ticking the memory domain after the last freeze until it drains.
+	if err := s.advance(stint{freeze: wopt.WarmupInstr, settled: s.drained, what: "warmup"}); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -816,78 +890,15 @@ func (s *system) resume(opt Options) error {
 
 // runMeasured runs the measurement loop until every core reaches the total
 // retirement target (warmup + measured instructions; warmup overshoot
-// counts, as it always has).
+// counts, as it always has). A core that a wide retire carried past the
+// whole target during warmup is done at entry (zero-cycle window, see
+// IPCClamped).
 func (s *system) runMeasured() error {
-	opt := s.opt
-	tickLoop := !s.eventDriven
-	cpuMHz := opt.Config.Core.ClockMHz
-	memMHz := opt.Config.DRAM.ClockMHz
-	remaining := len(s.cores)
-	target := opt.WarmupInstr + opt.InstrPerCore
-	// A wide retire can overshoot warmup past the whole target in one
-	// cycle; such cores are already done (zero-cycle window, see
-	// IPCClamped).
-	for i, c := range s.cores {
-		if c.Retired >= target {
-			s.finishCycle[i] = s.cpuNow
-			remaining--
-		}
-	}
-	for remaining > 0 && s.cpuNow < opt.MaxCycles {
-		if !tickLoop {
-			if jump := s.idleCycles(cpuMHz, memMHz); jump > 0 {
-				// Every skipped iteration is a proven no-op in both clock
-				// domains: advance the clocks with the exact arithmetic the
-				// tick loop would have performed and re-evaluate.
-				s.skipEvents++
-				s.skipCycles += jump
-				s.cpuNow += jump
-				total := int64(s.memAcc) + jump*int64(memMHz)
-				s.memNow += total / int64(cpuMHz)
-				s.memAcc = int(total % int64(cpuMHz))
-				continue
-			}
-		}
-		s.memAcc += memMHz
-		for s.memAcc >= cpuMHz {
-			s.memAcc -= cpuMHz
-			s.memTick()
-		}
-		if debugHook != nil {
-			debugHook(s)
-		}
-		for i, c := range s.cores {
-			if s.finishCycle[i] != 0 {
-				continue
-			}
-			// A core whose cached next event lies beyond this cycle cannot
-			// change state: its Tick is a semantic no-op, so the event-
-			// driven loop skips the call. Completions delivered by this
-			// iteration's memory ticks invalidate the cache, so an async
-			// wake is never missed. The reference loop ticks
-			// unconditionally. The finish check below still runs either
-			// way, identically in both loops.
-			if tickLoop || s.coreNextAt[i] <= s.cpuNow {
-				c.Tick(s.cpuNow)
-				if !tickLoop {
-					s.coreNextAt[i] = c.NextEvent(s.cpuNow)
-				}
-			}
-			if c.Retired >= target {
-				s.finishCycle[i] = s.cpuNow + 1
-				remaining--
-			}
-		}
-		if s.tl != nil {
-			s.pollTimeline()
-		}
-		s.cpuNow++
-	}
-	if remaining > 0 {
-		return fmt.Errorf("sim: %s/%v exceeded cycle cap %d (%d cores unfinished)",
-			opt.WorkloadName(), opt.Config.Security.Mode, opt.MaxCycles, remaining)
-	}
-	return nil
+	return s.advance(stint{
+		freeze:  s.opt.WarmupInstr + s.opt.InstrPerCore,
+		crossed: s.finishCycle,
+		what:    "measured region",
+	})
 }
 
 func (s *system) collect() Result {
