@@ -10,7 +10,7 @@
 //	BenchmarkFig10_InvisiMemXTS  — authenticated-channel comparison (XTS)
 //	BenchmarkFig12_InvisiMemCNT  — same with counter-mode encryption
 //	BenchmarkTable1_Simulation   — raw simulator throughput on Table I
-//	BenchmarkSweepCached         — harness checkpoint cache-hit path
+//	BenchmarkSweepCached         — harness result-store cache-hit path
 //	BenchmarkTable2_Power        — analytical power model
 //	BenchmarkSecIIIB_EWCRC       — brute-force security analysis
 //	BenchmarkProtocol*           — functional-model wire-protocol speed
@@ -133,7 +133,7 @@ func BenchmarkTable1_Simulation(b *testing.B) {
 }
 
 // BenchmarkSweepCached measures the harness cache-hit path: a Fig. 6-shaped
-// campaign served entirely from a warm checkpoint, i.e. the fixed overhead a
+// campaign served entirely from a warm result store, i.e. the fixed overhead a
 // resumed sweep pays per already-computed point.
 func BenchmarkSweepCached(b *testing.B) {
 	mustProfile := func(name string) trace.Profile {
@@ -152,8 +152,12 @@ func BenchmarkSweepCached(b *testing.B) {
 		WarmupInstr:  5_000,
 		Seed:         42,
 	}
-	ckpt := filepath.Join(b.TempDir(), "bench.ckpt.json")
-	c := harness.Campaign{Jobs: grid.Jobs(), Checkpoint: ckpt}
+	st, err := secddr.OpenResultStore(filepath.Join(b.TempDir(), "store"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	c := harness.Campaign{Jobs: grid.Jobs(), Store: st}
 	if _, _, err := harness.Run(c); err != nil {
 		b.Fatal(err)
 	}
@@ -164,7 +168,7 @@ func BenchmarkSweepCached(b *testing.B) {
 			b.Fatal(err)
 		}
 		if stats.Executed != 0 {
-			b.Fatalf("warm checkpoint missed: %+v", stats)
+			b.Fatalf("warm store missed: %+v", stats)
 		}
 	}
 	b.ReportMetric(float64(len(c.Jobs)), "points/op")

@@ -3,7 +3,7 @@
 // (arity/packing sensitivity), Fig. 10 (InvisiMem, AES-XTS), and Fig. 12
 // (InvisiMem, counter mode).
 //
-// Figures run on the internal/harness campaign runner; pass -checkpoint to
+// Figures run on the internal/harness campaign runner; pass -store to
 // cache simulation points on disk so re-runs (and overlapping figures,
 // which share the TDX baseline points) skip work already done.
 //
@@ -12,8 +12,7 @@
 //	secddr-figures -fig 6                  # full 29-workload run
 //	secddr-figures -fig all -quick         # smoke-scale everything
 //	secddr-figures -fig 10 -workloads mcf,lbm,pr
-//	secddr-figures -fig all -store figs.store       # resumable (segment store)
-//	secddr-figures -fig all -checkpoint figs.ckpt.json   # resumable (legacy file)
+//	secddr-figures -fig all -store figs.store   # resumable
 package main
 
 import (
@@ -37,17 +36,16 @@ func main() {
 
 func run() error {
 	var (
-		fig        = flag.String("fig", "all", "figure to regenerate: 6, 7, 8, 10, 12, or all")
-		quick      = flag.Bool("quick", false, "smoke scale (fast, noisier)")
-		instr      = flag.Uint64("instr", 0, "override measured instructions per core")
-		warmup     = flag.Uint64("warmup", 0, "override warmup instructions per core")
-		workloads  = flag.String("workloads", "", "comma-separated workload subset")
-		workers    = flag.Int("workers", 0, "parallel simulations (default NumCPU-1)")
-		fidelity   = flag.String("fidelity", "exact", `execution fidelity: "exact" (cycle-accurate, figure-quality) or "sampled" (interval sampling; normalized values print with ±95% CI)`)
-		ciTarget   = flag.Float64("ci-target", 0, "sampled fidelity: stop each point early once IPC and bandwidth 95% CIs shrink below this fraction of their means")
-		checkpoint = flag.String("checkpoint", "", "legacy JSON result cache shared across figures (see secddr-sweep)")
-		storeDir   = flag.String("store", "", "segment result store directory (preferred cache backend; overrides -checkpoint)")
-		version    = flag.Bool("version", false, "print build version and exit")
+		fig       = flag.String("fig", "all", "figure to regenerate: 6, 7, 8, 10, 12, or all")
+		quick     = flag.Bool("quick", false, "smoke scale (fast, noisier)")
+		instr     = flag.Uint64("instr", 0, "override measured instructions per core")
+		warmup    = flag.Uint64("warmup", 0, "override warmup instructions per core")
+		workloads = flag.String("workloads", "", "comma-separated workload subset")
+		workers   = flag.Int("workers", 0, "parallel simulations (default NumCPU-1)")
+		fidelity  = flag.String("fidelity", "exact", `execution fidelity: "exact" (cycle-accurate, figure-quality) or "sampled" (interval sampling; normalized values print with ±95% CI)`)
+		ciTarget  = flag.Float64("ci-target", 0, "sampled fidelity: stop each point early once IPC and bandwidth 95% CIs shrink below this fraction of their means")
+		storeDir  = flag.String("store", "", "result store directory shared across figures and with secddr-sweep (empty disables caching)")
+		version   = flag.Bool("version", false, "print build version and exit")
 	)
 	flag.Parse()
 
@@ -75,7 +73,6 @@ func run() error {
 	}
 	scale.Fidelity = sim.Fidelity{Mode: fidMode, TargetCI: *ciTarget}
 	scale.Workers = *workers
-	scale.Checkpoint = *checkpoint
 	if *storeDir != "" {
 		store, err := resultstore.Open(*storeDir, resultstore.Options{})
 		if err != nil {

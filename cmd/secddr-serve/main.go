@@ -16,7 +16,6 @@
 //
 //	secddr-serve                                  # :8080, store in ./secddr-store
 //	secddr-serve -addr 127.0.0.1:0 -store /var/lib/secddr -workers 8
-//	secddr-serve -migrate-checkpoint secddr-sweep.ckpt.json   # import legacy cache
 //
 // Submit work with secddr-sweep -server http://HOST:PORT, or directly
 // (PUT with a key of your choosing makes the submission idempotent —
@@ -68,7 +67,6 @@ func run() error {
 		addr      = flag.String("addr", ":8080", "listen address (port 0 picks a free port)")
 		storeDir  = flag.String("store", "secddr-store", "result store directory (created if missing)")
 		workers   = flag.Int("workers", 0, "local simulation pool size (0 = GOMAXPROCS, negative = fleet-only: execute nothing locally, serve leases to secddr-worker processes)")
-		migrate   = flag.String("migrate-checkpoint", "", "import a legacy checkpoint-v1 JSON file into the store at startup")
 		addrFile  = flag.String("addr-file", "", "write the server's base URL to this file once ready (for scripts)")
 		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 		logLevel  = flag.String("log-level", "info", "structured log threshold: debug, info, warn, or error")
@@ -95,13 +93,6 @@ func run() error {
 		return err
 	}
 	defer store.Close()
-	if *migrate != "" {
-		n, err := resultstore.MigrateCheckpoint(*migrate, store)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "secddr-serve: migrated %d checkpoint entries into %s\n", n, *storeDir)
-	}
 
 	// SIGINT/SIGTERM stop new simulations; in-flight points finish and
 	// reach the store before exit (the store appends per point). Sweeps

@@ -6,10 +6,10 @@
 // Points are cached by a digest of the full simulation options, so
 // re-running a sweep (or widening its grid) only executes the points that
 // are new, and an interrupted sweep (Ctrl-C flushes completed points)
-// resumes where it stopped. Three cache backends: -store names a segment
-// result store (O(point) appends, safe to share between processes), the
-// default -checkpoint names a legacy v1 JSON file, and -server submits the
-// grid to a daemon whose store is shared by every client.
+// resumes where it stopped. Locally the cache is the segment result store
+// named by -store (O(point) appends, safe to share between processes);
+// -server submits the grid to a daemon whose store is shared by every
+// client.
 //
 // Usage:
 //
@@ -18,7 +18,7 @@
 //	    -out results.json -csv results.csv
 //	secddr-sweep -modes all -instr 500000 -warmup 200000 -seed 7 -seed-per-job
 //	secddr-sweep -modes secddr+ctr,integrity-tree -channels 4   # multi-channel DDR4
-//	secddr-sweep -store sweeps.store -modes all                 # segment store backend
+//	secddr-sweep -store sweeps.store -modes all                 # named result store
 //	secddr-sweep -server http://127.0.0.1:8080 -quick           # remote execution
 //	secddr-sweep -scenario thrash-one,phase-alternate -quick    # built-in scenarios
 //	secddr-sweep -fidelity sampled -ci-target 0.03 -quick       # interval sampling
@@ -71,8 +71,7 @@ func run() error {
 		ciTarget   = flag.Float64("ci-target", 0, "sampled fidelity: stop each point early once IPC and bandwidth 95% CIs shrink below this fraction of their means")
 		seedPerJob = flag.Bool("seed-per-job", false, "derive a distinct deterministic seed per grid point")
 		workers    = flag.Int("workers", 0, "parallel simulations (default GOMAXPROCS)")
-		storeDir   = flag.String("store", "", "segment result store directory (preferred backend; overrides -checkpoint)")
-		checkpoint = flag.String("checkpoint", "secddr-sweep.ckpt.json", `legacy JSON result cache (empty string disables caching)`)
+		storeDir   = flag.String("store", "secddr-sweep.store", `result store directory (empty string disables caching)`)
 		server     = flag.String("server", "", "submit the sweep to a secddr-serve URL instead of simulating locally")
 		sweepKey   = flag.String("sweep-key", "", "idempotent submission key for -server mode: re-running with the same key and grid attaches to the running sweep instead of starting a new one (default: a key derived from the grid itself)")
 		client     = flag.String("client", "", "client name for -server mode: quota accounting and fair scheduling group (default anonymous)")
@@ -152,9 +151,8 @@ func run() error {
 			return err
 		}
 		campaign := harness.Campaign{
-			Jobs:       grid.Jobs(),
-			Workers:    *workers,
-			Checkpoint: *checkpoint,
+			Jobs:    grid.Jobs(),
+			Workers: *workers,
 		}
 		if *progress {
 			campaign.Progress = progressPrinter()

@@ -79,10 +79,9 @@ func AblationScenarioMix(scale Scale) ([]AblationRow, error) {
 		Seed:         scale.Seed,
 	}
 	outs, _, err := harness.Run(harness.Campaign{
-		Jobs:       grid.Jobs(),
-		Workers:    scale.workers(),
-		Store:      scale.Store,
-		Checkpoint: scale.Checkpoint,
+		Jobs:    grid.Jobs(),
+		Workers: scale.workers(),
+		Store:   scale.Store,
 	})
 	if err != nil {
 		return nil, err

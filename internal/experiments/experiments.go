@@ -5,7 +5,7 @@
 // XTS and counter-mode encryption), Table II (AES power), and the
 // Section III-B security analysis. Each figure is a declarative workload x
 // configuration grid executed by internal/harness (bounded worker pool,
-// result caching, checkpoint resume); results normalize IPC to the
+// digest-keyed result caching and resume); results normalize IPC to the
 // Intel-TDX-like baseline (encryption + ECC-chip MACs, no replay
 // protection) exactly as the paper does.
 package experiments
@@ -44,9 +44,6 @@ type Scale struct {
 	// figure re-runs skip every already-computed point and interrupted
 	// sweeps resume (see internal/harness and internal/resultstore).
 	Store harness.Store
-	// Checkpoint is the legacy single-file alternative to Store (used
-	// when Store is nil; see harness.Campaign).
-	Checkpoint string
 
 	// footprintOverride, when nonzero, replaces every profile's cold
 	// working-set size (used by the footprint-scaling ablation).
@@ -113,10 +110,9 @@ func (s Scale) runGrid(profiles []trace.Profile, configs []namedConfig) (map[str
 		Fidelities: []sim.Fidelity{s.Fidelity},
 	}
 	outs, _, err := harness.Run(harness.Campaign{
-		Jobs:       grid.Jobs(),
-		Workers:    s.workers(),
-		Store:      s.Store,
-		Checkpoint: s.Checkpoint,
+		Jobs:    grid.Jobs(),
+		Workers: s.workers(),
+		Store:   s.Store,
 	})
 	if err != nil {
 		return nil, err

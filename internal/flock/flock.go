@@ -1,12 +1,11 @@
 //go:build unix
 
-// Package flock provides advisory file locking for the result stores.
-// Both persistence backends use it to coordinate writers that share a
-// path: the legacy JSON checkpoint takes an exclusive lock around its
-// merge-and-rewrite flush so concurrent sweeps never lose each other's
-// updates, and the segment store flocks each live segment so compaction
-// can tell an abandoned segment (crashed process, lock free) from one an
-// active writer still owns.
+// Package flock provides advisory file locking for the processes that
+// share a result store directory. The segment store flocks each live
+// segment so compaction can tell an abandoned segment (crashed process,
+// lock free) from one an active writer still owns; the campaign service
+// flocks its WAL files the same way and serializes leader-lease updates
+// under an exclusive lock.
 //
 // Locks are flock(2)-style: per open file description, so they exclude
 // both other processes and other handles within one process, and the

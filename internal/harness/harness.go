@@ -1,13 +1,13 @@
 // Package harness runs simulation campaigns: batches of (workload,
-// configuration) points executed on a bounded worker pool with result
-// caching and resumable checkpoints.
+// configuration) points executed on a bounded worker pool with
+// digest-keyed result caching.
 //
 // A campaign is a flat list of Jobs, usually expanded from a declarative
 // Grid (workload x configuration cross product). Run schedules the jobs on
 // GOMAXPROCS workers, deduplicates identical simulation points within the
-// batch, and — when a checkpoint path is set — skips every point whose
-// digest is already recorded, persisting each new result as it completes so
-// an interrupted sweep resumes where it stopped. Results come back in job
+// batch, and — when a Store is set — skips every point whose digest is
+// already recorded, persisting each new result as it completes so an
+// interrupted sweep resumes where it stopped. Results come back in job
 // order as Outcomes, ready for the JSON/CSV emitters in emit.go or for the
 // figure formatters in internal/experiments, which is itself a set of thin
 // grid definitions over this package.
@@ -40,13 +40,20 @@ import (
 // the in-batch dedup is: equal digests imply byte-identical results
 // (sim.Options.Digest covers everything result-relevant).
 //
-// Two backends exist: the legacy single-file JSON checkpoint in this
-// package (O(table) bytes per flush) and internal/resultstore's append-only
-// segment log (O(point) per flush, the default for new code).
+// internal/resultstore's append-only segment log is the on-disk
+// implementation; the fleet worker's implementation uploads each result
+// to its server instead.
 type Store interface {
 	Lookup(digest string) (sim.Result, bool)
 	Record(digest string, res sim.Result) error
 }
+
+// noStore is the cache of a campaign without a Store: nothing is ever
+// found, nothing is kept.
+type noStore struct{}
+
+func (noStore) Lookup(string) (sim.Result, bool) { return sim.Result{}, false }
+func (noStore) Record(string, sim.Result) error  { return nil }
 
 // Job is one simulation point of a campaign.
 type Job struct {
@@ -154,12 +161,8 @@ type Campaign struct {
 	// Store, when non-nil, is the persistent result cache: points already
 	// recorded there are skipped, and each new result is recorded as it
 	// completes, so an interrupted campaign resumes from where it stopped.
-	// It takes precedence over Checkpoint.
+	// Nil means no persistence.
 	Store Store
-	// Checkpoint, when non-empty (and Store is nil), names a legacy v1 JSON
-	// checkpoint file used the same way. Kept for existing sweep files; new
-	// code should prefer a resultstore-backed Store.
-	Checkpoint string
 	// Sim is the simulation entry point. nil selects the built-in
 	// fork-after-warmup scheduler: points whose options share a
 	// sim.WarmupKey warm once and fork from the shared snapshot, which is
@@ -259,7 +262,7 @@ type Outcome struct {
 type Stats struct {
 	Total    int `json:"total"`    // jobs requested
 	Executed int `json:"executed"` // simulations actually run
-	Cached   int `json:"cached"`   // jobs served from the checkpoint cache
+	Cached   int `json:"cached"`   // jobs served from the store
 	Deduped  int `json:"deduped"`  // jobs served by an identical job in the same batch
 	// Forked counts executed points satisfied by forking a shared warmed
 	// snapshot, and Warmups the timed warmup phases actually run; both are
@@ -300,11 +303,7 @@ func RunContext(ctx context.Context, c Campaign) ([]Outcome, Stats, error) {
 
 	store := c.Store
 	if store == nil {
-		ckpt, err := loadCheckpoint(c.Checkpoint)
-		if err != nil {
-			return nil, stats, err
-		}
-		store = ckpt
+		store = noStore{}
 	}
 
 	// Resolve each job to a digest; schedule one execution per distinct

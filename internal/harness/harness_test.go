@@ -3,13 +3,12 @@ package harness
 import (
 	"bytes"
 	"encoding/csv"
-	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"secddr/internal/config"
+	"secddr/internal/resultstore"
 	"secddr/internal/sim"
 	"secddr/internal/trace"
 )
@@ -73,10 +72,14 @@ func TestDeriveSeedStable(t *testing.T) {
 }
 
 // TestCacheHitSkip re-runs an identical campaign against the same
-// checkpoint: every point must be served from cache, byte-identically.
+// store: every point must be served from cache, byte-identically.
 func TestCacheHitSkip(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt.json")
-	c := Campaign{Jobs: tinyGrid().Jobs(), Checkpoint: ckpt}
+	st, err := resultstore.Open(filepath.Join(t.TempDir(), "store"), resultstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	c := Campaign{Jobs: tinyGrid().Jobs(), Store: st}
 
 	first, stats, err := Run(c)
 	if err != nil {
@@ -100,31 +103,6 @@ func TestCacheHitSkip(t *testing.T) {
 		if !reflect.DeepEqual(first[i].Result, second[i].Result) {
 			t.Errorf("outcome %q differs between live and cached run", first[i].Key)
 		}
-	}
-}
-
-// TestCheckpointResume simulates an interrupted sweep: a first partial
-// campaign persists some points, then the full campaign runs only the rest.
-func TestCheckpointResume(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt.json")
-	jobs := tinyGrid().Jobs()
-
-	// "Interrupted" sweep: only the first point completed.
-	if _, stats, err := Run(Campaign{Jobs: jobs[:1], Checkpoint: ckpt}); err != nil {
-		t.Fatal(err)
-	} else if stats.Executed != 1 {
-		t.Fatalf("partial run stats = %+v", stats)
-	}
-
-	outs, stats, err := Run(Campaign{Jobs: jobs, Checkpoint: ckpt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Executed != 3 || stats.Cached != 1 {
-		t.Fatalf("resumed run stats = %+v, want 3 executed / 1 cached", stats)
-	}
-	if !outs[0].Cached {
-		t.Error("previously-completed point not served from checkpoint")
 	}
 }
 
@@ -186,23 +164,6 @@ func TestWriteCSV(t *testing.T) {
 	}
 	if rows[0][0] != "key" || rows[1][0] != "mcf/unprotected" {
 		t.Errorf("unexpected CSV layout: %v", rows[:2])
-	}
-}
-
-func TestCorruptCheckpointRejected(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "bad.ckpt.json")
-	if err := os.WriteFile(ckpt, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Run(Campaign{Jobs: tinyGrid().Jobs()[:1], Checkpoint: ckpt}); err == nil {
-		t.Error("corrupt checkpoint accepted")
-	}
-	if err := os.WriteFile(ckpt, []byte(`{"version":99,"entries":{}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Run(Campaign{Jobs: tinyGrid().Jobs()[:1], Checkpoint: ckpt}); err == nil ||
-		!strings.Contains(err.Error(), "version") {
-		t.Errorf("version mismatch not rejected: %v", err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"secddr/internal/config"
@@ -16,7 +15,7 @@ import (
 var _ Store = (*resultstore.Store)(nil)
 
 // TestStoreBackedCampaign runs the cache-hit/skip contract against the
-// resultstore backend instead of the legacy checkpoint.
+// resultstore backend.
 func TestStoreBackedCampaign(t *testing.T) {
 	st, err := resultstore.Open(filepath.Join(t.TempDir(), "store"), resultstore.Options{})
 	if err != nil {
@@ -79,55 +78,9 @@ func TestRunContextCancel(t *testing.T) {
 	}
 }
 
-// TestConcurrentCheckpointsSamePath is the legacy-backend half of the
-// multi-process cooperation contract (run under -race): two checkpoints
-// flushing to one file must never lose each other's results — this is
-// what the flock + content-hash stamp in Record guarantee.
-func TestConcurrentCheckpointsSamePath(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "shared.ckpt.json")
-	a, err := loadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := loadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	res := sim.Result{Workload: "w", Mode: config.ModeUnprotected, IPC: 1}
-	const n = 50
-	var wg sync.WaitGroup
-	for w, ck := range map[int]*checkpoint{0: a, 1: b} {
-		wg.Add(1)
-		go func(w int, ck *checkpoint) {
-			defer wg.Done()
-			for i := 0; i < n; i++ {
-				if err := ck.Record(fmt.Sprintf("d%d-%d", w, i), res); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w, ck)
-	}
-	wg.Wait()
-
-	final, err := loadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for w := 0; w < 2; w++ {
-		for i := 0; i < n; i++ {
-			if _, ok := final.Lookup(fmt.Sprintf("d%d-%d", w, i)); !ok {
-				t.Fatalf("entry d%d-%d lost in concurrent checkpoint flushes", w, i)
-			}
-		}
-	}
-}
-
-// BenchmarkStoreFlush contrasts the cost of persisting one fresh point
-// once 500 are already recorded: the legacy checkpoint rewrites the whole
-// table (O(table) bytes per flush), the segment store appends one line
-// (O(point)). This is the acceptance benchmark for the resultstore PR.
+// BenchmarkStoreFlush measures the cost of persisting one fresh point
+// once 500 are already recorded: the segment store appends one line, so
+// the cost is O(point), not O(table).
 func BenchmarkStoreFlush(b *testing.B) {
 	res := sim.Result{
 		Workload:   "mcf",
@@ -136,24 +89,6 @@ func BenchmarkStoreFlush(b *testing.B) {
 		PerCoreIPC: []float64{0.4, 0.4, 0.35, 0.35},
 	}
 	const preload = 500
-
-	b.Run("checkpoint-v1", func(b *testing.B) {
-		ck, err := loadCheckpoint(filepath.Join(b.TempDir(), "bench.ckpt.json"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < preload; i++ {
-			if err := ck.Record(fmt.Sprintf("pre%04d", i), res); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := ck.Record(fmt.Sprintf("new%08d", i), res); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 
 	b.Run("resultstore", func(b *testing.B) {
 		st, err := resultstore.Open(filepath.Join(b.TempDir(), "store"), resultstore.Options{})

@@ -1,12 +1,10 @@
-// Package resultstore is the scalable persistence backend behind the
-// campaign harness: a concurrent, digest-keyed, on-disk result store that
-// replaces the legacy rewrite-everything JSON checkpoint.
+// Package resultstore is the persistence backend behind the campaign
+// harness: a concurrent, digest-keyed, on-disk result store.
 //
 // A store is a directory of append-only NDJSON segment files plus an
 // in-memory digest -> result index. Recording a result appends one line to
 // the process's own segment under a per-store lock — O(point) bytes per
-// flush, where the legacy checkpoint rewrites the whole table, O(N²) bytes
-// over a long sweep. Several processes share a directory safely: each
+// flush, so a long sweep writes O(N) bytes in total. Several processes share a directory safely: each
 // writes only its own segment (created unique, held under an exclusive
 // flock for the store's lifetime), so appends never interleave, and
 // Refresh folds peers' segments into the index.
@@ -20,8 +18,7 @@
 // whenever they occur (equal digests imply identical results; see
 // sim.Options.Digest), which is what makes every race here benign.
 //
-// MigrateCheckpoint converts a legacy harness checkpoint-v1 file in one
-// shot. The store satisfies harness.Store.
+// The store satisfies harness.Store.
 package resultstore
 
 import (

@@ -281,37 +281,6 @@ func TestRotation(t *testing.T) {
 	}
 }
 
-func TestMigrateCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "legacy.ckpt.json")
-	doc := `{"version":1,"entries":{` +
-		`"aaa":{"Workload":"mcf","Mode":"secddr+ctr","IPC":1.25},` +
-		`"bbb":{"Workload":"lbm","Mode":"unprotected","IPC":2.5}}}`
-	if err := os.WriteFile(ckpt, []byte(doc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s := mustOpen(t, filepath.Join(dir, "store"), Options{})
-	n, err := MigrateCheckpoint(ckpt, s)
-	if err != nil || n != 2 {
-		t.Fatalf("migrated = %d, %v; want 2", n, err)
-	}
-	if res, ok := s.Lookup("aaa"); !ok || res.IPC != 1.25 || res.Workload != "mcf" {
-		t.Fatalf("migrated entry aaa = %+v, %v", res, ok)
-	}
-	// Idempotent: nothing new on a second pass.
-	if n, err := MigrateCheckpoint(ckpt, s); err != nil || n != 0 {
-		t.Fatalf("re-migration = %d, %v; want 0", n, err)
-	}
-
-	// Wrong version refuses.
-	bad := filepath.Join(dir, "bad.ckpt.json")
-	os.WriteFile(bad, []byte(`{"version":9,"entries":{}}`), 0o644)
-	if _, err := MigrateCheckpoint(bad, s); err == nil {
-		t.Error("version-9 checkpoint migrated")
-	}
-}
-
 // TestHealth: the readiness probe is sticky on write failures and clears
 // on the next successful append.
 func TestHealth(t *testing.T) {

@@ -65,8 +65,9 @@ func TestFidelitySpecExpansion(t *testing.T) {
 
 // TestFidelityUnknownFieldRejected: a fidelity block carrying a field
 // this build does not know (sent by a newer client) must be refused with
-// the unsupported_fidelity wire code on both submit routes — a dropped
+// the unsupported_fidelity wire code on the submit route — a dropped
 // knob would silently alias two different experiments under one digest.
+// The keyless POST route is gone: it must answer 405, not run the sweep.
 func TestFidelityUnknownFieldRejected(t *testing.T) {
 	srv := NewServer(newMemStore(), ServerOptions{Workers: 1})
 	srv.runSim = fakeSim
@@ -77,32 +78,36 @@ func TestFidelityUnknownFieldRejected(t *testing.T) {
 	body := `{"modes":["unprotected"],"workloads":["mcf"],"instr_per_core":5000,` +
 		`"fidelity":{"modes":["sampled"],"quantum_instr":64}}`
 
-	for _, req := range []struct{ method, url string }{
-		{http.MethodPost, ts.URL + "/v1/sweeps"},
-		{http.MethodPut, ts.URL + "/v1/sweeps/fidelity-test-key"},
-	} {
-		hr, err := http.NewRequest(req.method, req.url, strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(hr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ae apiError
-		if err := json.NewDecoder(resp.Body).Decode(&ae); err != nil {
-			t.Fatalf("%s: decoding error body: %v", req.method, err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: status %d, want 400 (body %+v)", req.method, resp.StatusCode, ae)
-		}
-		if ae.Code != codeUnsupportedFidelity {
-			t.Fatalf("%s: code %q, want %q (%s)", req.method, ae.Code, codeUnsupportedFidelity, ae.Error)
-		}
-		if rebuilt := codeToError(ae.Code, ae.Error, ae.Leader); !errors.Is(rebuilt, ErrUnsupportedFidelity) {
-			t.Fatalf("%s: client-side rebuild %v does not match ErrUnsupportedFidelity", req.method, rebuilt)
-		}
+	post, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	post.Body.Close()
+	if post.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("POST /v1/sweeps: status %d, want 405", post.StatusCode)
+	}
+
+	hr, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/sweeps/fidelity-test-key", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(hr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ae apiError
+	if err := json.NewDecoder(resp.Body).Decode(&ae); err != nil {
+		t.Fatalf("PUT: decoding error body: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("PUT: status %d, want 400 (body %+v)", resp.StatusCode, ae)
+	}
+	if ae.Code != codeUnsupportedFidelity {
+		t.Fatalf("PUT: code %q, want %q (%s)", ae.Code, codeUnsupportedFidelity, ae.Error)
+	}
+	if rebuilt := codeToError(ae.Code, ae.Error, ae.Leader); !errors.Is(rebuilt, ErrUnsupportedFidelity) {
+		t.Fatalf("PUT: client-side rebuild %v does not match ErrUnsupportedFidelity", rebuilt)
 	}
 }
 

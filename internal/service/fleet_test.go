@@ -81,7 +81,7 @@ func TestLeaseAckCompletesSweep(t *testing.T) {
 	srv, store, cl := fleetServer(t)
 	ctx := context.Background()
 
-	sw, err := srv.Submit(tinySpec())
+	sw, err := submitFresh(srv, tinySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestLeaseExpiryReclaim(t *testing.T) {
 	srv.fleet.mu.Unlock()
 
 	spec := Spec{Modes: []string{"unprotected"}, Workloads: []string{"mcf"}, Quick: true}
-	sw, err := srv.Submit(spec)
+	sw, err := submitFresh(srv, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestShutdownFailsUnackedRemote(t *testing.T) {
 	ctx := context.Background()
 
 	spec := Spec{Modes: []string{"unprotected"}, Workloads: []string{"mcf", "lbm"}, Quick: true}
-	sw, err := srv.Submit(spec)
+	sw, err := submitFresh(srv, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestShutdownFailsUnackedRemote(t *testing.T) {
 func TestBaseContextCancelFailsSweeps(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	srv := NewServer(newMemStore(), ServerOptions{Workers: -1, BaseContext: ctx})
-	sw, err := srv.Submit(Spec{Modes: []string{"unprotected"}, Workloads: []string{"mcf"}, Quick: true})
+	sw, err := submitFresh(srv, Spec{Modes: []string{"unprotected"}, Workloads: []string{"mcf"}, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestShutdownLetsLocalFinish(t *testing.T) {
 		<-release
 		return fakeSim(o)
 	}
-	sw, err := srv.Submit(tinySpec())
+	sw, err := submitFresh(srv, tinySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +421,7 @@ func TestWorkerReportsSimError(t *testing.T) {
 	wg.Add(1)
 	go func() { defer wg.Done(); w.Run(ctx) }()
 
-	sw, err := srv.Submit(Spec{Modes: []string{"unprotected"}, Workloads: []string{"mcf", "lbm"}, Quick: true})
+	sw, err := submitFresh(srv, Spec{Modes: []string{"unprotected"}, Workloads: []string{"mcf", "lbm"}, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}

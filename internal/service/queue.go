@@ -83,9 +83,8 @@ type prioBucket struct {
 }
 
 // Queue is the coupling point between sweeps and executors: runDigest
-// enqueues one job per distinct digest, and any attached Executor — the
-// in-process pool, remote workers via the lease API, or both at once —
-// pops jobs and completes them. Completion is keyed by digest and
+// enqueues one job per distinct digest, and the in-process pool, remote
+// workers via the lease API, or both at once pop jobs and complete them. Completion is keyed by digest and
 // idempotent, so a crashed worker's requeued job can be finished by its
 // replacement while the original's late upload is ignored.
 //

@@ -2,8 +2,6 @@ package service
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -27,10 +25,10 @@ func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // ServerOptions tunes a sweep server. The zero value is usable.
 type ServerOptions struct {
-	// Workers sizes the in-process execution pool (the LocalExecutor):
-	// 0 means GOMAXPROCS, a negative value disables local execution
-	// entirely — the server then only queues work for remote
-	// secddr-worker processes (fleet-only mode).
+	// Workers sizes the in-process execution pool: 0 means GOMAXPROCS,
+	// a negative value disables local execution entirely — the server
+	// then only queues work for remote secddr-worker processes
+	// (fleet-only mode).
 	Workers int
 	// BaseContext, when non-nil, bounds the lifetime of background sweep
 	// execution: once it is cancelled no new simulation starts.
@@ -71,7 +69,7 @@ type Server struct {
 	queue        *Queue
 	fleet        *fleetExecutor
 	localWorkers int                // 0 in fleet-only mode
-	stopExec     context.CancelFunc // stops the attached executors
+	stopExec     context.CancelFunc // stops the local pool and the lease reaper
 	metrics      *serverMetrics     // latency histograms served by /metrics
 	log          *slog.Logger       // structured progress; a discard logger when unset
 	wal          *WAL               // nil: ephemeral sweeps
@@ -106,9 +104,9 @@ type flight struct {
 	via  string // viaRan | viaStored | viaFailed
 }
 
-// NewServer builds a sweep server over a result store and attaches its
-// executors: the local pool (unless opt.Workers < 0) and the remote
-// fleet's lease surface, both draining one queue.
+// NewServer builds a sweep server over a result store and starts draining
+// its queue: the local pool (unless opt.Workers < 0) and the remote
+// fleet's lease surface both take jobs from it.
 func NewServer(store harness.Store, opt ServerOptions) *Server {
 	workers := opt.Workers
 	if workers == 0 {
@@ -121,7 +119,7 @@ func NewServer(store harness.Store, opt ServerOptions) *Server {
 	if base == nil {
 		base = context.Background()
 	}
-	// Executors stop on BaseContext *or* Shutdown, whichever comes first,
+	// Execution stops on BaseContext *or* Shutdown, whichever comes first,
 	// so a library user without a BaseContext still gets their goroutines
 	// (pool + reaper) back by calling Shutdown.
 	execCtx, stopExec := context.WithCancel(base)
@@ -146,26 +144,38 @@ func NewServer(store harness.Store, opt ServerOptions) *Server {
 	}
 	s.queue.observeWait = s.metrics.observeQueueWait
 	s.queue.observeLease = s.metrics.observeLeaseDur
-	s.fleet.Attach(execCtx, s.queue)
-	if workers > 0 {
-		local := &LocalExecutor{
-			Workers: workers,
-			Sim:     func(o sim.Options) (sim.Result, error) { return s.runSim(o) },
-			Running: s.trackRunning,
-			Observe: s.metrics.observeSimWall,
-		}
-		local.Attach(execCtx, s.queue)
+	s.fleet.startReaper(execCtx, s.queue)
+	for i := 0; i < workers; i++ {
+		go s.runLocal(execCtx)
 	}
 	// Whichever way execution stops — BaseContext cancelled or Shutdown
 	// called — the queue must close with it, so sweeps blocked on queued
-	// work fail with ErrShuttingDown instead of waiting on executors that
-	// no longer exist (the pre-fleet contract: cancelling BaseContext
-	// stops new simulations promptly).
+	// work fail with ErrShuttingDown instead of waiting on a pool and a
+	// fleet that no longer take work (cancelling BaseContext stops new
+	// simulations promptly).
 	go func() {
 		<-execCtx.Done()
 		s.queue.Shutdown()
 	}()
 	return s
+}
+
+// runLocal is one slot of the in-process pool: it pops a job, simulates
+// it, and completes it, one at a time. On ctx cancellation it finishes
+// its current job and exits.
+func (s *Server) runLocal(ctx context.Context) {
+	for {
+		j := s.queue.popLocal(ctx.Done())
+		if j == nil {
+			return
+		}
+		s.trackRunning(+1)
+		start := time.Now()
+		res, err := s.runSim(j.Opt)
+		s.metrics.observeSimWall(time.Since(start))
+		s.trackRunning(-1)
+		s.queue.Complete(j.Digest, localWorkerID, res, err)
+	}
 }
 
 func (s *Server) trackRunning(delta int) {
@@ -177,10 +187,10 @@ func (s *Server) trackRunning(delta int) {
 // Shutdown stops execution for good: remote workers can no longer lease,
 // every pending or remote-leased job fails its flight with
 // ErrShuttingDown, jobs the in-process pool already started run to
-// completion (their results still reach the store), and the executor
-// goroutines (pool + lease reaper) exit. Call it before Drain so sweeps
-// blocked on unacked remote work fail promptly instead of waiting on
-// workers that may never answer.
+// completion (their results still reach the store), and the pool and
+// lease-reaper goroutines exit. Call it before Drain so sweeps blocked
+// on unacked remote work fail promptly instead of waiting on workers
+// that may never answer.
 //
 // With a WAL attached, sweeps failed by ErrShuttingDown keep their WAL
 // entry open (no terminal record), so the next boot over the same store
@@ -249,10 +259,9 @@ type SweepStatus struct {
 	Error     string        `json:"error,omitempty"`
 }
 
-// SubmitResponse is the submission answer (PUT /v1/sweeps/{key} and the
-// POST shim). Attached reports that the (key, spec) pair matched an
-// already-registered sweep and the request joined it instead of starting
-// a duplicate.
+// SubmitResponse is the PUT /v1/sweeps/{key} answer. Attached reports
+// that the (key, spec) pair matched an already-registered sweep and the
+// request joined it instead of starting a duplicate.
 type SubmitResponse struct {
 	ID         string `json:"id"`
 	Key        string `json:"key,omitempty"`
@@ -285,23 +294,6 @@ func (sw *sweep) status() SweepStatus {
 		st.EtaMS = st.ElapsedMS * int64(st.Total-st.Done) / int64(st.Done)
 	}
 	return st
-}
-
-// randomKey generates a submission key for the keyless POST shim.
-func randomKey() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic("service: crypto/rand failed: " + err.Error())
-	}
-	return "auto-" + hex.EncodeToString(b[:])
-}
-
-// Submit registers a sweep under a generated key — the legacy
-// fire-and-forget entry point (POST /v1/sweeps). Each call starts a
-// fresh sweep; use SubmitKeyed for idempotent submission.
-func (s *Server) Submit(spec Spec) (*sweep, error) {
-	sw, _, err := s.SubmitKeyed(randomKey(), spec)
-	return sw, err
 }
 
 // SubmitKeyed validates a spec and registers the sweep under the
@@ -724,7 +716,6 @@ func (s *Server) runDigest(d, key, client string, priority int, opt sim.Options)
 // Handler returns the HTTP API:
 //
 //	PUT  /v1/sweeps/{key}          idempotent keyed submit, 202 (200 if attached) + SubmitResponse
-//	POST /v1/sweeps                legacy shim: submit under a generated key
 //	GET  /v1/sweeps/{id}           SweepStatus
 //	GET  /v1/sweeps/{id}/results   NDJSON stream; ?after=<seq> resumes from a cursor
 //	GET  /v1/results/{digest}      one stored result
@@ -737,7 +728,12 @@ func (s *Server) runDigest(d, key, client string, priority int, opt sim.Options)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("PUT /v1/sweeps/{key}", s.handleSubmitKeyed)
-	mux.HandleFunc("POST /v1/sweeps", s.handleSubmit)
+	// Submissions name their key; a keyless POST to the collection gets
+	// 405 and a pointer to the keyed route rather than a bare 404.
+	mux.HandleFunc("/v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Allow", "") // the collection itself accepts no method
+		httpError(w, http.StatusMethodNotAllowed, "submit sweeps with PUT /v1/sweeps/{key}")
+	})
 	mux.HandleFunc("GET /v1/sweeps/{id}", s.handleStatus)
 	mux.HandleFunc("GET /v1/sweeps/{id}/results", s.handleResults)
 	mux.HandleFunc("GET /v1/results/{digest}", s.handleResult)
@@ -934,28 +930,6 @@ func (s *Server) handleSubmitKeyed(w http.ResponseWriter, r *http.Request) {
 		Key:        sw.key,
 		Total:      sw.total,
 		Attached:   attached,
-		StatusURL:  "/v1/sweeps/" + sw.id,
-		ResultsURL: "/v1/sweeps/" + sw.id + "/results",
-	})
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, err := decodeSpec(r)
-	if err != nil {
-		httpTypedError(w, http.StatusBadRequest, err)
-		return
-	}
-	sw, err := s.Submit(spec)
-	if err != nil {
-		httpTypedError(w, submitStatus(err), err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusAccepted)
-	json.NewEncoder(w).Encode(SubmitResponse{
-		ID:         sw.id,
-		Key:        sw.key,
-		Total:      sw.total,
 		StatusURL:  "/v1/sweeps/" + sw.id,
 		ResultsURL: "/v1/sweeps/" + sw.id + "/results",
 	})

@@ -3,10 +3,12 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -44,6 +46,16 @@ func fakeSim(o sim.Options) (sim.Result, error) {
 		Mode:     o.Config.Security.Mode,
 		IPC:      1.0,
 	}, nil
+}
+
+// testKeys numbers the keys submitFresh hands out.
+var testKeys atomic.Int64
+
+// submitFresh registers spec under a key no other submission uses, so
+// every call starts a new sweep.
+func submitFresh(srv *Server, spec Spec) (*sweep, error) {
+	sw, _, err := srv.SubmitKeyed(fmt.Sprintf("test-%d", testKeys.Add(1)), spec)
+	return sw, err
 }
 
 // tinySpec is a 2x2 grid cheap enough for stubbed servers.
@@ -105,7 +117,7 @@ func TestDrainWaitsForSweeps(t *testing.T) {
 		<-slow
 		return fakeSim(o)
 	}
-	if _, err := srv.Submit(tinySpec()); err != nil {
+	if _, err := submitFresh(srv, tinySpec()); err != nil {
 		t.Fatal(err)
 	}
 	go func() {
@@ -213,11 +225,11 @@ func TestSingleflightAcrossSweeps(t *testing.T) {
 
 	shared := Spec{Modes: []string{"unprotected"}, Workloads: []string{"mcf", "lbm"}, Quick: true}
 	overlap := Spec{Modes: []string{"unprotected"}, Workloads: []string{"mcf", "pr"}, Quick: true}
-	swA, err := srv.Submit(shared)
+	swA, err := submitFresh(srv, shared)
 	if err != nil {
 		t.Fatal(err)
 	}
-	swB, err := srv.Submit(overlap)
+	swB, err := submitFresh(srv, overlap)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,9 +23,10 @@ import (
 )
 
 // Spec is a sweep request: a workload x mode grid plus scale overrides.
-// It is the JSON body of POST /v1/sweeps and the flag set of secddr-sweep
-// in both local and -server mode, so a grid submitted remotely expands to
-// exactly the same jobs — and therefore the same digests — as a local run.
+// It is the JSON body of PUT /v1/sweeps/{key} and the flag set of
+// secddr-sweep in both local and -server mode, so a grid submitted
+// remotely expands to exactly the same jobs — and therefore the same
+// digests — as a local run.
 type Spec struct {
 	// Modes names the protection configurations: canonical mode names
 	// (see secddr-sim -list), "all", or "fig6" (the paper's five Fig. 6

@@ -38,8 +38,6 @@ type Worker struct {
 	// Sim substitutes the simulation entry point (tests); nil means
 	// sim.Run via the harness.
 	Sim func(sim.Options) (sim.Result, error)
-	// Logf, when non-nil, receives progress lines (the legacy printf hook).
-	Logf func(format string, args ...any)
 	// Log, when non-nil, receives structured progress events — lease
 	// batches, uploads, releases — with worker and job-digest attributes,
 	// so one digest's path greps out of a fleet's interleaved logs and
@@ -81,12 +79,6 @@ func (w *Worker) pollWait() time.Duration {
 	return 5 * time.Second
 }
 
-func (w *Worker) logf(format string, args ...any) {
-	if w.Logf != nil {
-		w.Logf(format, args...)
-	}
-}
-
 // Run leases and executes jobs until ctx is cancelled. On cancellation
 // in-flight simulations finish and their results are still uploaded (the
 // paid-for work reaches the store); unstarted leases are released so the
@@ -117,7 +109,6 @@ func (w *Worker) Run(ctx context.Context) error {
 			if (errors.Is(err, ErrNotLeader) || errors.Is(err, ErrShuttingDown)) && backoff > 2*time.Second {
 				backoff = 2 * time.Second
 			}
-			w.logf("lease failed (retrying in %v): %v", backoff, err)
 			w.slog().Warn("lease failed", "worker", id, "retry_in", backoff, "err", err)
 			select {
 			case <-time.After(backoff):
@@ -141,7 +132,6 @@ func (w *Worker) Run(ctx context.Context) error {
 // point's fate: Record posts successes, OnError posts the failing digest,
 // and leftovers (unrun jobs after an abort or cancellation) are released.
 func (w *Worker) runBatch(ctx context.Context, id string, jobs []WireJob, ttl time.Duration) {
-	w.logf("leased %d job(s)", len(jobs))
 	w.slog().Info("leased jobs", "worker", id, "count", len(jobs), "ttl", ttl)
 	settled := make(map[string]bool, len(jobs)) // digest -> acked or released
 	var mu sync.Mutex
@@ -186,7 +176,7 @@ func (w *Worker) runBatch(ctx context.Context, id string, jobs []WireJob, ttl ti
 					return
 				}
 				if _, err := w.Client.Heartbeat(hbCtx, id, digests); err != nil {
-					w.logf("heartbeat failed: %v", err)
+					w.slog().Warn("heartbeat failed", "worker", id, "err", err)
 				}
 			}
 		}
@@ -200,16 +190,12 @@ func (w *Worker) runBatch(ctx context.Context, id string, jobs []WireJob, ttl ti
 		defer cancel()
 		accepted, err := w.Client.PostResult(upCtx, digest, up)
 		if err != nil {
-			w.logf("uploading %s failed: %v", digest, err)
 			w.slog().Warn("upload failed", "worker", id, "digest", digest, "err", err)
 			return
 		}
 		settle(digest)
 		w.slog().Debug("uploaded result", "worker", id, "digest", digest,
 			"accepted", accepted, "failed", up.Error != "")
-		if !accepted {
-			w.logf("upload of %s ignored (lease reclaimed)", digest)
-		}
 	}
 
 	hjobs := make([]harness.Job, len(jobs))
@@ -226,7 +212,6 @@ func (w *Worker) runBatch(ctx context.Context, id string, jobs []WireJob, ttl ti
 		},
 	})
 	if err != nil {
-		w.logf("batch aborted: %v", err)
 		w.slog().Warn("batch aborted", "worker", id, "err", err)
 	}
 
@@ -234,7 +219,6 @@ func (w *Worker) runBatch(ctx context.Context, id string, jobs []WireJob, ttl ti
 	for _, digest := range held() {
 		relCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		if _, err := w.Client.Release(relCtx, digest, id); err != nil {
-			w.logf("releasing %s failed: %v", digest, err)
 			w.slog().Warn("release failed", "worker", id, "digest", digest, "err", err)
 		}
 		cancel()

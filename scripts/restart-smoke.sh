@@ -30,7 +30,7 @@ go build -o "$work/secddr-sweep" ./cmd/secddr-sweep
 grid=(-quick -modes secddr+ctr,unprotected,integrity-tree -workloads mcf,lbm,pr,bc)
 
 echo "== local baseline run (the byte-identity reference)"
-"$work/secddr-sweep" "${grid[@]}" -checkpoint "" -out "$work/local.json" 2>"$work/local.log"
+"$work/secddr-sweep" "${grid[@]}" -store "" -out "$work/local.json" 2>"$work/local.log"
 grep -q "12 points: 12 executed" "$work/local.log" \
   || { echo "FAIL: local baseline did not execute 12 points"; cat "$work/local.log"; exit 1; }
 

@@ -29,7 +29,7 @@ go build -o "$work/secddr-sweep" ./cmd/secddr-sweep
 grid=(-scenario-file examples/scenarios/quick.json -quick -modes secddr+ctr,unprotected)
 
 echo "== local manifest run (the byte-identity reference)"
-"$work/secddr-sweep" "${grid[@]}" -checkpoint "" -out "$work/local.json" 2>"$work/local.log"
+"$work/secddr-sweep" "${grid[@]}" -store "" -out "$work/local.json" 2>"$work/local.log"
 cat "$work/local.log"
 grep -q "4 points: 4 executed, 0 cached" "$work/local.log" \
   || { echo "FAIL: local manifest run did not execute 4 points"; exit 1; }
@@ -60,8 +60,10 @@ grep -q "4 points: 4 executed, 0 cached" "$work/remote1.log" \
 curl -sf "$url/metrics" | grep -q "^secddr_jobs_remote_done_total 4$" \
   || { echo "FAIL: the fleet worker did not execute all 4 points"; curl -sf "$url/metrics"; exit 1; }
 
-echo "== identical re-submission (must be 100% cache-hit: 0 simulations)"
-"$work/secddr-sweep" "${grid[@]}" -server "$url" -out "$work/remote2.json" 2>"$work/remote2.log"
+echo "== fresh-key re-submission (must be 100% cache-hit: 0 simulations)"
+# A fresh key: the default key derives from the spec, so an identical
+# unnamed re-submission would attach to the finished sweep instead.
+"$work/secddr-sweep" "${grid[@]}" -server "$url" -sweep-key scenario-rerun -out "$work/remote2.json" 2>"$work/remote2.log"
 cat "$work/remote2.log"
 grep -q "4 points: 0 executed, 4 cached" "$work/remote2.log" \
   || { echo "FAIL: re-submission was not served entirely from the store"; exit 1; }

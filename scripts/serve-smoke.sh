@@ -77,10 +77,13 @@ grep -q "^secddr_jobs_cached_total 4$" "$work/metrics.txt" \
 grep -q "^secddr_store_entries 4$" "$work/metrics.txt" \
   || { echo "FAIL: store does not hold the 4 points"; exit 1; }
 
-echo "== direct curl submission works too"
-sid=$(curl -sf "$url/v1/sweeps" -d '{"modes":["unprotected"],"workloads":["mcf"],"quick":true}' \
+echo "== direct curl submission works too, and a repeated PUT attaches"
+body='{"modes":["unprotected"],"workloads":["mcf"],"quick":true}'
+sid=$(curl -sf -X PUT "$url/v1/sweeps/smoke-curl" -d "$body" \
   | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
 [ -n "$sid" ] || { echo "FAIL: curl submission returned no id"; exit 1; }
+curl -sf -X PUT "$url/v1/sweeps/smoke-curl" -d "$body" | grep -q '"attached":true' \
+  || { echo "FAIL: identical PUT did not attach to the existing sweep"; exit 1; }
 curl -sf "$url/v1/sweeps/$sid/results" >/dev/null
 curl -sf "$url/v1/sweeps/$sid" | grep -q '"state":"done"' \
   || { echo "FAIL: curl-submitted sweep did not finish"; exit 1; }

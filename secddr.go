@@ -163,7 +163,7 @@ func ParseScenarioManifest(data []byte) ([]Scenario, error) {
 // --- Experiment harness ---------------------------------------------------
 
 // Campaign is a batch of simulation jobs plus execution policy (worker
-// count, checkpoint path). See internal/harness.
+// count, result store). See internal/harness.
 type Campaign = harness.Campaign
 
 // CampaignJob is one simulation point of a campaign.
@@ -183,9 +183,8 @@ type CampaignOutcome = harness.Outcome
 // served from cache).
 type CampaignStats = harness.Stats
 
-// CampaignStore is the pluggable persistent result cache behind a
-// campaign (the legacy JSON checkpoint and the segment result store both
-// satisfy it).
+// CampaignStore is the persistent result cache behind a campaign;
+// ResultStore is its on-disk implementation.
 type CampaignStore = harness.Store
 
 // RunCampaign executes a campaign on the parallel harness, skipping points
@@ -210,14 +209,8 @@ func OpenResultStore(dir string) (*ResultStore, error) {
 	return resultstore.Open(dir, resultstore.Options{})
 }
 
-// MigrateCheckpoint imports a legacy checkpoint-v1 JSON file into a
-// result store (idempotent; the source file is left untouched).
-func MigrateCheckpoint(path string, s *ResultStore) (int, error) {
-	return resultstore.MigrateCheckpoint(path, s)
-}
-
 // SweepSpec is a declarative sweep request for the campaign service
-// (modes x workloads x scale overrides; the POST /v1/sweeps body).
+// (modes x workloads x scale overrides; the PUT /v1/sweeps/{key} body).
 type SweepSpec = service.Spec
 
 // SweepFidelity is a sweep spec's fidelity block: which execution
@@ -236,17 +229,12 @@ type SweepServer = service.Server
 // fleet-only: execute nothing in-process, serve leases to workers).
 type SweepServerOptions = service.ServerOptions
 
-// SweepExecutor drains a sweep server's job queue; the in-process pool
-// (service.LocalExecutor) and the remote worker fleet both implement it
-// and may run side by side. See DESIGN.md, "The worker fleet".
-type SweepExecutor = service.Executor
-
 // FleetWorker leases jobs from a sweep server and streams results back;
 // it is the engine of cmd/secddr-worker.
 type FleetWorker = service.Worker
 
 // NewSweepServer builds a sweep server over a result store (any
-// CampaignStore) and attaches its executors.
+// CampaignStore) and starts its local pool and lease reaper.
 func NewSweepServer(store CampaignStore, opt SweepServerOptions) *SweepServer {
 	return service.NewServer(store, opt)
 }
