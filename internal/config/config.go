@@ -226,6 +226,10 @@ type DRAM struct {
 	RefreshEnabled bool
 }
 
+// maxRanks is the most ranks per channel a DRAM configuration may have:
+// the memory controller tracks refresh-blocked ranks in a 64-bit mask.
+const maxRanks = 64
+
 // BanksPerGroup returns the number of banks in each bank group.
 func (d DRAM) BanksPerGroup() int { return d.Banks / d.BankGroups }
 
@@ -242,6 +246,8 @@ func (d DRAM) Validate() error {
 		return errors.New("config: DRAM capacity must be positive")
 	case d.Channels <= 0 || d.Ranks <= 0 || d.Banks <= 0 || d.BankGroups <= 0:
 		return errors.New("config: DRAM organization fields must be positive")
+	case d.Ranks > maxRanks:
+		return fmt.Errorf("config: %d ranks per channel exceeds the maximum of %d", d.Ranks, maxRanks)
 	case d.Banks%d.BankGroups != 0:
 		return fmt.Errorf("config: %d banks not divisible by %d bank groups", d.Banks, d.BankGroups)
 	case d.RowBytes <= 0 || d.RowBytes%d.LineBytes != 0:

@@ -2,6 +2,7 @@ package config
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -173,6 +174,19 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 	cfg.Security.Mode = 0
 	if err := cfg.Validate(); err == nil {
 		t.Error("unset mode accepted")
+	}
+}
+
+func TestValidateRejectsTooManyRanks(t *testing.T) {
+	d := Table1(ModeUnprotected).DRAM
+	d.Ranks = maxRanks
+	if err := d.Validate(); err != nil {
+		t.Fatalf("%d ranks rejected: %v", maxRanks, err)
+	}
+	d.Ranks = maxRanks + 1
+	err := d.Validate()
+	if err == nil || !strings.Contains(err.Error(), "exceeds the maximum of 64") {
+		t.Fatalf("%d ranks: err = %v, want the rank-limit error", d.Ranks, err)
 	}
 }
 

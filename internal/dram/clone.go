@@ -5,7 +5,8 @@ package dram
 func (c *Channel) Clone() *Channel {
 	n := new(Channel)
 	*n = *c
-	n.rank = cloneRanks(c.rank)
+	n.rank = append([]rankState(nil), c.rank...)
+	n.banks = append([]bankState(nil), c.banks...)
 	n.bankCols = append([]uint64(nil), c.bankCols...)
 	return n
 }
@@ -19,7 +20,8 @@ func (c *Channel) Clone() *Channel {
 // (the write burst length, for eWCRC modes). The two channels must have
 // identical organization: same ranks, bank groups, and banks per group.
 func (c *Channel) AdoptState(src *Channel) {
-	c.rank = cloneRanks(src.rank)
+	c.rank = append([]rankState(nil), src.rank...)
+	c.banks = append([]bankState(nil), src.banks...)
 	c.dataBusFreeAt = src.dataBusFreeAt
 	c.lastBurstRank = src.lastBurstRank
 	c.lastCmdCycle = src.lastCmdCycle
@@ -34,15 +36,6 @@ func (c *Channel) AdoptState(src *Channel) {
 	c.DataBusBusyCycles = src.DataBusBusyCycles
 	c.RefreshShadowCycles = src.RefreshShadowCycles
 	c.bankCols = append([]uint64(nil), src.bankCols...)
-}
-
-func cloneRanks(src []rankState) []rankState {
-	out := make([]rankState, len(src))
-	copy(out, src)
-	for i := range out {
-		out[i].banks = append([]bankState(nil), src[i].banks...)
-	}
-	return out
 }
 
 // Clone returns a copy of the mapper. Mappers are pure bit-slicing values;

@@ -13,6 +13,7 @@ package dram
 
 import (
 	"fmt"
+	"strings"
 
 	"secddr/internal/config"
 )
@@ -63,12 +64,12 @@ type bankState struct {
 	nextPRE int64
 	nextRD  int64
 	nextWR  int64
+	rank    int // owning rank, fixed at construction
 }
 
 // rankState tracks rank-wide constraints (tFAW, refresh).
 type rankState struct {
-	banks      []bankState // indexed by bankGroup*banksPerGroup + bank
-	actWindow  [4]int64    // cycle times of the last four ACTs (tFAW)
+	actWindow  [4]int64 // cycle times of the last four ACTs (tFAW)
 	actIdx     int
 	nextREF    int64 // next refresh deadline
 	refBusy    int64 // rank unusable until this cycle due to refresh
@@ -80,6 +81,11 @@ type Channel struct {
 	cfg  config.DRAM
 	t    config.DRAMTiming
 	rank []rankState
+	// banks holds every bank of the channel in one array, indexed by
+	// BankIndex: rank*Banks + bankGroup*banksPerGroup + bank. A rank's
+	// banks are the contiguous sub-slice rankBanks(r), and within it a bank
+	// group's banks are contiguous too.
+	banks []bankState
 
 	banksPerGroup int
 	readBL        int64 // data-bus beats/2 (memory-clock cycles) per read burst
@@ -98,8 +104,8 @@ type Channel struct {
 	// different ranks may overlap in time, so this is rank-shadow work,
 	// not an exclusive-busy wall time.
 	RefreshShadowCycles uint64
-	// bankCols counts column commands (RD+WR) per bank, indexed
-	// rank*Banks + bankIdx — the profiler's bank-utilization histogram.
+	// bankCols counts column commands (RD+WR) per bank, indexed by
+	// BankIndex — the profiler's bank-utilization histogram.
 	bankCols []uint64
 }
 
@@ -118,13 +124,13 @@ func NewChannel(cfg config.DRAM) (*Channel, error) {
 		lastCmdCycle:  -1,
 	}
 	ch.bankCols = make([]uint64, cfg.Ranks*cfg.Banks)
+	ch.banks = make([]bankState, cfg.Ranks*cfg.Banks)
+	for b := range ch.banks {
+		ch.banks[b].openRow = -1
+		ch.banks[b].rank = b / cfg.Banks
+	}
 	ch.rank = make([]rankState, cfg.Ranks)
 	for r := range ch.rank {
-		banks := make([]bankState, cfg.Banks)
-		for b := range banks {
-			banks[b].openRow = -1
-		}
-		ch.rank[r].banks = banks
 		for i := range ch.rank[r].actWindow {
 			ch.rank[r].actWindow[i] = -1 << 40 // no ACT yet: tFAW inactive
 		}
@@ -141,20 +147,29 @@ func NewChannel(cfg config.DRAM) (*Channel, error) {
 // Config returns the channel's configuration.
 func (c *Channel) Config() config.DRAM { return c.cfg }
 
-func (c *Channel) bankIdx(loc Loc) int { return loc.BankGroup*c.banksPerGroup + loc.Bank }
+// BankIndex returns the channel-wide index of loc's bank: rank*Banks +
+// bankGroup*banksPerGroup + bank. It is the key of the index-based
+// accessors (OpenRowAt, EarliestIssueAt, CanIssueAt) and of
+// Counters.BankCols, and lies in [0, Ranks*Banks).
+func (c *Channel) BankIndex(loc Loc) int {
+	return loc.Rank*c.cfg.Banks + loc.BankGroup*c.banksPerGroup + loc.Bank
+}
 
-func (c *Channel) bank(loc Loc) *bankState {
-	return &c.rank[loc.Rank].banks[c.bankIdx(loc)]
+// rankBanks returns rank r's banks, a sub-slice of c.banks.
+func (c *Channel) rankBanks(r int) []bankState {
+	return c.banks[r*c.cfg.Banks : (r+1)*c.cfg.Banks]
 }
 
 // OpenRow returns the open row of the addressed bank and whether any row is
 // open.
-func (c *Channel) OpenRow(loc Loc) (uint32, bool) {
-	b := c.bank(loc)
-	if b.openRow < 0 {
-		return 0, false
+func (c *Channel) OpenRow(loc Loc) (uint32, bool) { return c.OpenRowAt(c.BankIndex(loc)) }
+
+// OpenRowAt is OpenRow for the bank with channel-wide index b (BankIndex).
+func (c *Channel) OpenRowAt(b int) (uint32, bool) {
+	if row := c.banks[b].openRow; row >= 0 {
+		return uint32(row), true
 	}
-	return uint32(b.openRow), true
+	return 0, false
 }
 
 // RefreshDue reports whether the rank has crossed its refresh deadline and
@@ -203,8 +218,14 @@ func (c *Channel) SkipRefreshTo(now int64) {
 // refresh), the shared data bus for column commands, and the one-command-
 // per-cycle command bus.
 func (c *Channel) EarliestIssue(cmd Command, loc Loc, now int64) int64 {
-	rk := &c.rank[loc.Rank]
-	b := c.bank(loc)
+	return c.EarliestIssueAt(cmd, c.BankIndex(loc), now)
+}
+
+// EarliestIssueAt is EarliestIssue for the bank with channel-wide index bi
+// (BankIndex). For CmdREF any bank of the rank to refresh will do.
+func (c *Channel) EarliestIssueAt(cmd Command, bi int, now int64) int64 {
+	b := &c.banks[bi]
+	rk := &c.rank[b.rank]
 	earliest := now
 	if c.lastCmdCycle >= earliest {
 		earliest = c.lastCmdCycle + 1
@@ -230,20 +251,20 @@ func (c *Channel) EarliestIssue(cmd Command, loc Loc, now int64) int64 {
 		if b.nextRD > earliest {
 			earliest = b.nextRD
 		}
-		earliest = c.busConstrained(earliest, loc.Rank, int64(c.t.TCL), c.readBL)
+		earliest = c.busConstrained(earliest, b.rank, int64(c.t.TCL), c.readBL)
 	case CmdWR:
 		if b.nextWR > earliest {
 			earliest = b.nextWR
 		}
-		earliest = c.busConstrained(earliest, loc.Rank, int64(c.t.TCWL), c.writeBL)
+		earliest = c.busConstrained(earliest, b.rank, int64(c.t.TCWL), c.writeBL)
 	case CmdREF:
 		// All banks must be precharged and past their ACT->PRE windows.
-		for i := range rk.banks {
-			if rk.banks[i].openRow >= 0 {
+		for _, ob := range c.rankBanks(b.rank) {
+			if ob.openRow >= 0 {
 				return -1 // caller must precharge first
 			}
-			if rk.banks[i].nextACT > earliest {
-				earliest = rk.banks[i].nextACT
+			if ob.nextACT > earliest {
+				earliest = ob.nextACT
 			}
 		}
 	}
@@ -265,7 +286,12 @@ func (c *Channel) busConstrained(cmdCycle int64, rank int, lat, bl int64) int64 
 
 // CanIssue reports whether cmd may issue exactly at cycle now.
 func (c *Channel) CanIssue(cmd Command, loc Loc, now int64) bool {
-	e := c.EarliestIssue(cmd, loc, now)
+	return c.CanIssueAt(cmd, c.BankIndex(loc), now)
+}
+
+// CanIssueAt is CanIssue for the bank with channel-wide index b (BankIndex).
+func (c *Channel) CanIssueAt(cmd Command, b int, now int64) bool {
+	e := c.EarliestIssueAt(cmd, b, now)
 	return e >= 0 && e == now
 }
 
@@ -275,12 +301,13 @@ func (c *Channel) CanIssue(cmd Command, loc Loc, now int64) bool {
 // now: the controller must consult EarliestIssue/CanIssue first — an illegal
 // issue is a scheduler bug, not a runtime condition.
 func (c *Channel) Issue(cmd Command, loc Loc, now int64) int64 {
-	if e := c.EarliestIssue(cmd, loc, now); e != now {
+	bi := c.BankIndex(loc)
+	if e := c.EarliestIssueAt(cmd, bi, now); e != now {
 		panic(fmt.Sprintf("dram: illegal %v to r%d/bg%d/b%d at cycle %d (earliest %d)",
 			cmd, loc.Rank, loc.BankGroup, loc.Bank, now, e))
 	}
 	rk := &c.rank[loc.Rank]
-	b := c.bank(loc)
+	b := &c.banks[bi]
 	c.lastCmdCycle = now
 
 	switch cmd {
@@ -291,9 +318,10 @@ func (c *Channel) Issue(cmd Command, loc Loc, now int64) int64 {
 		b.nextWR = max64(b.nextWR, now+int64(c.t.TRCD))
 		b.nextPRE = max64(b.nextPRE, now+int64(c.t.TRAS))
 		// tRRD: ACT-to-ACT spacing within the rank.
-		for i := range rk.banks {
-			ob := &rk.banks[i]
-			if i == c.bankIdx(loc) {
+		rb := c.rankBanks(loc.Rank)
+		for i := range rb {
+			ob := &rb[i]
+			if ob == b {
 				continue
 			}
 			if i/c.banksPerGroup == loc.BankGroup {
@@ -314,7 +342,7 @@ func (c *Channel) Issue(cmd Command, loc Loc, now int64) int64 {
 
 	case CmdRD:
 		c.NumRD++
-		c.bankCols[loc.Rank*c.cfg.Banks+c.bankIdx(loc)]++
+		c.bankCols[bi]++
 		dataStart := now + int64(c.t.TCL)
 		dataEnd := dataStart + c.readBL
 		c.occupyBus(dataStart, dataEnd, loc.Rank)
@@ -323,17 +351,14 @@ func (c *Channel) Issue(cmd Command, loc Loc, now int64) int64 {
 		// Read-to-write turnaround (bus direction change): WR command must
 		// wait so its data follows the read burst plus 2-cycle gap.
 		rdToWr := now + int64(c.t.TCL) + c.readBL + 2 - int64(c.t.TCWL)
-		for r := range c.rank {
-			for i := range c.rank[r].banks {
-				ob := &c.rank[r].banks[i]
-				ob.nextWR = max64(ob.nextWR, rdToWr)
-			}
+		for i := range c.banks {
+			c.banks[i].nextWR = max64(c.banks[i].nextWR, rdToWr)
 		}
 		return dataEnd
 
 	case CmdWR:
 		c.NumWR++
-		c.bankCols[loc.Rank*c.cfg.Banks+c.bankIdx(loc)]++
+		c.bankCols[bi]++
 		dataStart := now + int64(c.t.TCWL)
 		dataEnd := dataStart + c.writeBL
 		c.occupyBus(dataStart, dataEnd, loc.Rank)
@@ -341,8 +366,9 @@ func (c *Channel) Issue(cmd Command, loc Loc, now int64) int64 {
 		c.applyColToCol(loc, now)
 		// Write-to-read turnaround: same-rank reads wait tWTR after the
 		// write data completes; the _L/_S distinction is by bank group.
-		for i := range rk.banks {
-			ob := &rk.banks[i]
+		rb := c.rankBanks(loc.Rank)
+		for i := range rb {
+			ob := &rb[i]
 			if i/c.banksPerGroup == loc.BankGroup {
 				ob.nextRD = max64(ob.nextRD, dataEnd+int64(c.t.TWTRL))
 			} else {
@@ -357,8 +383,9 @@ func (c *Channel) Issue(cmd Command, loc Loc, now int64) int64 {
 		rk.refBusy = now + int64(c.t.TRFC)
 		rk.nextREF += int64(c.t.TREFI)
 		rk.pendingREF = false
-		for i := range rk.banks {
-			rk.banks[i].nextACT = max64(rk.banks[i].nextACT, rk.refBusy)
+		rb := c.rankBanks(loc.Rank)
+		for i := range rb {
+			rb[i].nextACT = max64(rb[i].nextACT, rk.refBusy)
 		}
 		return rk.refBusy
 
@@ -370,18 +397,18 @@ func (c *Channel) Issue(cmd Command, loc Loc, now int64) int64 {
 // applyColToCol enforces tCCD_S/tCCD_L between successive column commands
 // within the channel (same vs different bank group of the issuing rank).
 func (c *Channel) applyColToCol(loc Loc, now int64) {
-	for r := range c.rank {
-		for i := range c.rank[r].banks {
-			ob := &c.rank[r].banks[i]
-			var gap int64
-			if r == loc.Rank && i/c.banksPerGroup == loc.BankGroup {
-				gap = int64(c.t.TCCDL)
-			} else {
-				gap = int64(c.t.TCCDS)
-			}
-			ob.nextRD = max64(ob.nextRD, now+gap)
-			ob.nextWR = max64(ob.nextWR, now+gap)
+	// Channel-wide, i/banksPerGroup numbers (rank, bank group) pairs.
+	group := c.BankIndex(loc) / c.banksPerGroup
+	for i := range c.banks {
+		ob := &c.banks[i]
+		var gap int64
+		if i/c.banksPerGroup == group {
+			gap = int64(c.t.TCCDL)
+		} else {
+			gap = int64(c.t.TCCDS)
 		}
+		ob.nextRD = max64(ob.nextRD, now+gap)
+		ob.nextWR = max64(ob.nextWR, now+gap)
 	}
 }
 
@@ -457,15 +484,15 @@ func max64(a, b int64) int64 {
 // DebugState renders per-bank timing state. Opt-in debugging aid for
 // divergence localization (see memctrl.Controller.DebugState).
 func (c *Channel) DebugState() string {
-	s := fmt.Sprintf("bus=%d lastRank=%d lastCmd=%d ", c.dataBusFreeAt, c.lastBurstRank, c.lastCmdCycle)
+	var s strings.Builder
+	fmt.Fprintf(&s, "bus=%d lastRank=%d lastCmd=%d ", c.dataBusFreeAt, c.lastBurstRank, c.lastCmdCycle)
 	for r := range c.rank {
 		rk := &c.rank[r]
-		s += fmt.Sprintf("r%d(ref=%d,busy=%d)[", r, rk.nextREF, rk.refBusy)
-		for b := range rk.banks {
-			bk := &rk.banks[b]
-			s += fmt.Sprintf("%d:%d/%d,%d,%d,%d ", b, bk.openRow, bk.nextACT, bk.nextPRE, bk.nextRD, bk.nextWR)
+		fmt.Fprintf(&s, "r%d(ref=%d,busy=%d)[", r, rk.nextREF, rk.refBusy)
+		for b, bk := range c.rankBanks(r) {
+			fmt.Fprintf(&s, "%d:%d/%d,%d,%d,%d ", b, bk.openRow, bk.nextACT, bk.nextPRE, bk.nextRD, bk.nextWR)
 		}
-		s += "] "
+		s.WriteString("] ")
 	}
-	return s
+	return s.String()
 }

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"secddr/internal/config"
@@ -335,3 +336,69 @@ func TestDataBusNeverOverlaps(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkChannelEarliestIssue times the timing-legality check the
+// scheduler makes for every bank it examines, on a channel whose banks hold
+// a seeded mix of open rows and timing horizons. loc addresses banks by
+// Loc, index by the precomputed BankIndex the controller keeps per request.
+func BenchmarkChannelEarliestIssue(b *testing.B) {
+	ch, err := NewChannel(testDRAM(false))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(42, 42))
+	randLoc := func() Loc {
+		return Loc{
+			Rank:      rng.IntN(ch.cfg.Ranks),
+			BankGroup: rng.IntN(ch.cfg.BankGroups),
+			Bank:      rng.IntN(ch.banksPerGroup),
+			Row:       uint32(rng.IntN(16)),
+		}
+	}
+	// Drive a seeded command stream so the banks' state is varied.
+	now := int64(0)
+	for i := 0; i < 2000; i++ {
+		loc := randLoc()
+		if row, open := ch.OpenRow(loc); !open || row != loc.Row {
+			if open {
+				now = ch.EarliestIssue(CmdPRE, loc, now)
+				ch.Issue(CmdPRE, loc, now)
+			}
+			now = ch.EarliestIssue(CmdACT, loc, now)
+			ch.Issue(CmdACT, loc, now)
+		}
+		cmd := CmdRD
+		if rng.IntN(3) == 0 {
+			cmd = CmdWR
+		}
+		now = ch.EarliestIssue(cmd, loc, now)
+		ch.Issue(cmd, loc, now)
+	}
+	type query struct {
+		cmd  Command
+		loc  Loc
+		bank int
+	}
+	queries := make([]query, 256)
+	for i := range queries {
+		loc := randLoc()
+		queries[i] = query{Command(1 + rng.IntN(4)), loc, ch.BankIndex(loc)}
+	}
+	b.Run("loc", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			q := &queries[i%len(queries)]
+			benchSink += ch.EarliestIssue(q.cmd, q.loc, now)
+		}
+	})
+	b.Run("index", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			q := &queries[i%len(queries)]
+			benchSink += ch.EarliestIssueAt(q.cmd, q.bank, now)
+		}
+	})
+}
+
+// benchSink keeps benchmarked results live.
+var benchSink int64

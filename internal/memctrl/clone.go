@@ -9,21 +9,11 @@ func (c *Controller) Clone() *Controller {
 	*n = *c
 	n.ch = c.ch.Clone()
 	n.mapper = c.mapper.Clone()
-	n.readQ = cloneRequests(c.readQ)
-	n.writeQ = cloneRequests(c.writeQ)
+	n.readQ = append([]Request(nil), c.readQ...)
+	n.writeQ = append([]Request(nil), c.writeQ...)
 	n.pending = append(completionHeap(nil), c.pending...)
 	n.doneBuf = append([]Completion(nil), c.doneBuf...)
+	n.scanFlags = append([]bankFlags(nil), c.scanFlags...)
+	n.boundMemo = append([]int64(nil), c.boundMemo...)
 	return n
-}
-
-func cloneRequests(src []*Request) []*Request {
-	if src == nil {
-		return nil
-	}
-	out := make([]*Request, len(src))
-	for i, r := range src {
-		cp := *r
-		out[i] = &cp
-	}
-	return out
 }

@@ -6,9 +6,9 @@
 package memctrl
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
+	"strings"
 
 	"secddr/internal/config"
 	"secddr/internal/dram"
@@ -18,13 +18,15 @@ import (
 // caller must apply backpressure and retry.
 var ErrQueueFull = errors.New("memctrl: queue full")
 
-// Request is one line-granularity memory request.
+// Request is one line-granularity memory request. The queues hold requests
+// by value; the field order keeps the struct at 64 bytes.
 type Request struct {
 	ID      uint64
 	Addr    uint64
-	Write   bool
 	Arrival int64 // memory cycle at enqueue
 	loc     dram.Loc
+	bank    int32 // channel-wide bank index (dram.Channel.BankIndex) of loc
+	Write   bool
 }
 
 // Completion reports a finished read.
@@ -40,8 +42,8 @@ type Controller struct {
 	ch     *dram.Channel
 	mapper *dram.AddressMapper
 
-	readQ  []*Request
-	writeQ []*Request
+	readQ  []Request
+	writeQ []Request
 
 	draining  bool
 	drainHigh int // write-drain high watermark, in queue entries
@@ -49,6 +51,11 @@ type Controller struct {
 	pending   completionHeap
 	nextID    uint64
 	doneBuf   []Completion // reused backing array for Tick's return value
+
+	// Per-scan scratch, indexed by channel-wide bank index and cleared at
+	// the start of every use: what it holds between scans is never read.
+	scanFlags []bankFlags // one scheduleFrom pass
+	boundMemo []int64     // one issueBound: memoIssuable, per (bank, command)
 
 	// quietUntil memoizes the issue-side bound Tick computes after a no-op
 	// scheduler scan: no command can issue before it, so scans are skipped
@@ -81,10 +88,13 @@ func New(cfg config.DRAM) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
+	nbanks := cfg.Ranks * cfg.Banks
 	return &Controller{
-		cfg:    cfg,
-		ch:     ch,
-		mapper: mapper,
+		cfg:       cfg,
+		ch:        ch,
+		mapper:    mapper,
+		scanFlags: make([]bankFlags, nbanks),
+		boundMemo: make([]int64, nbanks*boundCmds),
 		// The hysteresis thresholds are derived once: the quiet-span
 		// machinery and the scheduler must agree on them exactly, or
 		// event-driven runs would diverge from the reference loop.
@@ -122,8 +132,8 @@ func (c *Controller) touch() { c.quietDirty = true }
 // drain on the next cycle.
 func (c *Controller) CanAccept(addr uint64, write bool) bool {
 	lineAddr := addr &^ uint64(c.cfg.LineBytes-1)
-	for _, w := range c.writeQ {
-		if w.Addr == lineAddr {
+	for i := range c.writeQ {
+		if c.writeQ[i].Addr == lineAddr {
 			return true // write coalesce or read forwarding
 		}
 	}
@@ -138,8 +148,8 @@ func (c *Controller) CanAccept(addr uint64, write bool) bool {
 // true) and never occupies a queue slot.
 func (c *Controller) EnqueueRead(addr uint64, now int64) (id uint64, forwarded bool, err error) {
 	lineAddr := addr &^ uint64(c.cfg.LineBytes-1)
-	for _, w := range c.writeQ {
-		if w.Addr == lineAddr {
+	for i := range c.writeQ {
+		if c.writeQ[i].Addr == lineAddr {
 			c.ReadsForwarded++
 			c.nextID++
 			return c.nextID, true, nil
@@ -149,12 +159,17 @@ func (c *Controller) EnqueueRead(addr uint64, now int64) (id uint64, forwarded b
 		return 0, false, ErrQueueFull
 	}
 	c.nextID++
-	_, loc := c.mapper.Map(lineAddr)
-	req := &Request{ID: c.nextID, Addr: lineAddr, Arrival: now, loc: loc}
-	c.readQ = append(c.readQ, req)
+	c.readQ = append(c.readQ, c.newRequest(lineAddr, false, now))
 	c.ReadsEnqueued++
-	c.noteEnqueued(req, dram.CmdRD, now)
+	c.noteEnqueued(&c.readQ[len(c.readQ)-1], dram.CmdRD, now)
 	return c.nextID, false, nil
+}
+
+// newRequest builds the queue entry for line lineAddr under ID c.nextID.
+func (c *Controller) newRequest(lineAddr uint64, write bool, now int64) Request {
+	_, loc := c.mapper.Map(lineAddr)
+	return Request{ID: c.nextID, Addr: lineAddr, Arrival: now, loc: loc,
+		bank: int32(c.ch.BankIndex(loc)), Write: write}
 }
 
 // noteEnqueued folds a newly queued request into the quiet bound. Adding a
@@ -186,8 +201,8 @@ func (c *Controller) noteEnqueued(req *Request, col dram.Command, now int64) {
 // the write queue coalesce into the existing entry.
 func (c *Controller) EnqueueWrite(addr uint64, now int64) error {
 	lineAddr := addr &^ uint64(c.cfg.LineBytes-1)
-	for _, w := range c.writeQ {
-		if w.Addr == lineAddr {
+	for i := range c.writeQ {
+		if c.writeQ[i].Addr == lineAddr {
 			return nil // coalesced
 		}
 	}
@@ -195,17 +210,15 @@ func (c *Controller) EnqueueWrite(addr uint64, now int64) error {
 		return ErrQueueFull
 	}
 	c.nextID++
-	_, loc := c.mapper.Map(lineAddr)
-	req := &Request{ID: c.nextID, Addr: lineAddr, Write: true, Arrival: now, loc: loc}
-	c.writeQ = append(c.writeQ, req)
+	c.writeQ = append(c.writeQ, c.newRequest(lineAddr, true, now))
 	c.WritesEnqueued++
-	c.noteEnqueued(req, dram.CmdWR, now)
+	c.noteEnqueued(&c.writeQ[len(c.writeQ)-1], dram.CmdWR, now)
 	return nil
 }
 
 // Idle reports whether all queues and in-flight activity are drained.
 func (c *Controller) Idle() bool {
-	return len(c.readQ) == 0 && len(c.writeQ) == 0 && c.pending.Len() == 0
+	return len(c.readQ) == 0 && len(c.writeQ) == 0 && len(c.pending) == 0
 }
 
 // ReadsIdle reports whether all reads have completed and been delivered;
@@ -218,7 +231,7 @@ func (c *Controller) Idle() bool {
 // pressure across skipped spans instead of flushing the queue and
 // re-synchronizing drain bursts with its measurement windows.
 func (c *Controller) ReadsIdle() bool {
-	return len(c.readQ) == 0 && c.pending.Len() == 0
+	return len(c.readQ) == 0 && len(c.pending) == 0
 }
 
 // Tick advances the controller by one memory cycle: it returns reads whose
@@ -232,9 +245,8 @@ func (c *Controller) ReadsIdle() bool {
 // simulation cost, so this is where event-driven advance actually wins.
 func (c *Controller) Tick(now int64) []Completion {
 	done := c.doneBuf[:0]
-	for c.pending.Len() > 0 && c.pending[0].Done <= now {
-		comp := heap.Pop(&c.pending).(Completion)
-		done = append(done, comp)
+	for len(c.pending) > 0 && c.pending[0].Done <= now {
+		done = append(done, c.pending.pop())
 		// Completion pops never change issue legality, so quietUntil
 		// survives them.
 	}
@@ -276,7 +288,7 @@ func (c *Controller) SetEventDriven(v bool) { c.eventDriven = v }
 // "next cycle", and Tick will either do the work or pay for the proof.
 func (c *Controller) NextEvent(now int64) int64 {
 	next := int64(1) << 62
-	if c.pending.Len() > 0 {
+	if len(c.pending) > 0 {
 		next = c.pending[0].Done
 	}
 	if c.quietDirty {
@@ -318,8 +330,9 @@ func (c *Controller) issueBound(now int64) int64 {
 			next = nr
 		}
 	}
-	for _, req := range c.readQ {
-		t := c.nextIssuable(req, dram.CmdRD, now)
+	clear(c.boundMemo)
+	for i := range c.readQ {
+		t := c.memoIssuable(&c.readQ[i], dram.CmdRD, now)
 		if t <= now+1 {
 			return now + 1
 		}
@@ -327,8 +340,8 @@ func (c *Controller) issueBound(now int64) int64 {
 			next = t
 		}
 	}
-	for _, req := range c.writeQ {
-		t := c.nextIssuable(req, dram.CmdWR, now)
+	for i := range c.writeQ {
+		t := c.memoIssuable(&c.writeQ[i], dram.CmdWR, now)
 		if t <= now+1 {
 			return now + 1
 		}
@@ -340,6 +353,24 @@ func (c *Controller) issueBound(now int64) int64 {
 		next = now + 1
 	}
 	return next
+}
+
+// boundCmds is the number of distinct commands a queued request can need
+// next (ACT, PRE, RD, WR): the per-bank stride of boundMemo.
+const boundCmds = 4
+
+// memoIssuable is nextIssuable memoized in boundMemo per (bank, command).
+// The earliest issue cycle of a command depends only on its bank and on
+// rank and bus state, never on the request's row or column, so requests
+// sharing a bank and a next command share the answer. Entries hold the
+// bound minus now, which is at least 1, so zero means not yet computed.
+func (c *Controller) memoIssuable(req *Request, col dram.Command, now int64) int64 {
+	cmd := c.nextCmd(req, col)
+	m := &c.boundMemo[int(req.bank)*boundCmds+int(cmd-dram.CmdACT)]
+	if *m == 0 {
+		*m = c.ch.EarliestIssueAt(cmd, int(req.bank), now+1) - now
+	}
+	return now + *m
 }
 
 // nextRefreshStep lower-bounds the cycle at which tryRefresh could issue
@@ -376,14 +407,20 @@ func (c *Controller) nextRefreshStep(r int, now int64) int64 {
 // legally issue, assuming no other command issues first — which holds
 // whenever the caller takes the minimum across all queued requests.
 func (c *Controller) nextIssuable(req *Request, col dram.Command, now int64) int64 {
-	row, open := c.ch.OpenRow(req.loc)
+	return c.ch.EarliestIssueAt(c.nextCmd(req, col), int(req.bank), now+1)
+}
+
+// nextCmd returns the command the request needs next: its column command
+// col on a row hit, PRE on a row conflict, ACT on a closed bank.
+func (c *Controller) nextCmd(req *Request, col dram.Command) dram.Command {
+	row, open := c.ch.OpenRowAt(int(req.bank))
 	switch {
 	case open && row == req.loc.Row:
-		return c.ch.EarliestIssue(col, req.loc, now+1)
+		return col
 	case open:
-		return c.ch.EarliestIssue(dram.CmdPRE, req.loc, now+1)
+		return dram.CmdPRE
 	default:
-		return c.ch.EarliestIssue(dram.CmdACT, req.loc, now+1)
+		return dram.CmdACT
 	}
 }
 
@@ -391,12 +428,14 @@ func (c *Controller) nextIssuable(req *Request, col dram.Command, now int64) int
 // It reports whether a DRAM command was issued this cycle.
 func (c *Controller) issueOne(now int64) bool {
 	// Refresh has highest priority: close banks and refresh due ranks.
-	refreshBlocked := make(map[int]bool, c.cfg.Ranks)
+	// Bit r of blocked marks rank r as refresh-due: its requests wait
+	// (config.DRAM.Validate caps Ranks at 64).
+	var blocked uint64
 	for r := 0; r < c.cfg.Ranks; r++ {
 		if !c.ch.RefreshDue(r, now) {
 			continue
 		}
-		refreshBlocked[r] = true
+		blocked |= 1 << uint(r)
 		if c.tryRefresh(r, now) {
 			return true
 		}
@@ -419,10 +458,10 @@ func (c *Controller) issueOne(now int64) bool {
 		primary, secondary = c.writeQ, c.readQ
 		primaryIsWrite = true
 	}
-	if c.scheduleFrom(primary, primaryIsWrite, refreshBlocked, now) {
+	if c.scheduleFrom(primary, primaryIsWrite, blocked, now) {
 		return true
 	}
-	return c.scheduleFrom(secondary, !primaryIsWrite, refreshBlocked, now)
+	return c.scheduleFrom(secondary, !primaryIsWrite, blocked, now)
 }
 
 // tryRefresh makes progress toward refreshing rank r; returns true if a
@@ -454,88 +493,105 @@ func (c *Controller) tryRefresh(r int, now int64) bool {
 	return false
 }
 
+// bankFlags records what one scheduleFrom pass has learned about a bank.
+// Whether RD, WR, PRE or ACT may issue depends only on bank, rank, data-bus
+// and command-bus state — never on a request's row or column — and no
+// state changes until the pass issues a command and returns. So a bank
+// found not ready stays not ready for the rest of the pass: later requests
+// to it skip the timing check, and each pass does its per-bank work once
+// per bank rather than once per queued request.
+type bankFlags uint8
+
+const (
+	noColumn   bankFlags = 1 << iota // pass 1: closed, or the queue's column command cannot issue
+	rowCmdBusy                       // pass 2: the bank's PRE or ACT cannot issue
+	rowWanted                        // pass 2: an older request targets the open row
+)
+
 // scheduleFrom applies FR-FCFS to one queue. Pass 1 issues the first
 // (oldest) row-hit column command that is ready; pass 2 lets the oldest
-// request make any progress (PRE on conflict, ACT on closed bank).
-func (c *Controller) scheduleFrom(q []*Request, isWrite bool, blocked map[int]bool, now int64) bool {
+// request make any progress (PRE on conflict, ACT on closed bank). Bit r
+// of blocked marks rank r refresh-due; its requests are skipped.
+func (c *Controller) scheduleFrom(q []Request, isWrite bool, blocked uint64, now int64) bool {
 	col := dram.CmdRD
 	if isWrite {
 		col = dram.CmdWR
 	}
+	flags := c.scanFlags
+	clear(flags)
 	// Pass 1: row hits, oldest first.
-	for i, req := range q {
-		if blocked[req.loc.Rank] {
+	for i := range q {
+		req := &q[i]
+		b := int(req.bank)
+		if flags[b]&noColumn != 0 || blocked>>uint(req.loc.Rank)&1 != 0 {
 			continue
 		}
-		row, open := c.ch.OpenRow(req.loc)
-		if open && row == req.loc.Row && c.ch.CanIssue(col, req.loc, now) {
-			c.issueColumn(req, col, i, isWrite, now, true)
+		row, open := c.ch.OpenRowAt(b)
+		if open && row != req.loc.Row {
+			continue
+		}
+		if open && c.ch.CanIssueAt(col, b, now) {
+			c.issueColumn(col, i, isWrite, now)
 			return true
 		}
+		flags[b] |= noColumn
 	}
-	// Pass 2: progress for the oldest schedulable request.
-	for i, req := range q {
-		if blocked[req.loc.Rank] {
+	// Pass 2: progress for the oldest schedulable request. A blocked
+	// rank's requests leave no rowWanted mark, but only requests of the
+	// same, equally blocked rank could read it. Once a bank is marked
+	// rowWanted or rowCmdBusy, no later request to it can issue anything.
+	for i := range q {
+		req := &q[i]
+		b := int(req.bank)
+		if flags[b]&(rowWanted|rowCmdBusy) != 0 || blocked>>uint(req.loc.Rank)&1 != 0 {
 			continue
 		}
-		row, open := c.ch.OpenRow(req.loc)
+		row, open := c.ch.OpenRowAt(b)
+		cmd := dram.CmdACT
 		switch {
 		case open && row == req.loc.Row:
 			// Column timing not ready; nothing to issue for this request,
 			// but younger requests may still proceed.
+			flags[b] |= rowWanted
 			continue
 		case open:
-			// Do not close a row an older request still needs; issuing PRE
-			// here would livelock two conflicting requests against each
-			// other (each re-closing the other's row).
-			if olderWantsRow(q[:i], req.loc, row) {
-				continue
-			}
-			if c.ch.CanIssue(dram.CmdPRE, req.loc, now) {
-				c.ch.Issue(dram.CmdPRE, req.loc, now)
-				c.ch.RecordRowOutcome(false, true)
-				c.touch()
-				return true
-			}
-		default:
-			if c.ch.CanIssue(dram.CmdACT, req.loc, now) {
-				c.ch.Issue(dram.CmdACT, req.loc, now)
-				c.ch.RecordRowOutcome(false, false)
-				c.touch()
-				return true
-			}
+			// An older request still needing this row would have set
+			// rowWanted: closing the row here would livelock two
+			// conflicting requests against each other (each re-closing
+			// the other's row).
+			cmd = dram.CmdPRE
 		}
+		if !c.ch.CanIssueAt(cmd, b, now) {
+			flags[b] |= rowCmdBusy
+			continue
+		}
+		c.ch.Issue(cmd, req.loc, now)
+		c.ch.RecordRowOutcome(false, cmd == dram.CmdPRE)
+		c.touch()
+		return true
 	}
 	return false
 }
 
-// olderWantsRow reports whether any request in older targets the given
-// bank's currently open row.
-func olderWantsRow(older []*Request, loc dram.Loc, openRow uint32) bool {
-	for _, r := range older {
-		if r.loc.Rank == loc.Rank && r.loc.BankGroup == loc.BankGroup &&
-			r.loc.Bank == loc.Bank && r.loc.Row == openRow {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *Controller) issueColumn(req *Request, col dram.Command, idx int, isWrite bool, now int64, rowHit bool) {
+// issueColumn issues the row-hit column command of queue entry idx and
+// retires the entry; a read's completion joins the pending heap.
+func (c *Controller) issueColumn(col dram.Command, idx int, isWrite bool, now int64) {
 	c.touch()
-	done := c.ch.Issue(col, req.loc, now)
-	if rowHit {
-		c.ch.RecordRowOutcome(true, false)
-	}
+	q := &c.readQ
 	if isWrite {
-		c.writeQ = append(c.writeQ[:idx], c.writeQ[idx+1:]...)
+		q = &c.writeQ
+	}
+	req := (*q)[idx]
+	done := c.ch.Issue(col, req.loc, now)
+	c.ch.RecordRowOutcome(true, false)
+	*q = append((*q)[:idx], (*q)[idx+1:]...)
+	if isWrite {
 		c.WritesCompleted++
 		return
 	}
-	c.readQ = append(c.readQ[:idx], c.readQ[idx+1:]...)
 	c.ReadsCompleted++
 	c.ReadLatencySum += uint64(done - req.Arrival)
-	heap.Push(&c.pending, Completion{ID: req.ID, Addr: req.Addr, Done: done})
+	c.pending.push(Completion{ID: req.ID, Addr: req.Addr, Done: done})
 }
 
 // AvgReadLatency returns the mean enqueue-to-data latency in memory cycles.
@@ -549,22 +605,47 @@ func (c *Controller) AvgReadLatency() float64 {
 // String summarizes controller state for debugging.
 func (c *Controller) String() string {
 	return fmt.Sprintf("memctrl{rq=%d wq=%d inflight=%d drain=%v}",
-		len(c.readQ), len(c.writeQ), c.pending.Len(), c.draining)
+		len(c.readQ), len(c.writeQ), len(c.pending), c.draining)
 }
 
-// completionHeap is a min-heap on Done cycle.
+// completionHeap is a min-heap on Done cycle. push and pop sift exactly
+// as container/heap does, so completions with equal Done pop in the same
+// order, without boxing each Completion into an interface.
 type completionHeap []Completion
 
-func (h completionHeap) Len() int            { return len(h) }
-func (h completionHeap) Less(i, j int) bool  { return h[i].Done < h[j].Done }
-func (h completionHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *completionHeap) Push(x interface{}) { *h = append(*h, x.(Completion)) }
-func (h *completionHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func (h *completionHeap) push(x Completion) {
+	*h = append(*h, x)
+	s := *h
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if s[j].Done >= s[i].Done {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+func (h *completionHeap) pop() Completion {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && s[r].Done < s[j].Done {
+			j = r
+		}
+		if s[j].Done >= s[i].Done {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	*h = s[:n]
+	return s[n]
 }
 
 // Draining reports whether the controller is currently in write-drain mode.
@@ -575,12 +656,13 @@ func (c *Controller) Draining() bool { return c.draining }
 // a divergence, add this to its state signature to see queue contents and
 // bank timing at the first bad cycle.
 func (c *Controller) DebugState() string {
-	s := fmt.Sprintf("drain=%v q=[", c.draining)
+	var s strings.Builder
+	fmt.Fprintf(&s, "drain=%v q=[", c.draining)
 	for _, r := range c.readQ {
-		s += fmt.Sprintf("R%d@%v ", r.ID, r.loc)
+		fmt.Fprintf(&s, "R%d@%v ", r.ID, r.loc)
 	}
 	for _, w := range c.writeQ {
-		s += fmt.Sprintf("W%d@%v ", w.ID, w.loc)
+		fmt.Fprintf(&s, "W%d@%v ", w.ID, w.loc)
 	}
-	return s + "] ch=" + c.ch.DebugState()
+	return s.String() + "] ch=" + c.ch.DebugState()
 }

@@ -18,6 +18,9 @@
 //	go run scripts/bench-compare.go -baseline BENCH_baseline.json \
 //	    -out bench-current.json sim.txt harness.txt
 //
+// When the runs used -benchmem, the medians of B/op and allocs/op are
+// written next to ns/op in the -out JSON. They are reported, never gated.
+//
 // Medians are compared host-to-host, so the baseline is only meaningful
 // for the host class it was recorded on; re-record it when the CI runner
 // generation changes (the failure message says how).
@@ -44,14 +47,33 @@ type Baseline struct {
 	Benchmarks map[string]Entry `json:"benchmarks"`
 }
 
-// Entry is one benchmark's reduced statistic.
+// Entry is one benchmark's reduced statistic. The memory medians are
+// present only for benchmarks run with -benchmem (or b.ReportAllocs) and
+// are report-only: the gate compares ns/op alone.
 type Entry struct {
-	MedianNsPerOp float64 `json:"median_ns_per_op"`
-	Samples       int     `json:"samples"`
+	MedianNsPerOp     float64  `json:"median_ns_per_op"`
+	Samples           int      `json:"samples"`
+	MedianBytesPerOp  *float64 `json:"median_bytes_per_op,omitempty"`
+	MedianAllocsPerOp *float64 `json:"median_allocs_per_op,omitempty"`
 }
 
-// benchLine matches `BenchmarkName[/sub]-8  	 5  	 12345 ns/op ...`.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(-\d+)?\s+\d+\s+(\d+(?:\.\d+)?) ns/op`)
+// samples collects each benchmark's per-repetition measurements: ns/op
+// always, B/op and allocs/op when the line carries those columns.
+type samples struct {
+	ns, bytes, allocs map[string][]float64
+}
+
+func newSamples() samples {
+	return samples{ns: map[string][]float64{}, bytes: map[string][]float64{}, allocs: map[string][]float64{}}
+}
+
+var (
+	// benchLine matches `BenchmarkName[/sub]-8  	 5  	 12345 ns/op ...`.
+	benchLine = regexp.MustCompile(`^(Benchmark\S+?)(-\d+)?\s+\d+\s+(\d+(?:\.\d+)?) ns/op`)
+	// bytesCol and allocsCol match the -benchmem columns of such a line.
+	bytesCol  = regexp.MustCompile(`\s(\d+(?:\.\d+)?) B/op`)
+	allocsCol = regexp.MustCompile(`\s(\d+(?:\.\d+)?) allocs/op`)
+)
 
 func main() {
 	if err := run(); err != nil {
@@ -77,13 +99,13 @@ func run() error {
 		return fmt.Errorf("need -baseline FILE (or -record)")
 	}
 
-	samples := make(map[string][]float64)
+	got := newSamples()
 	for _, path := range flag.Args() {
-		if err := parseFile(path, samples); err != nil {
+		if err := parseFile(path, got); err != nil {
 			return err
 		}
 	}
-	if len(samples) == 0 {
+	if len(got.ns) == 0 {
 		return fmt.Errorf("no benchmark result lines found in %v", flag.Args())
 	}
 
@@ -91,10 +113,15 @@ func run() error {
 		Version:    1,
 		RecordedOn: runtime.GOOS + "/" + runtime.GOARCH,
 		Note:       *note,
-		Benchmarks: make(map[string]Entry, len(samples)),
+		Benchmarks: make(map[string]Entry, len(got.ns)),
 	}
-	for name, vals := range samples {
-		current.Benchmarks[name] = Entry{MedianNsPerOp: median(vals), Samples: len(vals)}
+	for name, vals := range got.ns {
+		current.Benchmarks[name] = Entry{
+			MedianNsPerOp:     median(vals),
+			Samples:           len(vals),
+			MedianBytesPerOp:  medianOrNil(got.bytes[name]),
+			MedianAllocsPerOp: medianOrNil(got.allocs[name]),
+		}
 	}
 	if *out != "" {
 		if err := writeJSON(*out, current); err != nil {
@@ -177,7 +204,7 @@ func run() error {
 	return nil
 }
 
-func parseFile(path string, samples map[string][]float64) error {
+func parseFile(path string, s samples) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -195,9 +222,30 @@ func parseFile(path string, samples map[string][]float64) error {
 		}
 		// m[1] already excludes the trailing -GOMAXPROCS suffix, so names
 		// stay comparable across differently sized hosts.
-		samples[m[1]] = append(samples[m[1]], ns)
+		name := m[1]
+		s.ns[name] = append(s.ns[name], ns)
+		appendCol(s.bytes, name, bytesCol, sc.Text())
+		appendCol(s.allocs, name, allocsCol, sc.Text())
 	}
 	return sc.Err()
+}
+
+// appendCol appends the value re captures from line, if any, to dst[name].
+func appendCol(dst map[string][]float64, name string, re *regexp.Regexp, line string) {
+	if c := re.FindStringSubmatch(line); c != nil {
+		if v, err := strconv.ParseFloat(c[1], 64); err == nil {
+			dst[name] = append(dst[name], v)
+		}
+	}
+}
+
+// medianOrNil is median for optional columns: nil when no sample has one.
+func medianOrNil(vals []float64) *float64 {
+	if len(vals) == 0 {
+		return nil
+	}
+	m := median(vals)
+	return &m
 }
 
 // geomean is the geometric mean of current/baseline ratios — the one

@@ -16,6 +16,8 @@ BenchmarkQuickScaleEventDriven-8   	       1	241221170 ns/op	         1.146 Mcyc
 BenchmarkQuickScaleEventDriven-8   	       1	250000000 ns/op	         1.101 Mcycles/s
 BenchmarkStoreFlush/checkpoint-v1-8         	     100	   1520000 ns/op
 BenchmarkStoreFlush/resultstore-8           	     100	      5200 ns/op
+BenchmarkControllerTick/saturated-8         	   20000	      1415 ns/op	      16 B/op	       0 allocs/op
+BenchmarkControllerTick/saturated-8         	   20000	      1390 ns/op	      48 B/op	       1 allocs/op
 PASS
 ok  	secddr/internal/sim	1.2s
 `
@@ -23,10 +25,11 @@ ok  	secddr/internal/sim	1.2s
 	if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	samples := make(map[string][]float64)
-	if err := parseFile(path, samples); err != nil {
+	s := newSamples()
+	if err := parseFile(path, s); err != nil {
 		t.Fatal(err)
 	}
+	samples := s.ns
 	// The -8 GOMAXPROCS suffix is stripped; sub-benchmark names (including
 	// ones ending in a non-numeric dash segment like -v1) survive intact.
 	if got := samples["BenchmarkQuickScaleEventDriven"]; len(got) != 2 {
@@ -37,6 +40,27 @@ ok  	secddr/internal/sim	1.2s
 	}
 	if got := samples["BenchmarkStoreFlush/resultstore"]; len(got) != 1 || got[0] != 5200 {
 		t.Fatalf("resultstore samples = %v", got)
+	}
+	// -benchmem columns are collected per benchmark; lines without them
+	// contribute none.
+	const tick = "BenchmarkControllerTick/saturated"
+	if got := samples[tick]; len(got) != 2 || got[0] != 1415 {
+		t.Fatalf("ControllerTick ns samples = %v", got)
+	}
+	if got := s.bytes[tick]; len(got) != 2 || got[0] != 16 || got[1] != 48 {
+		t.Fatalf("ControllerTick B/op samples = %v", got)
+	}
+	if got := s.allocs[tick]; len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Fatalf("ControllerTick allocs/op samples = %v", got)
+	}
+	if len(s.bytes["BenchmarkQuickScaleEventDriven"]) != 0 || len(s.allocs["BenchmarkQuickScaleEventDriven"]) != 0 {
+		t.Fatalf("memory samples invented for a line without -benchmem columns")
+	}
+	if m := medianOrNil(s.allocs[tick]); m == nil || *m != 0.5 {
+		t.Fatalf("allocs/op median = %v, want 0.5", m)
+	}
+	if m := medianOrNil(s.allocs["BenchmarkQuickScaleEventDriven"]); m != nil {
+		t.Fatalf("allocs/op median without samples = %v, want nil", *m)
 	}
 }
 
