@@ -214,9 +214,9 @@ func BenchmarkForkedSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkColdSweep is the same sweep forced cold (Sim: sim.Run bypasses
-// the fork scheduler), paying one full warmup per point. The
-// ForkedSweep/ColdSweep ratio is the headline speedup of PR 6.
+// BenchmarkColdSweep is the same sweep forced cold: with Sim: sim.Run the
+// scheduler makes every point its own group, so each pays one full warmup.
+// The ForkedSweep/ColdSweep ratio is the speedup warmup sharing buys.
 func BenchmarkColdSweep(b *testing.B) {
 	jobs := forkSweepJobs(b)
 	for i := 0; i < b.N; i++ {

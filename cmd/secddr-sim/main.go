@@ -133,7 +133,7 @@ func run() error {
 	var res sim.Result
 	if *timeline != "" {
 		tl := obs.NewTimeline(cfg.Core.ClockMHz, *tlSample, 0)
-		res, err = sim.RunInstrumented(opt, &sim.Instrument{Timeline: tl})
+		res, err = sim.RunInstrumented(opt, tl)
 		if err != nil {
 			return err
 		}

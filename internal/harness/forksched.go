@@ -8,91 +8,42 @@ import (
 	"secddr/internal/sim"
 )
 
-// This file holds the two campaign schedulers behind RunContext.
-//
-// runFlat is the classic pool: every pending point is one call to the
-// substituted Sim function. runForked is the default for the built-in
-// simulator: points whose options share a sim.WarmupKey form a snapshot
-// group that warms once (sim.Warmup) and forks every member from the
-// snapshot (sim.Warmed.Fork). Forking is result-identical to a cold run —
-// the sim package's snapshot identity suite is the proof — so the caching,
-// dedup, and store semantics are unchanged; only redundant warmups
-// disappear.
-
-// runFlat executes each pending point with c.Sim on a bounded pool. On the
-// first error (or ctx cancellation) it stops dispatching and waits for
-// in-flight points, whose results still reach the store.
-func (c Campaign) runFlat(ctx context.Context, order []string, pending map[string]sim.Options,
-	keyOf map[string]string, store Store, executed map[string]sim.Result,
-	mu *sync.Mutex, firstErr *error, prog *progressTracker) {
-
-	var wg sync.WaitGroup
-	ch := make(chan string)
-	for w := 0; w < c.workers(); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for d := range ch {
-				res, err := c.Sim(pending[d])
-				if err != nil && c.OnError != nil {
-					c.OnError(d, err)
-				}
-				if err == nil {
-					// The store has its own lock, so disk flushes never
-					// serialize result collection under mu.
-					err = store.Record(d, res)
-				}
-				mu.Lock()
-				if err != nil {
-					if *firstErr == nil {
-						*firstErr = fmt.Errorf("%s: %w", keyOf[d], err)
-					}
-				} else {
-					executed[d] = res
-				}
-				mu.Unlock()
-				if err == nil {
-					prog.executed(false)
-				}
-			}
-		}()
-	}
-dispatch:
-	for _, d := range order {
-		mu.Lock()
-		failed := *firstErr != nil
-		mu.Unlock()
-		if failed {
-			break dispatch
-		}
-		select {
-		case ch <- d:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(ch)
-	wg.Wait()
-}
+// This file holds the campaign scheduler behind RunContext. Points whose
+// options share a sim.WarmupKey form a snapshot group that warms once
+// (sim.Warmup) and forks every member from the snapshot
+// (sim.Warmed.Fork). Forking is result-identical to a cold run — the sim
+// package's snapshot identity suite is the proof — so the caching, dedup,
+// and store semantics are unchanged; only redundant warmups disappear. A
+// substituted Campaign.Sim makes every point its own group, run through
+// c.Sim, so tests and cold-run benchmarks take the same dispatch, abort,
+// and error-reporting path as production sweeps.
 
 // runForked executes the pending points with warmup sharing. Groups are
 // formed by iterating the deterministic order slice, never the pending
 // map: map iteration would randomize group and store-append order between
 // identical runs (the emitted JSON stays byte-identical either way, but
 // determinism everywhere is what keeps that property easy to trust).
-// Single-point groups run sim.Run directly — forking a snapshot used once
-// would pay a deep copy for nothing. Fork tasks are scheduled in
-// preference to warmup tasks so snapshots retire (and free their memory)
-// before new ones are created.
+// Single-point groups run cold, through sim.Run or c.Sim when set:
+// forking a snapshot used once would pay a deep copy for nothing. Fork
+// tasks are scheduled in preference to warmup tasks so snapshots retire
+// (and free their memory) before new ones are created. It returns the
+// results of the points that completed and the first error, labelled with
+// its job key.
 func (c Campaign) runForked(ctx context.Context, order []string, pending map[string]sim.Options,
-	keyOf map[string]string, store Store, executed map[string]sim.Result,
-	mu *sync.Mutex, firstErr *error, prog *progressTracker) {
+	keyOf map[string]string, store Store, prog *progressTracker) (map[string]sim.Result, error) {
 
+	cold := sim.Run
+	if c.Sim != nil {
+		cold = c.Sim
+	}
 	type group struct{ digests []string }
 	groupIdx := make(map[string]int)
 	var groups []*group
 	for _, d := range order {
-		k := pending[d].WarmupKey()
+		k := d // a substituted Sim cannot fork: every point runs alone
+		if c.Sim == nil {
+			k = pending[d].WarmupKey()
+		}
 		gi, ok := groupIdx[k]
 		if !ok {
 			gi = len(groups)
@@ -106,12 +57,15 @@ func (c Campaign) runForked(ctx context.Context, order []string, pending map[str
 		warmed *sim.Warmed
 		digest string
 	}
+	executed := make(map[string]sim.Result, len(order))
 	var (
-		qmu    sync.Mutex
-		cond   = sync.NewCond(&qmu)
-		warms  = groups
-		forks  []forkTask
-		active int
+		mu       sync.Mutex // guards executed and firstErr
+		firstErr error
+		qmu      sync.Mutex
+		cond     = sync.NewCond(&qmu)
+		warms    = groups
+		forks    []forkTask
+		active   int
 	)
 	// aborted is checked before claiming each task; in-flight tasks always
 	// finish (their results still reach the store). Lock order: qmu, then
@@ -122,19 +76,21 @@ func (c Campaign) runForked(ctx context.Context, order []string, pending map[str
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		return *firstErr != nil
+		return firstErr != nil
 	}
 	finish := func(d string, res sim.Result, err error, forked bool) {
 		if err != nil && c.OnError != nil {
 			c.OnError(d, err)
 		}
 		if err == nil {
+			// The store has its own lock, so disk flushes never
+			// serialize result collection under mu.
 			err = store.Record(d, res)
 		}
 		mu.Lock()
 		if err != nil {
-			if *firstErr == nil {
-				*firstErr = fmt.Errorf("%s: %w", keyOf[d], err)
+			if firstErr == nil {
+				firstErr = fmt.Errorf("%s: %w", keyOf[d], err)
 			}
 		} else {
 			executed[d] = res
@@ -187,10 +143,13 @@ func (c Campaign) runForked(ctx context.Context, order []string, pending map[str
 				case len(g.digests) == 1:
 					// A cold run pays its own (uncounted-by-Warmup) timed
 					// warmup; count it so Executed - Warmups is exactly the
-					// number of warmups sharing saved.
-					prog.warmup()
+					// number of warmups sharing saved. A substituted Sim
+					// reports no warmups.
+					if c.Sim == nil {
+						prog.warmup()
+					}
 					d := g.digests[0]
-					res, err := sim.Run(pending[d])
+					res, err := cold(pending[d])
 					finish(d, res, err, false)
 				default:
 					d0 := g.digests[0]
@@ -205,8 +164,8 @@ func (c Campaign) runForked(ctx context.Context, order []string, pending map[str
 							}
 						}
 						mu.Lock()
-						if *firstErr == nil {
-							*firstErr = fmt.Errorf("%s: %w", keyOf[d0], err)
+						if firstErr == nil {
+							firstErr = fmt.Errorf("%s: %w", keyOf[d0], err)
 						}
 						mu.Unlock()
 					} else {
@@ -227,4 +186,5 @@ func (c Campaign) runForked(ctx context.Context, order []string, pending map[str
 		}()
 	}
 	wg.Wait()
+	return executed, firstErr
 }

@@ -163,13 +163,14 @@ type Campaign struct {
 	// completes, so an interrupted campaign resumes from where it stopped.
 	// Nil means no persistence.
 	Store Store
-	// Sim is the simulation entry point. nil selects the built-in
-	// fork-after-warmup scheduler: points whose options share a
-	// sim.WarmupKey warm once and fork from the shared snapshot, which is
-	// result-identical to running sim.Run per point but skips the redundant
-	// warmups. Setting it (the campaign service's worker daemon and the
-	// tests substitute stubs; benchmarks pass sim.Run to force cold runs)
-	// uses the flat per-point pool instead.
+	// Sim, when non-nil, replaces the simulator. Nil runs the built-in one
+	// with fork-after-warmup: points whose options share a sim.WarmupKey
+	// warm once and fork from the shared snapshot, which is result-identical
+	// to running sim.Run per point but skips the redundant warmups. A
+	// substituted Sim cannot fork, so every point is its own group and runs
+	// through Sim on the same scheduler (tests substitute stubs; benchmarks
+	// pass sim.Run to force cold runs), and Stats.Forked and Stats.Warmups
+	// stay zero.
 	Sim func(sim.Options) (sim.Result, error)
 	// OnError, when non-nil, observes each individual simulation failure
 	// (digest, error) from the worker goroutine that hit it, in addition to
@@ -266,7 +267,7 @@ type Stats struct {
 	Deduped  int `json:"deduped"`  // jobs served by an identical job in the same batch
 	// Forked counts executed points satisfied by forking a shared warmed
 	// snapshot, and Warmups the timed warmup phases actually run; both are
-	// zero when a substituted Sim bypasses the fork scheduler. Executed -
+	// zero when a substituted Sim runs every point on its own. Executed -
 	// Warmups is the number of warmups the scheduler saved.
 	Forked  int `json:"forked"`
 	Warmups int `json:"warmups"`
@@ -334,20 +335,9 @@ func RunContext(ctx context.Context, c Campaign) ([]Outcome, Stats, error) {
 		order = append(order, d)
 	}
 
-	executed := make(map[string]sim.Result, len(order))
-	var (
-		mu       sync.Mutex
-		firstErr error
-	)
 	prog := &progressTracker{fn: c.Progress}
 	prog.resolved(stats.Total, stats.Cached, len(order))
-	if c.Sim == nil {
-		// Built-in simulator: the fork-after-warmup scheduler shares one
-		// warmup per snapshot group (forksched.go).
-		c.runForked(ctx, order, pending, keyOf, store, executed, &mu, &firstErr, prog)
-	} else {
-		c.runFlat(ctx, order, pending, keyOf, store, executed, &mu, &firstErr, prog)
-	}
+	executed, firstErr := c.runForked(ctx, order, pending, keyOf, store, prog)
 	stats.Executed = len(executed)
 	p := prog.snapshot()
 	stats.Forked, stats.Warmups = p.Forked, p.Warmups

@@ -3,8 +3,11 @@ package harness
 import (
 	"bytes"
 	"encoding/csv"
+	"errors"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"secddr/internal/config"
@@ -173,6 +176,67 @@ func TestSimulationErrorPropagates(t *testing.T) {
 	jobs[0].Opt.InstrPerCore = 0 // sim.Run rejects this
 	if _, _, err := Run(Campaign{Jobs: jobs}); err == nil {
 		t.Error("invalid job did not fail the campaign")
+	}
+}
+
+// TestSubstitutedSimFailure: a substituted Sim runs every point as its own
+// group on the one scheduler. When the last dispatched point fails, OnError
+// sees its digest once, the campaign error names its job key, every other
+// distinct point still executes exactly once, and nothing counts as forked
+// or warmed.
+func TestSubstitutedSimFailure(t *testing.T) {
+	jobs := tinyGrid().Jobs() // two warmup groups of two points
+	dup := jobs[0]
+	dup.Key = "alias/" + dup.Key
+	jobs = append(jobs, dup)
+	bad := jobs[3]
+	badDigest := bad.Opt.Digest()
+	errBoom := errors.New("boom")
+
+	var mu sync.Mutex
+	calls := map[string]int{}
+	var reported []string
+	c := Campaign{
+		Jobs:    jobs,
+		Workers: 1, // dispatch order is job order, so bad runs last
+		Sim: func(o sim.Options) (sim.Result, error) {
+			d := o.Digest()
+			mu.Lock()
+			calls[d]++
+			mu.Unlock()
+			if d == badDigest {
+				return sim.Result{}, errBoom
+			}
+			return sim.Result{Workload: o.WorkloadName(), Mode: o.Config.Security.Mode}, nil
+		},
+		OnError: func(d string, err error) {
+			mu.Lock()
+			defer mu.Unlock()
+			reported = append(reported, d)
+		},
+	}
+	warmBefore := sim.WarmupRuns()
+	_, stats, err := Run(c)
+	if !errors.Is(err, errBoom) || !strings.Contains(err.Error(), bad.Key) {
+		t.Fatalf("campaign error = %v, want %v labelled %q", err, errBoom, bad.Key)
+	}
+	if !reflect.DeepEqual(reported, []string{badDigest}) {
+		t.Errorf("OnError saw %v, want only %s", reported, badDigest)
+	}
+	if stats.Executed != 3 || stats.Deduped != 1 {
+		t.Errorf("stats = %+v, want 3 executed / 1 deduped", stats)
+	}
+	if stats.Forked != 0 || stats.Warmups != 0 || sim.WarmupRuns() != warmBefore {
+		t.Errorf("substituted Sim forked or warmed: stats %+v, %d built-in warmups",
+			stats, sim.WarmupRuns()-warmBefore)
+	}
+	if len(calls) != 4 {
+		t.Errorf("Sim ran %d distinct points, want 4", len(calls))
+	}
+	for d, n := range calls {
+		if n != 1 {
+			t.Errorf("Sim ran %s %d times, want once", d[:16], n)
+		}
 	}
 }
 

@@ -142,18 +142,6 @@ func (c *Client) SubmitKeyed(ctx context.Context, key string, spec Spec) (Submit
 	return sub, nil
 }
 
-// Submit posts a sweep spec under a spec-derived key, so even this
-// "anonymous" path is idempotent: re-submitting an identical spec
-// attaches to the running sweep. Kept for source compatibility; new
-// code should call SubmitKeyed with an explicit key.
-func (c *Client) Submit(ctx context.Context, spec Spec) (SubmitResponse, error) {
-	key, err := spec.DefaultKey()
-	if err != nil {
-		return SubmitResponse{}, err
-	}
-	return c.SubmitKeyed(ctx, key, spec)
-}
-
 // Status fetches a sweep's progress.
 func (c *Client) Status(ctx context.Context, id string) (SweepStatus, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url("/v1/sweeps/"+id), nil)
@@ -273,16 +261,6 @@ func (c *Client) StreamResults(ctx context.Context, id string, fn func(StreamIte
 			backoff *= 2
 		}
 	}
-}
-
-// RunRemote submits a spec under its spec-derived key and blocks until
-// the sweep completes; see RunRemoteKeyed.
-func (c *Client) RunRemote(ctx context.Context, spec Spec, progress func(done, total int)) ([]harness.Outcome, harness.Stats, error) {
-	key, err := spec.DefaultKey()
-	if err != nil {
-		return nil, harness.Stats{}, err
-	}
-	return c.RunRemoteKeyed(ctx, key, spec, progress)
 }
 
 // RunRemoteKeyed submits a spec under key and blocks until the sweep

@@ -124,8 +124,8 @@ func TestFidelityUnknownModeOverWire(t *testing.T) {
 
 	sp := tinySpec()
 	sp.Fidelity = &FidelitySpec{Modes: []string{"sampled-v2"}}
-	if _, err := cl.Submit(context.Background(), sp); !errors.Is(err, ErrUnsupportedFidelity) {
-		t.Fatalf("Submit: err = %v, want ErrUnsupportedFidelity", err)
+	if _, err := cl.SubmitKeyed(context.Background(), defaultKey(t, sp), sp); !errors.Is(err, ErrUnsupportedFidelity) {
+		t.Fatalf("SubmitKeyed(default key): err = %v, want ErrUnsupportedFidelity", err)
 	}
 	if _, err := cl.SubmitKeyed(context.Background(), "bad-fidelity", sp); !errors.Is(err, ErrUnsupportedFidelity) {
 		t.Fatalf("SubmitKeyed: err = %v, want ErrUnsupportedFidelity", err)
@@ -187,7 +187,7 @@ func TestSampledSweepThroughServer(t *testing.T) {
 			WarmrunInstr: 800,
 		},
 	}
-	outcomes, stats, err := cl.RunRemote(context.Background(), sp, nil)
+	outcomes, stats, err := cl.RunRemoteKeyed(context.Background(), defaultKey(t, sp), sp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

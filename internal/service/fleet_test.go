@@ -362,7 +362,7 @@ func TestWorkerFleetEndToEnd(t *testing.T) {
 		}()
 	}
 
-	outs, stats, err := cl.RunRemote(ctx, tinySpec(), nil)
+	outs, stats, err := cl.RunRemoteKeyed(ctx, defaultKey(t, tinySpec()), tinySpec(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func TestObservabilityEndpoints(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	cl := &Client{BaseURL: ts.URL}
-	if _, _, err := cl.RunRemote(context.Background(), tinySpec(), nil); err != nil {
+	if _, _, err := cl.RunRemoteKeyed(context.Background(), defaultKey(t, tinySpec()), tinySpec(), nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -68,6 +68,16 @@ func tinySpec() Spec {
 	}
 }
 
+// defaultKey is sp's spec-derived sweep key (Spec.DefaultKey).
+func defaultKey(t *testing.T, sp Spec) string {
+	t.Helper()
+	key, err := sp.DefaultKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return key
+}
+
 func TestSpecValidation(t *testing.T) {
 	for name, sp := range map[string]Spec{
 		"unknown mode":     {Modes: []string{"no-such-mode"}},
@@ -148,7 +158,7 @@ func TestRemoteSweepEndToEnd(t *testing.T) {
 	cl := &Client{BaseURL: ts.URL}
 	ctx := context.Background()
 
-	outs, stats, err := cl.RunRemote(ctx, tinySpec(), nil)
+	outs, stats, err := cl.RunRemoteKeyed(ctx, defaultKey(t, tinySpec()), tinySpec(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +301,7 @@ func TestHTTPSurface(t *testing.T) {
 	cl := &Client{BaseURL: ts.URL}
 	ctx := context.Background()
 
-	if _, _, err := cl.RunRemote(ctx, Spec{Modes: []string{"bogus"}}, nil); err == nil ||
+	if _, _, err := cl.RunRemoteKeyed(ctx, "bogus", Spec{Modes: []string{"bogus"}}, nil); err == nil ||
 		!strings.Contains(err.Error(), "unknown mode") {
 		t.Errorf("bad spec error = %v", err)
 	}
@@ -299,7 +309,7 @@ func TestHTTPSurface(t *testing.T) {
 		t.Errorf("missing sweep error = %v, want ErrUnknownSweep", err)
 	}
 
-	if _, _, err := cl.RunRemote(ctx, tinySpec(), nil); err != nil {
+	if _, _, err := cl.RunRemoteKeyed(ctx, defaultKey(t, tinySpec()), tinySpec(), nil); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := ts.Client().Get(ts.URL + "/healthz")
@@ -355,7 +365,7 @@ func TestStreamWhileRunning(t *testing.T) {
 	cl := &Client{BaseURL: ts.URL}
 	ctx := context.Background()
 
-	sub, err := cl.Submit(ctx, tinySpec())
+	sub, err := cl.SubmitKeyed(ctx, defaultKey(t, tinySpec()), tinySpec())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,7 +93,7 @@ func TestPerCycleIdentity(t *testing.T) {
 	}
 	byCycle := map[int64]cycSnap{}
 	debugHook = func(s *system) { byCycle[s.cpuNow] = snapOf(s) }
-	if _, err := runSystem(opt, true); err != nil {
+	if _, err := runTraced(opt, true, nil); err != nil {
 		t.Fatal(err)
 	}
 	var firstBad int64 = -1
@@ -107,7 +107,7 @@ func TestPerCycleIdentity(t *testing.T) {
 			firstBad, evBad, tkBad = s.cpuNow, ev, tk
 		}
 	}
-	if _, err := runSystem(opt, false); err != nil {
+	if _, err := runTraced(opt, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	debugHook = nil

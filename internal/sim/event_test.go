@@ -163,7 +163,7 @@ func TestEventDrivenActuallySkips(t *testing.T) {
 		WarmupInstr:  10_000,
 		Seed:         42,
 	}
-	s, err := runSystem(opt, false)
+	s, err := runTraced(opt, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestEventDrivenActuallySkips(t *testing.T) {
 		t.Errorf("fast-forwarding covered only %.1f%% of %d cycles on a stall-heavy run",
 			frac*100, s.cpuNow)
 	}
-	ref, err := runSystem(opt, true)
+	ref, err := runTraced(opt, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,23 +19,13 @@ import (
 // Everything here is cycle-domain. Timestamps are simulated cycles
 // converted with the configured clocks; nothing reads the host clock.
 
-// Instrument carries per-run observability attachments for
-// RunInstrumented. All fields are optional.
-type Instrument struct {
-	// Timeline, when non-nil, accumulates a Perfetto trace of the run:
-	// warmup/measured markers, scenario phase boundaries, per-channel
-	// issue and refresh spans, and an MSHR-occupancy counter track.
-	Timeline *obs.Timeline
-}
-
-// RunInstrumented executes one simulation like Run while recording into
-// ins. The instrumentation observes the run without perturbing it: the
-// Result is byte-identical to Run(opt)'s, at either fidelity.
-func RunInstrumented(opt Options, ins *Instrument) (Result, error) {
-	var tl *obs.Timeline
-	if ins != nil {
-		tl = ins.Timeline
-	}
+// RunInstrumented executes one simulation like Run while recording a
+// Perfetto trace into tl (nil: none): warmup/measured markers, scenario
+// phase boundaries, per-channel issue and refresh spans, and an
+// MSHR-occupancy counter track. The timeline observes the run without
+// perturbing it: the Result is byte-identical to Run(opt)'s, at either
+// fidelity.
+func RunInstrumented(opt Options, tl *obs.Timeline) (Result, error) {
 	return run(opt, false, tl)
 }
 
@@ -52,8 +42,9 @@ func (s *system) mark(name string) {
 // is a side struct rather than inline fields because system is allocated
 // on the measured loop's hot path — spelling these out inline pushes
 // system into the next allocation size class, which shows up as a
-// measurable slowdown on BenchmarkQuickScaleEventDriven. It lives off the
-// snapshot too because dram.Counters carries a slice and snapshot stays
+// measurable slowdown on BenchmarkQuickScaleEventDriven
+// (TestSystemSizeClass pins the class). It lives outside the measurement
+// tally too because dram.Counters carries a slice and tally stays
 // scalars-only.
 type profState struct {
 	// base* hold the values of counters that survive resume (core stall

@@ -126,7 +126,7 @@ func TestRunInstrumentedTimeline(t *testing.T) {
 func requireInstrumentedTimeline(t *testing.T, opt Options) {
 	t.Helper()
 	tl := obs.NewTimeline(opt.Config.Core.ClockMHz, 256, 0)
-	got, err := RunInstrumented(opt, &Instrument{Timeline: tl})
+	got, err := RunInstrumented(opt, tl)
 	if err != nil {
 		t.Fatal(err)
 	}

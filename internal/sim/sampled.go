@@ -62,22 +62,11 @@ type sampState struct {
 	ipc, bw, mpki, lat, row, meta stats.Estimator
 	perCore                       []stats.Estimator
 
-	agg windowAgg
-}
-
-// windowAgg sums the per-window counter deltas, so ratio metrics that need
-// a single pooled denominator (miss rates) and the extrapolated counter
-// fields of Result have measured-window totals to work from.
-type windowAgg struct {
-	instr                        uint64
-	demandMiss, llcAccess        uint64
-	metaAcc, metaMiss, metaReads uint64
-	readLatSum, readsDone        uint64
-	writesEnq                    uint64
-	numRD, numWR                 uint64
-	busBusy                      uint64
-	prefetches                   uint64
-	memCycles                    int64
+	// agg sums the counter deltas of every recorded window, so ratio
+	// metrics that need a single pooled denominator (miss rates) and the
+	// extrapolated counter fields of Result have measured-window totals to
+	// work from.
+	agg tally
 }
 
 // Clone deep-copies the sampled-loop state for a forked system.
@@ -88,33 +77,6 @@ func (p *sampState) Clone() *sampState {
 	n.cpi = append([]float64(nil), p.cpi...)
 	n.perCore = append([]stats.Estimator(nil), p.perCore...)
 	return n
-}
-
-// winCounters freezes the measurement-relevant counters at a window
-// boundary; recordWindow differences two of them into one sample set.
-type winCounters struct {
-	mem                   memTotals
-	demandMiss, llcAccess uint64
-	metaAcc, metaMiss     uint64
-	metaReads             uint64
-	prefetches            uint64
-	memNow                int64
-}
-
-func (s *system) counterSample() winCounters {
-	wc := winCounters{
-		mem:        s.memTotals(),
-		demandMiss: s.demandMiss,
-		llcAccess:  s.llcAccess,
-		metaReads:  s.engine.MetaReads,
-		prefetches: s.prefetches,
-		memNow:     s.memNow,
-	}
-	if mc := s.engine.MetaCache(); mc != nil {
-		wc.metaAcc = mc.Accesses
-		wc.metaMiss = mc.Misses
-	}
-	return wc
 }
 
 // funcPort adapts the system to cpu.FuncMemory for fast-forward phases:
@@ -230,7 +192,7 @@ func (s *system) runSampled() error {
 			preRet[i] = c.Retired
 			target[i] = capT(c.Retired + fid.WindowInstr)
 		}
-		pre := s.counterSample()
+		pre := s.tally()
 		samp.winStart = s.cpuNow
 		if err := s.runDetailedUntil(target, samp.winFin, total); err != nil {
 			return err
@@ -327,22 +289,20 @@ func (s *system) runSampled() error {
 // retired delta, keeping ratio denominators consistent. The per-core
 // cycles-per-instruction estimates always update (the next fast-forward's
 // clock jump needs them), but a truncated end-of-run window — under half
-// the nominal length — contributes no samples: its ratios are computed
-// over too few events to be one vote among equals.
-func (s *system) recordWindow(pre winCounters, preRet, target []uint64) {
+// the nominal length — contributes no samples and nothing to agg: its
+// ratios are computed over too few events to be one vote among equals.
+func (s *system) recordWindow(pre tally, preRet, target []uint64) {
 	samp := s.samp
-	post := s.counterSample()
-	var winInstr, instr uint64
+	var winInstr uint64
 	ipcTotal := 0.0
 	clamped := false
 	perCore := make([]float64, len(s.cores))
-	for i, c := range s.cores {
+	for i := range s.cores {
 		var ci uint64 // a core past the total target contributes nothing
 		if target[i] > preRet[i] {
 			ci = target[i] - preRet[i]
 		}
 		winInstr += ci
-		instr += c.Retired - preRet[i]
 		w := samp.winFin[i] - samp.winStart
 		if w < 1 {
 			w = 1
@@ -365,41 +325,23 @@ func (s *system) recordWindow(pre winCounters, preRet, target []uint64) {
 	for i := range perCore {
 		samp.perCore[i].Add(perCore[i])
 	}
-	dm := post.memNow - pre.memNow
-	if dm > 0 {
-		bytes := float64(post.mem.busBusy-pre.mem.busBusy) * 2 * 8
-		seconds := float64(dm) / (float64(s.opt.Config.DRAM.ClockMHz) * 1e6)
-		samp.bw.Add(bytes / seconds / 1e9)
+	d := s.tally().sub(pre)
+	if v, ok := d.bandwidthGBs(s.opt.Config.DRAM.ClockMHz); ok {
+		samp.bw.Add(v)
 	}
-	if ki := float64(instr) / 1000; ki > 0 {
-		samp.mpki.Add(float64(post.demandMiss-pre.demandMiss) / ki)
+	if v, ok := d.mpki(); ok {
+		samp.mpki.Add(v)
 	}
-	if done := post.mem.readsDone - pre.mem.readsDone; done > 0 {
-		samp.lat.Add(float64(post.mem.readLatSum-pre.mem.readLatSum) / float64(done))
+	if v, ok := d.avgReadLatency(); ok {
+		samp.lat.Add(v)
 	}
-	hits := post.mem.rowHits - pre.mem.rowHits
-	if rows := hits + (post.mem.rowMisses - pre.mem.rowMisses) + (post.mem.rowConfl - pre.mem.rowConfl); rows > 0 {
-		samp.row.Add(float64(hits) / float64(rows))
+	if v, ok := d.rowHitRate(); ok {
+		samp.row.Add(v)
 	}
-	if macc := post.metaAcc - pre.metaAcc; macc > 0 {
-		samp.meta.Add(float64(post.metaMiss-pre.metaMiss) / float64(macc))
+	if v, ok := d.metaMissRate(); ok {
+		samp.meta.Add(v)
 	}
-
-	agg := &samp.agg
-	agg.instr += instr
-	agg.demandMiss += post.demandMiss - pre.demandMiss
-	agg.llcAccess += post.llcAccess - pre.llcAccess
-	agg.metaAcc += post.metaAcc - pre.metaAcc
-	agg.metaMiss += post.metaMiss - pre.metaMiss
-	agg.metaReads += post.metaReads - pre.metaReads
-	agg.readLatSum += post.mem.readLatSum - pre.mem.readLatSum
-	agg.readsDone += post.mem.readsDone - pre.mem.readsDone
-	agg.writesEnq += post.mem.writesEnq - pre.mem.writesEnq
-	agg.numRD += post.mem.numRD - pre.mem.numRD
-	agg.numWR += post.mem.numWR - pre.mem.numWR
-	agg.busBusy += post.mem.busBusy - pre.mem.busBusy
-	agg.prefetches += post.prefetches - pre.prefetches
-	agg.memCycles += dm
+	samp.agg = samp.agg.add(d)
 }
 
 // runDetailedUntil runs the detailed loop until every core has retired at
@@ -458,15 +400,10 @@ func (s *system) collectSampled() Result {
 		r.PerCoreIPC = append(r.PerCoreIPC, samp.perCore[i].Mean())
 	}
 	r.IPC = samp.ipc.Mean()
-	for _, c := range s.cores {
-		r.Instructions += c.Retired
-	}
-	r.Instructions -= s.snap.instructions
+	r.Instructions = s.tally().instr - s.base.instr
 	r.LLCMPKI = samp.mpki.Mean()
 	agg := samp.agg
-	if agg.llcAccess > 0 {
-		r.LLCMissRate = float64(agg.demandMiss) / float64(agg.llcAccess)
-	}
+	r.LLCMissRate, _ = agg.llcMissRate()
 	r.MetaMissRate = samp.meta.Mean()
 	r.AvgReadLatency = samp.lat.Mean()
 	r.RowHitRate = samp.row.Mean()

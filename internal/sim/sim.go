@@ -146,16 +146,22 @@ type Result struct {
 	Instructions uint64
 	Cycles       int64 // CPU cycles until the last core finished
 
-	LLCMPKI         float64 // demand misses per kilo-instruction
-	LLCMissRate     float64
-	MetaMissRate    float64 // metadata cache (Fig. 7)
-	MetaAccesses    uint64
-	MetaMemReads    uint64  // metadata fetches that reached DRAM
-	AvgReadLatency  float64 // memory cycles, controller enqueue to data
-	RowHitRate      float64
-	DRAMReads       uint64
-	DRAMWrites      uint64
-	BandwidthGBs    float64 // average data-bus bandwidth
+	LLCMPKI        float64 // demand misses per kilo-instruction
+	LLCMissRate    float64
+	MetaMissRate   float64 // metadata cache (Fig. 7)
+	MetaAccesses   uint64
+	MetaMemReads   uint64  // metadata fetches that reached DRAM
+	AvgReadLatency float64 // memory cycles, controller enqueue to data
+	RowHitRate     float64
+	DRAMReads      uint64
+	DRAMWrites     uint64
+	BandwidthGBs   float64 // average data-bus bandwidth
+	// PrefetchesSent is inconsistent across fidelities. Exact runs report
+	// every prefetch since cycle 0, warmup included, while sampled runs
+	// extrapolate the measured windows' prefetches like the other counter
+	// fields (at QuickScale, seed 42, secddr+ctr, lbm reports 11629 against
+	// 7811 in the measured region). Fixing it changes exact result bytes,
+	// so it waits for a benchmark reference re-record.
 	PrefetchesSent  uint64
 	WritebacksToMem uint64
 
@@ -249,7 +255,7 @@ type system struct {
 	demandMiss  uint64
 	llcAccess   uint64
 	prefetches  uint64
-	snap        snapshot
+	base        tally // counters at the start of the measured region (resume)
 
 	// Cycle-attribution profiler state (profile.go). mshrRejects counts
 	// per-core structural-stall rejections and stays inline — it is
@@ -283,9 +289,14 @@ type system struct {
 	primedMeta *cache.Cache
 }
 
-// snapshot freezes the measurement-relevant counters at warmup completion
-// so collect() reports the measured region only.
-type snapshot struct {
+// tally is the measurement-relevant counters at one instant, summed over
+// every memory channel so single- and multi-channel configurations report
+// through the same path. The difference of two tallies is a measured
+// region's or a sampled window's counter delta, and the ratio methods below
+// turn a delta into Result's metrics. All fields are scalars, so the
+// baseline copied at resume and per-window tallies never alias live state.
+type tally struct {
+	instr                        uint64 // instructions retired, all cores
 	demandMiss, llcAccess        uint64
 	metaAcc, metaMiss, metaReads uint64
 	readLatSum, readsDone        uint64
@@ -293,23 +304,25 @@ type snapshot struct {
 	numRD, numWR                 uint64
 	rowHits, rowMisses, rowConfl uint64
 	busBusy                      uint64
-	memNow                       int64
-	instructions                 uint64
+	prefetches                   uint64
+	memCycles                    uint64 // memory clock
 }
 
-// memTotals sums the measurement-relevant controller and channel counters
-// across every memory channel, so single- and multi-channel configurations
-// report through the same snapshot/collect path.
-type memTotals struct {
-	readLatSum, readsDone        uint64
-	writesEnq                    uint64
-	numRD, numWR                 uint64
-	rowHits, rowMisses, rowConfl uint64
-	busBusy                      uint64
-}
-
-func (s *system) memTotals() memTotals {
-	var t memTotals
+// tally reads the system's counters now.
+func (s *system) tally() tally {
+	t := tally{
+		demandMiss: s.demandMiss,
+		llcAccess:  s.llcAccess,
+		metaReads:  s.engine.MetaReads,
+		prefetches: s.prefetches,
+		memCycles:  uint64(s.memNow),
+	}
+	for _, c := range s.cores {
+		t.instr += c.Retired
+	}
+	if mc := s.engine.MetaCache(); mc != nil {
+		t.metaAcc, t.metaMiss = mc.Accesses, mc.Misses
+	}
 	for _, ctl := range s.engine.Controllers() {
 		ch := ctl.Channel()
 		t.readLatSum += ctl.ReadLatencySum
@@ -325,30 +338,79 @@ func (s *system) memTotals() memTotals {
 	return t
 }
 
-func (s *system) takeSnapshot() {
-	mt := s.memTotals()
-	s.snap = snapshot{
-		demandMiss: s.demandMiss,
-		llcAccess:  s.llcAccess,
-		metaReads:  s.engine.MetaReads,
-		readLatSum: mt.readLatSum,
-		readsDone:  mt.readsDone,
-		writesEnq:  mt.writesEnq,
-		numRD:      mt.numRD,
-		numWR:      mt.numWR,
-		rowHits:    mt.rowHits,
-		rowMisses:  mt.rowMisses,
-		rowConfl:   mt.rowConfl,
-		busBusy:    mt.busBusy,
-		memNow:     s.memNow,
+// zip combines two tallies field by field.
+func (t tally) zip(o tally, f func(a, b uint64) uint64) tally {
+	return tally{
+		instr:      f(t.instr, o.instr),
+		demandMiss: f(t.demandMiss, o.demandMiss),
+		llcAccess:  f(t.llcAccess, o.llcAccess),
+		metaAcc:    f(t.metaAcc, o.metaAcc),
+		metaMiss:   f(t.metaMiss, o.metaMiss),
+		metaReads:  f(t.metaReads, o.metaReads),
+		readLatSum: f(t.readLatSum, o.readLatSum),
+		readsDone:  f(t.readsDone, o.readsDone),
+		writesEnq:  f(t.writesEnq, o.writesEnq),
+		numRD:      f(t.numRD, o.numRD),
+		numWR:      f(t.numWR, o.numWR),
+		rowHits:    f(t.rowHits, o.rowHits),
+		rowMisses:  f(t.rowMisses, o.rowMisses),
+		rowConfl:   f(t.rowConfl, o.rowConfl),
+		busBusy:    f(t.busBusy, o.busBusy),
+		prefetches: f(t.prefetches, o.prefetches),
+		memCycles:  f(t.memCycles, o.memCycles),
 	}
-	if mc := s.engine.MetaCache(); mc != nil {
-		s.snap.metaAcc = mc.Accesses
-		s.snap.metaMiss = mc.Misses
+}
+
+// sub returns the delta t - o.
+func (t tally) sub(o tally) tally { return t.zip(o, func(a, b uint64) uint64 { return a - b }) }
+
+// add returns the sum t + o.
+func (t tally) add(o tally) tally { return t.zip(o, func(a, b uint64) uint64 { return a + b }) }
+
+// The ratio methods are the one definition of each derived metric over a
+// tally delta. Each reports ok=false when its denominator is zero: a
+// degenerate window (see IPCClamped) can leave zero instructions or
+// accesses, and a NaN anywhere in Result breaks JSON encoding.
+
+func ratio(num, den float64) (float64, bool) {
+	if den == 0 {
+		return 0, false
 	}
-	for _, c := range s.cores {
-		s.snap.instructions += c.Retired
-	}
+	return num / den, true
+}
+
+// mpki is LLC demand misses per kilo-instruction.
+func (d tally) mpki() (float64, bool) {
+	return ratio(float64(d.demandMiss), float64(d.instr)/1000)
+}
+
+// llcMissRate is LLC demand misses per LLC access.
+func (d tally) llcMissRate() (float64, bool) {
+	return ratio(float64(d.demandMiss), float64(d.llcAccess))
+}
+
+// metaMissRate is the metadata cache's miss rate (Fig. 7).
+func (d tally) metaMissRate() (float64, bool) {
+	return ratio(float64(d.metaMiss), float64(d.metaAcc))
+}
+
+// avgReadLatency is memory cycles from controller enqueue to data.
+func (d tally) avgReadLatency() (float64, bool) {
+	return ratio(float64(d.readLatSum), float64(d.readsDone))
+}
+
+// rowHitRate is row hits per row-buffer outcome.
+func (d tally) rowHitRate() (float64, bool) {
+	return ratio(float64(d.rowHits), float64(d.rowHits+d.rowMisses+d.rowConfl))
+}
+
+// bandwidthGBs is the average data-bus bandwidth at memory clock memMHz:
+// busy cycles x 2 beats x 8 bytes, summed over channels (each channel has
+// its own data bus), over the elapsed memory time.
+func (d tally) bandwidthGBs(memMHz int) (float64, bool) {
+	seconds := float64(d.memCycles) / (float64(memMHz) * 1e6)
+	bw, ok := ratio(float64(d.busBusy)*2*8, seconds)
+	return bw / 1e9, ok
 }
 
 type corePort struct {
@@ -698,18 +760,14 @@ func run(opt Options, tickLoop bool, tl *obs.Timeline) (Result, error) {
 	return s.collect(), nil
 }
 
-// runSystem executes the simulation — warmup, resume, measured region —
-// and returns the finished system, so tests can inspect internals (e.g.
-// fast-forward statistics) that Result does not carry. A cold run and a
-// forked run execute exactly the same three phases; the only difference is
-// that a fork deep-copies the warmed system between the first two.
-func runSystem(opt Options, tickLoop bool) (*system, error) {
-	return runTraced(opt, tickLoop, nil)
-}
-
-// runTraced is runSystem recording into tl (nil: no timeline). The
-// timeline attaches between warmup and resume, so it covers the measured
-// region of either fidelity and never reaches a warmed snapshot.
+// runTraced executes the simulation — warmup, resume, measured region —
+// recording into tl (nil: no timeline), and returns the finished system, so
+// tests can inspect internals (e.g. fast-forward statistics) that Result
+// does not carry. A cold run and a forked run execute exactly the same
+// three phases; the only difference is that a fork deep-copies the warmed
+// system between the first two. The timeline attaches between warmup and
+// resume, so it covers the measured region of either fidelity and never
+// reaches a warmed snapshot.
 func runTraced(opt Options, tickLoop bool, tl *obs.Timeline) (*system, error) {
 	s, err := warmSystem(opt, tickLoop)
 	if err != nil {
@@ -883,7 +941,7 @@ func (s *system) resume(opt Options) error {
 		s.warmCycle[i] = s.cpuNow
 		s.finishCycle[i] = 0
 	}
-	s.takeSnapshot()
+	s.base = s.tally()
 	s.armProfiler()
 	return nil
 }
@@ -914,7 +972,7 @@ func (s *system) collect() Result {
 		Mode:     s.opt.Config.Security.Mode,
 		Cycles:   s.cpuNow,
 	}
-	for i, c := range s.cores {
+	for i := range s.cores {
 		window := s.finishCycle[i] - s.warmCycle[i]
 		if window < 1 {
 			// Warmup and the retirement target crossed in the same cycle:
@@ -926,45 +984,24 @@ func (s *system) collect() Result {
 		ipc := float64(s.opt.InstrPerCore) / float64(window)
 		r.PerCoreIPC = append(r.PerCoreIPC, ipc)
 		r.IPC += ipc
-		r.Instructions += c.Retired
 	}
-	r.Instructions -= s.snap.instructions
-	// Guard every measured-window ratio: a degenerate window (see
-	// IPCClamped) can leave zero instructions or accesses in the
-	// denominator, and a NaN anywhere in Result breaks JSON encoding.
-	if ki := float64(r.Instructions) / 1000; ki > 0 {
-		r.LLCMPKI = float64(s.demandMiss-s.snap.demandMiss) / ki
-	}
-	if acc := s.llcAccess - s.snap.llcAccess; acc > 0 {
-		r.LLCMissRate = float64(s.demandMiss-s.snap.demandMiss) / float64(acc)
-	}
-	if mc := s.engine.MetaCache(); mc != nil {
-		if acc := mc.Accesses - s.snap.metaAcc; acc > 0 {
-			r.MetaMissRate = float64(mc.Misses-s.snap.metaMiss) / float64(acc)
-		}
-		r.MetaAccesses = mc.Accesses - s.snap.metaAcc
-	}
-	r.MetaMemReads = s.engine.MetaReads - s.snap.metaReads
-	mt := s.memTotals()
-	if done := mt.readsDone - s.snap.readsDone; done > 0 {
-		r.AvgReadLatency = float64(mt.readLatSum-s.snap.readLatSum) / float64(done)
-	}
-	r.DRAMReads = mt.numRD - s.snap.numRD
-	r.DRAMWrites = mt.numWR - s.snap.numWR
-	hits := mt.rowHits - s.snap.rowHits
-	total := hits + (mt.rowMisses - s.snap.rowMisses) + (mt.rowConfl - s.snap.rowConfl)
-	if total > 0 {
-		r.RowHitRate = float64(hits) / float64(total)
-	}
-	if dm := s.memNow - s.snap.memNow; dm > 0 {
-		// Bytes moved / wall time: busy cycles x 2 beats x 8 bytes, summed
-		// over channels (each channel has its own data bus).
-		bytes := float64(mt.busBusy-s.snap.busBusy) * 2 * 8
-		seconds := float64(dm) / (float64(s.opt.Config.DRAM.ClockMHz) * 1e6)
-		r.BandwidthGBs = bytes / seconds / 1e9
-	}
+	d := s.tally().sub(s.base)
+	r.Instructions = d.instr
+	r.LLCMPKI, _ = d.mpki()
+	r.LLCMissRate, _ = d.llcMissRate()
+	r.MetaMissRate, _ = d.metaMissRate()
+	r.MetaAccesses = d.metaAcc
+	r.MetaMemReads = d.metaReads
+	r.AvgReadLatency, _ = d.avgReadLatency()
+	r.DRAMReads = d.numRD
+	r.DRAMWrites = d.numWR
+	r.RowHitRate, _ = d.rowHitRate()
+	r.BandwidthGBs, _ = d.bandwidthGBs(s.opt.Config.DRAM.ClockMHz)
+	// Counted from cycle 0, warmup included, unlike every other counter
+	// field here (and unlike sampled runs, which extrapolate the measured
+	// windows' prefetches); see Result.PrefetchesSent.
 	r.PrefetchesSent = s.prefetches
-	r.WritebacksToMem = mt.writesEnq - s.snap.writesEnq
+	r.WritebacksToMem = d.writesEnq
 	r.Profile = s.profile()
 	return r
 }
