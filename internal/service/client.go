@@ -49,20 +49,27 @@ func decodeError(resp *http.Response) error {
 	return fmt.Errorf("service: server returned HTTP %d", resp.StatusCode)
 }
 
-// postJSON posts body to path and decodes a 200/202 JSON answer into out.
-func (c *Client) postJSON(ctx context.Context, path string, body, out any) error {
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return fmt.Errorf("service: encoding request: %w", err)
+// do sends a method request to path, with body JSON-encoded (nil: no
+// body), and decodes a 200/202 JSON answer into out (nil: discarded).
+func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
+	var rd io.Reader
+	if body != nil {
+		raw, err := json.Marshal(body)
+		if err != nil {
+			return fmt.Errorf("service: encoding %s request: %w", path, err)
+		}
+		rd = bytes.NewReader(raw)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url(path), bytes.NewReader(raw))
+	req, err := http.NewRequestWithContext(ctx, method, c.url(path), rd)
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	resp, err := c.http().Do(req)
 	if err != nil {
-		return fmt.Errorf("service: %s: %w", path, err)
+		return fmt.Errorf("service: %s %s: %w", method, path, err)
 	}
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
 		return decodeError(resp)
@@ -81,7 +88,7 @@ func (c *Client) postJSON(ctx context.Context, path string, body, out any) error
 // batch with a nil error means the long-poll elapsed idle.
 func (c *Client) Lease(ctx context.Context, req LeaseRequest) (LeaseResponse, error) {
 	var resp LeaseResponse
-	err := c.postJSON(ctx, "/v1/jobs/lease", req, &resp)
+	err := c.do(ctx, http.MethodPost, "/v1/jobs/lease", req, &resp)
 	return resp, err
 }
 
@@ -90,21 +97,21 @@ func (c *Client) Lease(ctx context.Context, req LeaseRequest) (LeaseResponse, er
 // (double ack or reclaimed lease).
 func (c *Client) PostResult(ctx context.Context, digest string, up ResultUpload) (bool, error) {
 	var ack AckResponse
-	err := c.postJSON(ctx, "/v1/jobs/"+digest+"/result", up, &ack)
+	err := c.do(ctx, http.MethodPost, "/v1/jobs/"+digest+"/result", up, &ack)
 	return ack.Accepted, err
 }
 
 // Release returns an unrun lease to the queue.
 func (c *Client) Release(ctx context.Context, digest, workerID string) (bool, error) {
 	var ack AckResponse
-	err := c.postJSON(ctx, "/v1/jobs/"+digest+"/release", ReleaseRequest{WorkerID: workerID}, &ack)
+	err := c.do(ctx, http.MethodPost, "/v1/jobs/"+digest+"/release", ReleaseRequest{WorkerID: workerID}, &ack)
 	return ack.Accepted, err
 }
 
 // Heartbeat extends the worker's leases on the given digests.
 func (c *Client) Heartbeat(ctx context.Context, workerID string, digests []string) (int, error) {
 	var resp HeartbeatResponse
-	err := c.postJSON(ctx, "/v1/workers/heartbeat", HeartbeatRequest{WorkerID: workerID, Digests: digests}, &resp)
+	err := c.do(ctx, http.MethodPost, "/v1/workers/heartbeat", HeartbeatRequest{WorkerID: workerID, Digests: digests}, &resp)
 	return resp.Held, err
 }
 
@@ -118,49 +125,16 @@ func (c *Client) SubmitKeyed(ctx context.Context, key string, spec Spec) (Submit
 	if err := validateSweepKey(key); err != nil {
 		return SubmitResponse{}, err
 	}
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return SubmitResponse{}, fmt.Errorf("service: encoding spec: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, c.url("/v1/sweeps/"+key), bytes.NewReader(body))
-	if err != nil {
-		return SubmitResponse{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return SubmitResponse{}, fmt.Errorf("service: submitting sweep: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		return SubmitResponse{}, decodeError(resp)
-	}
-	defer resp.Body.Close()
 	var sub SubmitResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-		return SubmitResponse{}, fmt.Errorf("service: decoding submit response: %w", err)
-	}
-	return sub, nil
+	err := c.do(ctx, http.MethodPut, "/v1/sweeps/"+key, spec, &sub)
+	return sub, err
 }
 
 // Status fetches a sweep's progress.
 func (c *Client) Status(ctx context.Context, id string) (SweepStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url("/v1/sweeps/"+id), nil)
-	if err != nil {
-		return SweepStatus{}, err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return SweepStatus{}, fmt.Errorf("service: fetching sweep status: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return SweepStatus{}, decodeError(resp)
-	}
-	defer resp.Body.Close()
 	var st SweepStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return SweepStatus{}, fmt.Errorf("service: decoding sweep status: %w", err)
-	}
-	return st, nil
+	err := c.do(ctx, http.MethodGet, "/v1/sweeps/"+id, nil, &st)
+	return st, err
 }
 
 // streamOnce consumes one results connection from the cursor, invoking fn

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -126,8 +127,8 @@ func TestLeaseExpiryReclaim(t *testing.T) {
 	srv, _, cl := fleetServer(t)
 	ctx := context.Background()
 
-	// Inject a controllable clock (under the queue/fleet locks: the
-	// reaper goroutine reads it concurrently).
+	// Inject a controllable clock (under the queue lock: the reaper
+	// goroutine reads it concurrently).
 	var (
 		clockMu sync.Mutex
 		offset  time.Duration
@@ -140,9 +141,6 @@ func TestLeaseExpiryReclaim(t *testing.T) {
 	srv.queue.mu.Lock()
 	srv.queue.now = clock
 	srv.queue.mu.Unlock()
-	srv.fleet.mu.Lock()
-	srv.fleet.now = clock
-	srv.fleet.mu.Unlock()
 
 	spec := Spec{Modes: []string{"unprotected"}, Workloads: []string{"mcf"}, Quick: true}
 	sw, err := submitFresh(srv, spec)
@@ -432,4 +430,54 @@ func TestWorkerReportsSimError(t *testing.T) {
 
 	cancel()
 	wg.Wait()
+}
+
+// TestLeaseAbandonedLongPoll: a worker whose long-poll was abandoned
+// (its request context ended) must not be handed the next job to arrive.
+// Such a job would sit out its lease TTL on a worker that will never run
+// it, and then be requeued at the cost of one of its allowed requeues.
+func TestLeaseAbandonedLongPoll(t *testing.T) {
+	srv := NewServer(newMemStore(), ServerOptions{Workers: -1})
+	defer func() { srv.Shutdown(); srv.Drain() }()
+	h := srv.Handler()
+	leaseReturned := make(chan struct{}, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		if r.URL.Path == "/v1/jobs/lease" {
+			leaseReturned <- struct{}{}
+		}
+	}))
+	defer ts.Close()
+	cl := &Client{BaseURL: ts.URL}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	if _, err := cl.Lease(ctx, LeaseRequest{WorkerID: "gone", MaxJobs: 1, WaitMS: 5000}); err == nil {
+		t.Fatal("lease outlived its context")
+	}
+	// The server handler should return once it sees the disconnect. Do not
+	// insist: a handler that keeps polling shows up below as a leased job.
+	select {
+	case <-leaseReturned:
+	case <-time.After(2 * time.Second):
+	}
+
+	if _, err := submitFresh(srv, tinySpec()); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.After(5 * time.Second)
+	for {
+		st := srv.queue.stats()
+		if st.pending+st.leased == 4 {
+			if st.leased != 0 || st.pending != 4 {
+				t.Fatalf("queue = %d pending, %d leased; want 4 pending, 0 leased to the departed worker", st.pending, st.leased)
+			}
+			return
+		}
+		select {
+		case <-deadline:
+			t.Fatalf("queue never held the sweep's 4 jobs: %+v", st)
+		case <-time.After(time.Millisecond):
+		}
+	}
 }

@@ -159,13 +159,3 @@ func (l *LeaderLease) Release(epoch uint64) error {
 		return l.writeDoc(doc)
 	})
 }
-
-// Peek reads the current lease without contending for it.
-func (l *LeaderLease) Peek() (leaseDoc, error) {
-	var doc leaseDoc
-	err := l.withLock(func() error {
-		doc = l.readDoc()
-		return nil
-	})
-	return doc, err
-}

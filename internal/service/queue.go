@@ -1,33 +1,51 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
 	"time"
 
+	"secddr/internal/harness"
 	"secddr/internal/sim"
 )
 
 // maxRequeues bounds how often one job may be reclaimed from dead workers
-// before its flight fails: a job that kills every worker it lands on (or a
-// fleet that keeps crashing) must not circulate forever.
+// before it fails: a job that kills every worker it lands on (or a fleet
+// that keeps crashing) must not circulate forever.
 const maxRequeues = 5
 
+// Lease-protocol bounds.
+const (
+	defaultLeaseTTL = 30 * time.Second
+	minLeaseTTL     = time.Second
+	maxLeaseTTL     = 5 * time.Minute
+	maxLeaseWait    = 30 * time.Second // long-poll cap
+	reapInterval    = 250 * time.Millisecond
+	// workerAttachedFor is how long after its last lease/heartbeat/ack a
+	// worker still counts as attached in /metrics.
+	workerAttachedFor = 45 * time.Second
+)
+
 // jobState is the lifecycle of a queued job. Jobs are created pending,
-// move to leased when an executor takes them, back to pending when a lease
-// expires or is released, and leave the queue on completion.
+// move to leased when a drain takes them, back to pending when a lease
+// expires or is released, and to resolving once a successful outcome is
+// being recorded in the store. A resolving job can still be joined, but
+// nothing else may touch it; it leaves the queue when its outcome is
+// published.
 type jobState int
 
 const (
 	statePending jobState = iota
 	stateLeased
+	stateResolving
 )
 
-// How a digest's result was produced, threaded from the completing
-// executor back to runDigest for the cache accounting.
+// How a digest's result was produced, as runSweep accounts for it.
 const (
-	viaRan    = "ran"    // an executor simulated it
+	viaRan    = "ran"    // a drain simulated it
+	viaJoined = "joined" // the caller joined a job another sweep opened
 	viaStored = "stored" // late store hit discovered at dispatch time
 	viaFailed = "failed" // completed with an error, nothing to record
 )
@@ -38,9 +56,10 @@ const (
 // to completion (their results still reach the store).
 const localWorkerID = "!local"
 
-// QueuedJob is one digest awaiting execution. Digest doubles as the job ID
-// on the wire: the queue never holds two jobs for one digest (the flight
-// table dedups upstream), so lease and ack endpoints address jobs by it.
+// QueuedJob is one digest awaiting its result. Digest doubles as the job
+// ID on the wire: the queue never holds two jobs for one digest (Enqueue
+// joins a repeat request to the open job), so lease and ack endpoints
+// address jobs by it.
 type QueuedJob struct {
 	Digest string
 	Key    string
@@ -65,11 +84,22 @@ type QueuedJob struct {
 	enqueuedAt time.Time
 	leasedAt   time.Time
 
-	// finish resolves the job's flight exactly once: record the result,
-	// publish it to every waiting sweep. The queue guarantees single
-	// invocation (jobs leave the table before finish runs), which is what
-	// makes double-acks and post-requeue stragglers idempotent.
-	finish func(res sim.Result, err error, via string)
+	// done is closed once res, err and via are final; every sweep that
+	// opened or joined the job waits on it.
+	done chan struct{}
+	res  sim.Result
+	err  error
+	via  string
+}
+
+// outcome waits for j's result. A caller that joined the job sees it as
+// viaJoined, whichever way the job was resolved.
+func (j *QueuedJob) outcome(joined bool) (sim.Result, string, error) {
+	<-j.done
+	if joined {
+		return j.res, viaJoined, j.err
+	}
+	return j.res, j.via, j.err
 }
 
 // prioBucket holds the pending lanes of one priority level: one FIFO
@@ -82,11 +112,16 @@ type prioBucket struct {
 	lanes map[string][]*QueuedJob // client -> FIFO lane; requeues go to the front
 }
 
-// Queue is the coupling point between sweeps and executors: runDigest
-// enqueues one job per distinct digest, and the in-process pool, remote
-// workers via the lease API, or both at once pop jobs and complete them. Completion is keyed by digest and
-// idempotent, so a crashed worker's requeued job can be finished by its
-// replacement while the original's late upload is ignored.
+// Queue owns every digest a sweep is waiting on, from submission to
+// published result: runSweep opens (or joins) one job per distinct
+// digest, and the in-process pool and remote workers — either or both
+// at once — lease jobs through Lease and finish them through Complete.
+// A fresh result is recorded in the store before the job's outcome is
+// published, and the job stays open while it is recorded, so a digest is
+// simulated at most once however many sweeps ask for it. Completion is
+// keyed by digest and idempotent, so a crashed worker's requeued job can
+// be finished by its replacement while the original's late upload is
+// ignored.
 //
 // Scheduling is priority-then-fairness: the highest priority with
 // pending work is served first; within it, clients are round-robined
@@ -94,36 +129,33 @@ type prioBucket struct {
 // reclaimed leases jumping to the front of that client's lane).
 type Queue struct {
 	mu       sync.Mutex
-	lookup   func(digest string) (sim.Result, bool) // late store-hit check
+	store    harness.Store // late store hits at dispatch, fresh results at completion
+	metrics  *serverMetrics
 	buckets  map[int]*prioBucket
 	prios    []int                 // bucket keys, sorted descending
 	npending int                   // jobs currently pending across all lanes
-	jobs     map[string]*QueuedJob // digest -> job, pending or leased
+	jobs     map[string]*QueuedJob // digest -> open job
 	avail    chan struct{}         // closed+replaced when work (or shutdown) arrives
 	closed   bool
 	now      func() time.Time // injectable for lease-expiry tests
 
-	requeued int64 // leases reclaimed from silent workers (Reap)
-	released int64 // leases given back cooperatively (Release)
-
-	// observeWait/observeLease, when non-nil, receive each job's pending
-	// time (at lease) and lease-to-completion time (at Complete). Set once
-	// before the queue is shared (NewServer wires them to the metrics
-	// histograms); both are called with q.mu held, so they must not call
-	// back into the queue.
-	observeWait  func(time.Duration)
-	observeLease func(time.Duration)
+	lastSeen    map[string]time.Time // remote worker id -> last lease/heartbeat/ack/release
+	requeued    int64                // leases reclaimed from silent workers (Reap)
+	released    int64                // leases given back cooperatively (Release)
+	leasedTotal int64                // jobs ever handed to remote workers
+	remoteDone  int64                // jobs finished by a remote result upload
 }
 
-// newQueue builds a queue over a store-lookup function (the late-hit
-// check at dispatch time; may be nil).
-func newQueue(lookup func(string) (sim.Result, bool)) *Queue {
+// newQueue builds a queue over a result store.
+func newQueue(store harness.Store) *Queue {
 	return &Queue{
-		lookup:  lookup,
-		buckets: make(map[int]*prioBucket),
-		jobs:    make(map[string]*QueuedJob),
-		avail:   make(chan struct{}),
-		now:     time.Now,
+		store:    store,
+		metrics:  newServerMetrics(),
+		buckets:  make(map[int]*prioBucket),
+		jobs:     make(map[string]*QueuedJob),
+		avail:    make(chan struct{}),
+		now:      time.Now,
+		lastSeen: make(map[string]time.Time),
 	}
 }
 
@@ -131,6 +163,24 @@ func newQueue(lookup func(string) (sim.Result, bool)) *Queue {
 func (q *Queue) wakeLocked() {
 	close(q.avail)
 	q.avail = make(chan struct{})
+}
+
+// touchLocked records remote worker activity for the attached-workers
+// gauge, pruning incarnations silent for many attach-windows so a daemon
+// that outlives thousands of restarted workers (host-pid ids change every
+// restart) does not grow the map forever.
+func (q *Queue) touchLocked(worker string) {
+	if worker == localWorkerID {
+		return
+	}
+	now := q.now()
+	q.lastSeen[worker] = now
+	cutoff := now.Add(-10 * workerAttachedFor)
+	for id, seen := range q.lastSeen {
+		if seen.Before(cutoff) {
+			delete(q.lastSeen, id)
+		}
+	}
 }
 
 // pushLocked files a pending job into its priority bucket and client
@@ -181,31 +231,40 @@ func (q *Queue) popNextLocked() *QueuedJob {
 	return nil
 }
 
-// Enqueue registers a job for client at priority. The finish callback
-// runs exactly once, from whichever executor completes the job (or from
-// Shutdown).
-func (q *Queue) Enqueue(digest, key, client string, priority int, opt sim.Options, finish func(sim.Result, error, string)) error {
+// publishLocked makes j's outcome final, drops j from the table, and
+// wakes every sweep waiting on it.
+func (q *Queue) publishLocked(j *QueuedJob, res sim.Result, err error, via string) {
+	j.res, j.err, j.via = res, err, via
+	delete(q.jobs, j.Digest)
+	close(j.done)
+}
+
+// Enqueue opens a job for digest on behalf of client at priority, or,
+// when one is already open, joins the caller to it (second result true).
+// Either way the caller collects the result with outcome. A closed queue
+// opens nothing new.
+func (q *Queue) Enqueue(digest, key, client string, priority int, opt sim.Options) (*QueuedJob, bool, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.closed {
-		return ErrShuttingDown
+	if j, ok := q.jobs[digest]; ok {
+		return j, true, nil
 	}
-	if _, dup := q.jobs[digest]; dup {
-		return fmt.Errorf("service: digest %s already queued", digest)
+	if q.closed {
+		return nil, false, ErrShuttingDown
 	}
 	j := &QueuedJob{
 		Digest: digest, Key: key, Opt: opt,
 		Client: client, Priority: priority,
-		state: statePending, finish: finish, enqueuedAt: q.now(),
+		state: statePending, enqueuedAt: q.now(), done: make(chan struct{}),
 	}
 	q.jobs[digest] = j
 	q.pushLocked(j, false)
-	return nil
+	return j, false, nil
 }
 
 // takeLocked hands out up to max pending jobs as leases for worker,
 // resolving late store hits (digests recorded since enqueue, e.g. by a
-// peer process sharing the store) without wasting an executor on them.
+// peer process sharing the store) without wasting a drain on them.
 func (q *Queue) takeLocked(worker string, max int, ttl time.Duration) []*QueuedJob {
 	var out []*QueuedJob
 	for len(out) < max {
@@ -213,14 +272,9 @@ func (q *Queue) takeLocked(worker string, max int, ttl time.Duration) []*QueuedJ
 		if j == nil {
 			break
 		}
-		if q.lookup != nil {
-			if res, ok := q.lookup(j.Digest); ok {
-				delete(q.jobs, j.Digest)
-				q.mu.Unlock()
-				j.finish(res, nil, viaStored)
-				q.mu.Lock()
-				continue
-			}
+		if res, ok := q.store.Lookup(j.Digest); ok {
+			q.publishLocked(j, res, nil, viaStored)
+			continue
 		}
 		j.state = stateLeased
 		j.worker = worker
@@ -230,63 +284,45 @@ func (q *Queue) takeLocked(worker string, max int, ttl time.Duration) []*QueuedJ
 			j.expires = time.Time{}
 		} else {
 			j.expires = j.leasedAt.Add(ttl)
+			q.leasedTotal++
 		}
-		if q.observeWait != nil {
-			q.observeWait(j.leasedAt.Sub(j.enqueuedAt))
-		}
+		q.metrics.observeQueueWait(j.leasedAt.Sub(j.enqueuedAt))
 		out = append(out, j)
 	}
 	return out
 }
 
-// Lease blocks up to wait for work and returns at most max jobs leased to
-// worker for ttl. An empty slice (no error) means the wait elapsed idle.
-func (q *Queue) Lease(worker string, max int, ttl, wait time.Duration) ([]*QueuedJob, error) {
+// Lease waits for work until ctx is done and returns at most max jobs
+// leased to worker for ttl (localWorkerID: never expiring). An empty
+// slice with a nil error means ctx ended first; ErrShuttingDown means
+// the queue is closed. Pending work is taken even under an ended ctx (a
+// zero-wait poll), but a caller whose ctx ends while it waits takes
+// nothing more, so a departed long-poll cannot capture the next job.
+func (q *Queue) Lease(ctx context.Context, worker string, max int, ttl time.Duration) ([]*QueuedJob, error) {
 	if max < 1 {
 		max = 1
 	}
-	deadline := time.NewTimer(wait)
-	defer deadline.Stop()
+	q.mu.Lock()
+	q.touchLocked(worker)
 	for {
-		q.mu.Lock()
-		jobs := q.takeLocked(worker, max, ttl)
-		// Re-checked after takeLocked: it drops the lock around store-hit
-		// callbacks, and a Shutdown in that window has already failed any
-		// jobs just collected — they must not go out on the wire.
 		if q.closed {
 			q.mu.Unlock()
 			return nil, ErrShuttingDown
 		}
-		avail := q.avail
-		q.mu.Unlock()
-		if len(jobs) > 0 {
+		if jobs := q.takeLocked(worker, max, ttl); len(jobs) > 0 {
+			q.mu.Unlock()
 			return jobs, nil
 		}
-		select {
-		case <-avail:
-		case <-deadline.C:
-			return nil, nil
-		}
-	}
-}
-
-// popLocal blocks until one job is available for the in-process pool. It
-// returns nil once stop is closed (executor shutdown) — pending work is
-// then left for other executors or for Shutdown to fail.
-func (q *Queue) popLocal(stop <-chan struct{}) *QueuedJob {
-	for {
-		q.mu.Lock()
-		jobs := q.takeLocked(localWorkerID, 1, 0)
 		avail := q.avail
 		q.mu.Unlock()
-		if len(jobs) > 0 {
-			return jobs[0]
-		}
 		select {
 		case <-avail:
-		case <-stop:
-			return nil
+		case <-ctx.Done():
 		}
+		if ctx.Err() != nil {
+			return nil, nil
+		}
+		q.mu.Lock()
 	}
 }
 
@@ -295,24 +331,36 @@ func (q *Queue) popLocal(stop <-chan struct{}) *QueuedJob {
 // already-finished job, a straggler upload from a worker whose lease
 // expired (the job is pending again or re-leased to someone else) —
 // reports false with no side effects, which is what makes acks
-// idempotent and reclamation safe against resurrected workers.
+// idempotent and reclamation safe against resurrected workers. A
+// successful result is recorded in the store before it is published;
+// the job stays open meanwhile, so sweeps arriving during the record
+// join it instead of running the digest again.
 func (q *Queue) Complete(digest, worker string, res sim.Result, err error) bool {
 	q.mu.Lock()
+	q.touchLocked(worker)
 	j, ok := q.jobs[digest]
 	if !ok || j.state != stateLeased || j.worker != worker {
 		q.mu.Unlock()
 		return false
 	}
-	delete(q.jobs, digest)
-	if q.observeLease != nil && !j.leasedAt.IsZero() {
-		q.observeLease(q.now().Sub(j.leasedAt))
+	j.state = stateResolving
+	if worker != localWorkerID {
+		q.remoteDone++
 	}
+	q.metrics.observeLeaseDur(q.now().Sub(j.leasedAt))
 	q.mu.Unlock()
-	via := viaRan
-	if err != nil {
-		via = viaFailed
+	via := viaFailed
+	if err == nil {
+		// Persist before publishing, so a result a sweep has seen is never
+		// lost to a crash.
+		via = viaRan
+		start := time.Now()
+		err = q.store.Record(digest, res)
+		q.metrics.observeStoreFlush(time.Since(start))
 	}
-	j.finish(res, err, via)
+	q.mu.Lock()
+	q.publishLocked(j, res, err, via)
+	q.mu.Unlock()
 	return true
 }
 
@@ -323,6 +371,7 @@ func (q *Queue) Complete(digest, worker string, res sim.Result, err error) bool 
 func (q *Queue) Release(digest, worker string) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	q.touchLocked(worker)
 	j, ok := q.jobs[digest]
 	if !ok || j.state != stateLeased || j.worker != worker {
 		return false
@@ -350,6 +399,7 @@ func (q *Queue) requeueLocked(j *QueuedJob) {
 func (q *Queue) Heartbeat(worker string, digests []string) int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	q.touchLocked(worker)
 	n := 0
 	for _, d := range digests {
 		if j, ok := q.jobs[d]; ok && j.state == stateLeased && j.worker == worker {
@@ -361,90 +411,128 @@ func (q *Queue) Heartbeat(worker string, digests []string) int {
 }
 
 // Reap reclaims expired leases: each one goes back to the front of its
-// client's lane for the next executor, and a job that has been reclaimed
-// maxRequeues times fails its flight instead of circulating forever.
-// It returns the number of leases reclaimed.
+// client's lane for the next drain, and a job that has been reclaimed
+// maxRequeues times fails instead of circulating forever. It returns the
+// number of leases reclaimed.
 func (q *Queue) Reap() int {
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	now := q.now()
-	var expired, poisoned []*QueuedJob
+	var expired []*QueuedJob
 	for _, j := range q.jobs {
-		if j.state != stateLeased || j.expires.IsZero() || now.Before(j.expires) {
-			continue
+		if j.state == stateLeased && !j.expires.IsZero() && !now.Before(j.expires) {
+			expired = append(expired, j)
 		}
-		if j.requeues+1 > maxRequeues {
-			poisoned = append(poisoned, j)
+	}
+	// q.jobs was walked in map order; act in digest order so requeue
+	// position and failure delivery are reproducible (see the detrange
+	// analyzer).
+	sort.Slice(expired, func(i, k int) bool { return expired[i].Digest < expired[k].Digest })
+	n := 0
+	for _, j := range expired {
+		if j.requeues == maxRequeues {
+			q.publishLocked(j, sim.Result{}, fmt.Errorf("service: job %s leased %d times without completion (crashing workers?)",
+				j.Digest, maxRequeues+1), viaFailed)
 			continue
 		}
 		j.requeues++
-		expired = append(expired, j)
-	}
-	// The collection loop above visits q.jobs in map order; sort both
-	// harvests by digest so requeue position and failure delivery are
-	// reproducible across runs (see the detrange analyzer).
-	sort.Slice(expired, func(i, k int) bool { return expired[i].Digest < expired[k].Digest })
-	sort.Slice(poisoned, func(i, k int) bool { return poisoned[i].Digest < poisoned[k].Digest })
-	for _, j := range poisoned {
-		delete(q.jobs, j.Digest)
-	}
-	q.requeued += int64(len(expired))
-	for _, j := range expired {
 		q.requeueLocked(j)
+		n++
 	}
-	q.mu.Unlock()
-	for _, j := range poisoned {
-		j.finish(sim.Result{}, fmt.Errorf("service: job %s leased %d times without completion (crashing workers?)",
-			j.Digest, maxRequeues+1), viaFailed)
-	}
-	return len(expired)
+	q.requeued += int64(n)
+	return n
 }
 
-// Shutdown closes the queue: pending jobs and remote-leased jobs fail
-// their flights with ErrShuttingDown (a remote worker's ack after this
-// point is ignored), while jobs held by the in-process pool are left to
-// finish — their executor is in this process and will complete them, so
+// reapLoop runs Reap every reapInterval until ctx is done.
+func (q *Queue) reapLoop(ctx context.Context) {
+	t := time.NewTicker(reapInterval)
+	defer t.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-t.C:
+			q.Reap()
+		}
+	}
+}
+
+// Shutdown closes the queue: pending and remote-leased jobs fail with
+// ErrShuttingDown (a remote worker's ack after this point is ignored),
+// while jobs held by the in-process pool, and jobs already recording
+// their result, are left to finish — they complete in this process, so
 // nothing already paid for is thrown away. Idempotent.
 func (q *Queue) Shutdown() {
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	if q.closed {
-		q.mu.Unlock()
 		return
 	}
 	q.closed = true
 	var failed []*QueuedJob
 	for _, j := range q.jobs {
-		if j.state == stateLeased && j.worker == localWorkerID {
+		if j.state == stateResolving || j.state == stateLeased && j.worker == localWorkerID {
 			continue
 		}
 		failed = append(failed, j)
-		delete(q.jobs, j.Digest)
+	}
+	// Fail in digest order so shutdown error delivery is reproducible.
+	sort.Slice(failed, func(i, k int) bool { return failed[i].Digest < failed[k].Digest })
+	for _, j := range failed {
+		q.publishLocked(j, sim.Result{}, ErrShuttingDown, viaFailed)
 	}
 	q.buckets, q.prios, q.npending = nil, nil, 0
 	q.wakeLocked()
-	q.mu.Unlock()
-	// q.jobs was walked in map order; fail flights in digest order so
-	// shutdown error delivery is reproducible.
-	sort.Slice(failed, func(i, k int) bool { return failed[i].Digest < failed[k].Digest })
-	for _, j := range failed {
-		j.finish(sim.Result{}, ErrShuttingDown, viaFailed)
+}
+
+// clampTTL applies the protocol bounds to a worker-requested lease TTL.
+func clampTTL(d time.Duration) time.Duration {
+	switch {
+	case d <= 0:
+		return defaultLeaseTTL
+	case d < minLeaseTTL:
+		return minLeaseTTL
+	case d > maxLeaseTTL:
+		return maxLeaseTTL
 	}
+	return d
 }
 
 // queueStats is a point-in-time snapshot for /metrics.
 type queueStats struct {
-	pending  int
-	leased   int // remote leases only
-	requeued int64
-	released int64
+	pending     int
+	leased      int // remote leases only
+	running     int // local leases: simulations the in-process pool is running
+	open        int // digests with a job open: pending, leased, or resolving
+	workers     int // remote workers seen within the attach window
+	requeued    int64
+	released    int64
+	leasedTotal int64
+	remoteDone  int64
 }
 
 func (q *Queue) stats() queueStats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	st := queueStats{pending: q.npending, requeued: q.requeued, released: q.released}
+	st := queueStats{
+		pending: q.npending, open: len(q.jobs),
+		requeued: q.requeued, released: q.released,
+		leasedTotal: q.leasedTotal, remoteDone: q.remoteDone,
+	}
 	for _, j := range q.jobs {
-		if j.state == stateLeased && j.worker != localWorkerID {
+		if j.state != stateLeased {
+			continue
+		}
+		if j.worker == localWorkerID {
+			st.running++
+		} else {
 			st.leased++
+		}
+	}
+	cutoff := q.now().Add(-workerAttachedFor)
+	for _, seen := range q.lastSeen {
+		if seen.After(cutoff) {
+			st.workers++
 		}
 	}
 	return st

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -10,13 +11,21 @@ import (
 	"secddr/internal/sim"
 )
 
+// expired is a context that has already ended: Lease takes what is
+// pending and returns without waiting.
+var expired = func() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}()
+
 // drainOrder leases jobs one at a time and returns the digest order the
 // scheduler served them in.
 func drainOrder(t *testing.T, q *Queue) []string {
 	t.Helper()
 	var order []string
 	for {
-		jobs, err := q.Lease("w", 1, time.Minute, 0)
+		jobs, err := q.Lease(expired, "w", 1, time.Minute)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,7 +39,7 @@ func drainOrder(t *testing.T, q *Queue) []string {
 
 func mustEnqueue(t *testing.T, q *Queue, digest, client string, priority int) {
 	t.Helper()
-	if err := q.Enqueue(digest, digest, client, priority, sim.Options{}, func(sim.Result, error, string) {}); err != nil {
+	if _, _, err := q.Enqueue(digest, digest, client, priority, sim.Options{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -38,7 +47,7 @@ func mustEnqueue(t *testing.T, q *Queue, digest, client string, priority int) {
 // TestQueuePriorityOrder: higher-priority jobs lease before lower ones
 // regardless of submission order, and negative priorities go last.
 func TestQueuePriorityOrder(t *testing.T) {
-	q := newQueue(nil)
+	q := newQueue(newMemStore())
 	mustEnqueue(t, q, "low", "a", -1)
 	mustEnqueue(t, q, "mid", "a", 0)
 	mustEnqueue(t, q, "high", "a", 5)
@@ -53,7 +62,7 @@ func TestQueuePriorityOrder(t *testing.T) {
 // round-robin job-for-job, so a small sweep is not starved behind a big
 // one submitted first; within one client, FIFO.
 func TestQueueClientFairness(t *testing.T) {
-	q := newQueue(nil)
+	q := newQueue(newMemStore())
 	mustEnqueue(t, q, "a1", "alice", 0)
 	mustEnqueue(t, q, "a2", "alice", 0)
 	mustEnqueue(t, q, "a3", "alice", 0)
@@ -72,14 +81,14 @@ func TestQueueClientFairness(t *testing.T) {
 // client's lane — it runs before that client's fresh work, but fairness
 // across clients is untouched.
 func TestQueueRequeueFront(t *testing.T) {
-	q := newQueue(nil)
+	q := newQueue(newMemStore())
 	clock := time.Now()
 	var mu sync.Mutex
 	q.now = func() time.Time { mu.Lock(); defer mu.Unlock(); return clock }
 
 	mustEnqueue(t, q, "a1", "alice", 0)
 	mustEnqueue(t, q, "a2", "alice", 0)
-	jobs, err := q.Lease("w1", 1, time.Second, 0)
+	jobs, err := q.Lease(expired, "w1", 1, time.Second)
 	if err != nil || len(jobs) != 1 || jobs[0].Digest != "a1" {
 		t.Fatalf("lease = %v, %v", jobs, err)
 	}

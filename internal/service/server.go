@@ -54,11 +54,10 @@ type ServerOptions struct {
 }
 
 // Server runs sweep campaigns behind an HTTP API. All sweeps share one
-// result store, one job queue, and one in-flight table: a digest being
-// simulated for any client is never simulated again for another — late
-// arrivals join the running flight (singleflight dedup), regardless of
-// whether the flight executes on the in-process pool or on a remote
-// worker that leased it.
+// result store and one job queue: a digest being simulated for any client
+// is never simulated again for another — late arrivals join its open job
+// (singleflight dedup), regardless of whether the job executes on the
+// in-process pool or on a remote worker that leased it.
 //
 // With a WAL attached (ServerOptions.WAL), submissions survive the
 // process: Recover() replays the directory's logs, counts completions
@@ -67,7 +66,6 @@ type ServerOptions struct {
 type Server struct {
 	store        harness.Store
 	queue        *Queue
-	fleet        *fleetExecutor
 	localWorkers int                // 0 in fleet-only mode
 	stopExec     context.CancelFunc // stops the local pool and the lease reaper
 	metrics      *serverMetrics     // latency histograms served by /metrics
@@ -80,10 +78,9 @@ type Server struct {
 	// or blocking stub.
 	runSim func(sim.Options) (sim.Result, error)
 
-	mu       sync.Mutex
-	sweeps   map[string]*sweep
-	inflight map[string]*flight
-	running  sync.WaitGroup // one per background runSweep
+	mu      sync.Mutex
+	sweeps  map[string]*sweep
+	running sync.WaitGroup // one per background runSweep
 
 	// Cumulative counters served by /metrics.
 	simsExecuted    int64 // simulations actually run
@@ -93,15 +90,6 @@ type Server struct {
 	sweepsRecovered int64 // sweeps resumed from the WAL at boot
 	walReplayed     int64 // WAL records replayed at boot
 	quotaRejected   int64 // submissions rejected by the per-client quota
-	simsRunning     int   // gauge: local simulations currently executing
-}
-
-// flight is one in-progress execution of a digest (singleflight cell).
-type flight struct {
-	done chan struct{} // closed when res/err are final
-	res  sim.Result
-	err  error
-	via  string // viaRan | viaStored | viaFailed
 }
 
 // NewServer builds a sweep server over a result store and starts draining
@@ -125,26 +113,23 @@ func NewServer(store harness.Store, opt ServerOptions) *Server {
 	execCtx, stopExec := context.WithCancel(base)
 	logger := opt.Log
 	if logger == nil {
-		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		logger = discardLog
 	}
+	q := newQueue(store)
 	s := &Server{
 		store:        store,
-		queue:        newQueue(store.Lookup),
-		fleet:        newFleetExecutor(),
+		queue:        q,
 		localWorkers: workers,
 		stopExec:     stopExec,
-		metrics:      newServerMetrics(),
+		metrics:      q.metrics,
 		log:          logger,
 		wal:          opt.WAL,
 		epoch:        opt.Epoch,
 		maxPerClient: opt.MaxJobsPerClient,
 		runSim:       sim.Run,
 		sweeps:       make(map[string]*sweep),
-		inflight:     make(map[string]*flight),
 	}
-	s.queue.observeWait = s.metrics.observeQueueWait
-	s.queue.observeLease = s.metrics.observeLeaseDur
-	s.fleet.startReaper(execCtx, s.queue)
+	go q.reapLoop(execCtx)
 	for i := 0; i < workers; i++ {
 		go s.runLocal(execCtx)
 	}
@@ -160,37 +145,29 @@ func NewServer(store harness.Store, opt ServerOptions) *Server {
 	return s
 }
 
-// runLocal is one slot of the in-process pool: it pops a job, simulates
-// it, and completes it, one at a time. On ctx cancellation it finishes
-// its current job and exits.
+// runLocal is one slot of the in-process pool: it leases a job,
+// simulates it, and completes it, one at a time. On ctx cancellation or
+// queue shutdown it finishes its current job and exits.
 func (s *Server) runLocal(ctx context.Context) {
 	for {
-		j := s.queue.popLocal(ctx.Done())
-		if j == nil {
+		jobs, err := s.queue.Lease(ctx, localWorkerID, 1, 0)
+		if err != nil || len(jobs) == 0 {
 			return
 		}
-		s.trackRunning(+1)
+		j := jobs[0]
 		start := time.Now()
 		res, err := s.runSim(j.Opt)
 		s.metrics.observeSimWall(time.Since(start))
-		s.trackRunning(-1)
 		s.queue.Complete(j.Digest, localWorkerID, res, err)
 	}
 }
 
-func (s *Server) trackRunning(delta int) {
-	s.mu.Lock()
-	s.simsRunning += delta
-	s.mu.Unlock()
-}
-
 // Shutdown stops execution for good: remote workers can no longer lease,
-// every pending or remote-leased job fails its flight with
-// ErrShuttingDown, jobs the in-process pool already started run to
-// completion (their results still reach the store), and the pool and
-// lease-reaper goroutines exit. Call it before Drain so sweeps blocked
-// on unacked remote work fail promptly instead of waiting on workers
-// that may never answer.
+// every pending or remote-leased job fails with ErrShuttingDown, jobs the
+// in-process pool already started run to completion (their results still
+// reach the store), and the pool and lease-reaper goroutines exit. Call
+// it before Drain so sweeps blocked on unacked remote work fail promptly
+// instead of waiting on workers that may never answer.
 //
 // With a WAL attached, sweeps failed by ErrShuttingDown keep their WAL
 // entry open (no terminal record), so the next boot over the same store
@@ -517,7 +494,7 @@ func resumableFailure(err error) bool {
 }
 
 // runSweep executes a sweep's jobs: store hits complete immediately, the
-// rest run on the shared pool with one flight per distinct digest.
+// rest go through the shared queue with one job per distinct digest.
 func (s *Server) runSweep(sw *sweep, jobs []harness.Job) {
 	// Group jobs by digest, preserving first-seen order.
 	type group struct {
@@ -547,10 +524,18 @@ func (s *Server) runSweep(sw *sweep, jobs []harness.Job) {
 			continue
 		}
 
+		// Open (or join) the digest's job here rather than in the waiting
+		// goroutine, so the queue holds a sweep's jobs in grid order and a
+		// fleet worker's lease batch takes neighbours, which share warmups.
+		j, joined, err := s.queue.Enqueue(d, g.jobs[0].Key, sw.client, sw.priority, g.opt)
 		wg.Add(1)
 		go func(d string, g *group) {
 			defer wg.Done()
-			res, how, err := s.runDigest(d, g.jobs[0].Key, sw.client, sw.priority, g.opt)
+			var res sim.Result
+			how := viaFailed
+			if err == nil {
+				res, how, err = j.outcome(joined)
+			}
 			if err != nil {
 				s.log.Error("job failed", "sweep", sw.id, "digest", d, "key", g.jobs[0].Key, "err", err)
 				sw.mu.Lock()
@@ -562,27 +547,27 @@ func (s *Server) runSweep(sw *sweep, jobs []harness.Job) {
 				sw.mu.Unlock()
 				return
 			}
-			// The flight leader counts one execution (or a late store
+			// The job's opener counts one execution (or a late store
 			// hit); every extra job — in-batch duplicates and joined
-			// flights alike — is a dedup.
+			// jobs alike — is a dedup.
 			cachedJobs := 0
 			switch how {
-			case ranSim:
+			case viaRan:
 				deduped := len(g.jobs) - 1
 				s.addCounts(1, 0, int64(deduped))
 				sw.mu.Lock()
 				sw.stats.Executed++
 				sw.stats.Deduped += deduped
 				sw.mu.Unlock()
-			case joinedFlight:
+			case viaJoined:
 				s.addCounts(0, 0, int64(len(g.jobs)))
 				sw.mu.Lock()
 				sw.stats.Deduped += len(g.jobs)
 				sw.mu.Unlock()
-			case lateStoreHit:
+			case viaStored:
 				cachedJobs = len(g.jobs)
 			}
-			s.completeGroup(sw, d, g.jobs, res, how != ranSim, cachedJobs)
+			s.completeGroup(sw, d, g.jobs, res, how != viaRan, cachedJobs)
 		}(d, g)
 	}
 	wg.Wait()
@@ -640,7 +625,7 @@ func (s *Server) completeGroup(sw *sweep, digest string, jobs []harness.Job, res
 			// Held under sw.mu so the sweep's done records land in the
 			// file in seq order (replay sorts anyway; the order makes
 			// the log greppable). The result itself is already in the
-			// store — runDigest records before publishing — so a crash
+			// store — Queue.Complete records before publishing — so a crash
 			// between store append and this line just re-completes the
 			// job as a store hit on recovery.
 			if err := s.wal.Append(walRecord{
@@ -661,56 +646,6 @@ func (s *Server) addCounts(executed, cached, deduped int64) {
 	s.jobsCached += cached
 	s.jobsDeduped += deduped
 	s.mu.Unlock()
-}
-
-// How a digest was satisfied by runDigest. The first two mirror the
-// queue's viaRan/viaStored; joinedFlight is decided here (a caller that
-// found an existing flight and shared its outcome).
-const (
-	ranSim       = viaRan
-	joinedFlight = "joined"
-	lateStoreHit = viaStored
-)
-
-// runDigest produces the result for one digest, executing at most once
-// across every concurrent sweep: the first caller becomes the flight
-// leader and enqueues one job (registered before any executor takes it,
-// so queued work dedups too); later callers block on the flight and share
-// its outcome. Which executor completes the job — the in-process pool or
-// a remote worker's result upload — is invisible here: both resolve the
-// flight through the same finish callback, which routes the result
-// through the shared store first.
-func (s *Server) runDigest(d, key, client string, priority int, opt sim.Options) (sim.Result, string, error) {
-	s.mu.Lock()
-	if f, ok := s.inflight[d]; ok {
-		s.mu.Unlock()
-		<-f.done
-		return f.res, joinedFlight, f.err
-	}
-	f := &flight{done: make(chan struct{})}
-	s.inflight[d] = f
-	s.mu.Unlock()
-
-	finish := func(res sim.Result, err error, via string) {
-		if err == nil && via == viaRan {
-			// Freshly executed (locally or uploaded by a worker): persist
-			// before publishing, so a result a sweep has seen is never
-			// lost to a crash.
-			start := time.Now()
-			err = s.store.Record(d, res)
-			s.metrics.observeStoreFlush(time.Since(start))
-		}
-		f.res, f.err, f.via = res, err, via
-		s.mu.Lock()
-		delete(s.inflight, d)
-		s.mu.Unlock()
-		close(f.done)
-	}
-	if err := s.queue.Enqueue(d, key, client, priority, opt, finish); err != nil {
-		finish(sim.Result{}, err, viaFailed)
-	}
-	<-f.done
-	return f.res, f.via, f.err
 }
 
 // Handler returns the HTTP API:
@@ -766,7 +701,7 @@ func validWorkerID(w http.ResponseWriter, id string) bool {
 	return true
 }
 
-// handleLease pops queued jobs for a worker. An empty job list is a
+// handleLease leases queued jobs to a worker. An empty job list is a
 // normal response (the long-poll elapsed idle; lease again); 503 means
 // the server is shutting down and the worker should back off.
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
@@ -779,8 +714,12 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ttl := clampTTL(time.Duration(req.TTLMS) * time.Millisecond)
-	wait := time.Duration(req.WaitMS) * time.Millisecond
-	jobs, err := s.fleet.lease(req.WorkerID, req.MaxJobs, ttl, wait)
+	wait := min(max(time.Duration(req.WaitMS)*time.Millisecond, 0), maxLeaseWait)
+	// The long-poll also ends when the worker goes away, so a departed
+	// worker never captures the next job to arrive.
+	ctx, cancel := context.WithTimeout(r.Context(), wait)
+	defer cancel()
+	jobs, err := s.queue.Lease(ctx, req.WorkerID, req.MaxJobs, ttl)
 	if err != nil {
 		httpTypedError(w, http.StatusServiceUnavailable, err)
 		return
@@ -820,7 +759,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "result upload carries neither result nor error")
 		return
 	}
-	accepted := s.fleet.complete(up.WorkerID, digest, res, err)
+	accepted := s.queue.Complete(digest, up.WorkerID, res, err)
 	if accepted && up.DurationMS > 0 {
 		// A straggler's duration is as stale as its result: fold in only
 		// accepted uploads so the histogram counts each job at most once.
@@ -841,7 +780,6 @@ func (s *Server) handleJobRelease(w http.ResponseWriter, r *http.Request) {
 	if !validWorkerID(w, req.WorkerID) {
 		return
 	}
-	s.fleet.touch(req.WorkerID)
 	writeJSON(w, AckResponse{Accepted: s.queue.Release(r.PathValue("digest"), req.WorkerID)})
 }
 
@@ -857,7 +795,6 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	if !validWorkerID(w, req.WorkerID) {
 		return
 	}
-	s.fleet.touch(req.WorkerID)
 	writeJSON(w, HeartbeatResponse{Held: s.queue.Heartbeat(req.WorkerID, req.Digests)})
 }
 
@@ -1086,7 +1023,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // real scraper consumes.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	qs := s.queue.stats()
-	fs := s.fleet.stats()
 	s.mu.Lock()
 	sweepsTotal := s.sweepsTotal
 	sweepsActive := s.countActiveLocked()
@@ -1096,8 +1032,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	simsExecuted := s.simsExecuted
 	jobsCached := s.jobsCached
 	jobsDeduped := s.jobsDeduped
-	simsRunning := s.simsRunning
-	inflight := len(s.inflight)
 	s.mu.Unlock()
 	walRecords := walReplayed
 	if s.wal != nil {
@@ -1118,16 +1052,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	e.Gauge("secddr_leader", "1 while this process leads the shared queue (a standalone server always leads).", 1)
 	e.Gauge("secddr_lease_epoch", "Leader-lease epoch fencing this server's WAL records (0 standalone).", float64(s.epoch))
 	e.Gauge("secddr_sweeps_active", "Sweeps currently running.", float64(sweepsActive))
-	e.Gauge("secddr_sims_running", "Local simulations executing right now.", float64(simsRunning))
-	e.Gauge("secddr_digests_inflight", "Distinct digests with an open flight.", float64(inflight))
+	e.Gauge("secddr_sims_running", "Local simulations executing right now.", float64(qs.running))
+	e.Gauge("secddr_digests_inflight", "Distinct digests with an open job.", float64(qs.open))
 	e.Gauge("secddr_pool_capacity", "Size of the in-process execution pool (0 in fleet-only mode).", float64(s.localWorkers))
 	e.Gauge("secddr_queue_depth", "Jobs queued and not yet leased.", float64(qs.pending))
 	e.Gauge("secddr_jobs_leased", "Jobs currently leased to remote workers.", float64(qs.leased))
 	e.Counter("secddr_jobs_requeued_total", "Leases reclaimed from silent workers.", qs.requeued)
 	e.Counter("secddr_jobs_released_total", "Leases returned cooperatively by workers.", qs.released)
-	e.Counter("secddr_jobs_leased_total", "Jobs ever handed to remote workers.", fs.leasedTotal)
-	e.Counter("secddr_jobs_remote_done_total", "Jobs finished by a remote result upload.", fs.remoteComplete)
-	e.Gauge("secddr_fleet_workers", "Remote workers seen within the attach window.", float64(fs.attached))
+	e.Counter("secddr_jobs_leased_total", "Jobs ever handed to remote workers.", qs.leasedTotal)
+	e.Counter("secddr_jobs_remote_done_total", "Jobs finished by a remote result upload.", qs.remoteDone)
+	e.Gauge("secddr_fleet_workers", "Remote workers seen within the attach window.", float64(qs.workers))
 	if st, ok := s.store.(*resultstore.Store); ok {
 		stats := st.Stats()
 		e.Gauge("secddr_store_entries", "Distinct results in the store index.", float64(stats.Entries))

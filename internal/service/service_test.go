@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -247,9 +248,7 @@ func TestSingleflightAcrossSweeps(t *testing.T) {
 	// Three distinct digests (mcf shared) -> three flights, then release.
 	deadline := time.After(5 * time.Second)
 	for {
-		srv.mu.Lock()
-		n := len(srv.inflight)
-		srv.mu.Unlock()
+		n := srv.queue.stats().open
 		if n == 3 {
 			break
 		}
@@ -289,6 +288,92 @@ func TestSingleflightAcrossSweeps(t *testing.T) {
 	if deduped < 1 {
 		t.Errorf("jobsDeduped = %d, want >= 1 (the joined shared digest)", deduped)
 	}
+}
+
+// recordGate is a store whose Record announces itself on recording and
+// then blocks until release is closed, holding a fresh result in its
+// record window.
+type recordGate struct {
+	*memStore
+	records   atomic.Int64
+	recording chan struct{}
+	release   chan struct{}
+}
+
+func (g *recordGate) Record(d string, res sim.Result) error {
+	g.records.Add(1)
+	g.recording <- struct{}{}
+	<-g.release
+	return g.memStore.Record(d, res)
+}
+
+// waitParked waits until n goroutines are blocked receiving from a
+// channel inside fn. No API exposes that event, so it is read from the
+// goroutine dump.
+func waitParked(t *testing.T, fn string, n int) {
+	t.Helper()
+	deadline := time.After(5 * time.Second)
+	buf := make([]byte, 1<<20)
+	for {
+		parked := 0
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "[chan receive") && strings.Contains(g, fn+"(") {
+				parked++
+			}
+		}
+		if parked >= n {
+			return
+		}
+		select {
+		case <-deadline:
+			t.Fatalf("%d goroutines parked in %s, want %d", parked, fn, n)
+		case <-time.After(time.Millisecond):
+		}
+	}
+}
+
+// TestJoinWhileRecording: a sweep asking for a digest whose fresh result
+// is still being recorded joins the open job. The digest is simulated
+// and recorded once, and the late sweep counts a dedup.
+func TestJoinWhileRecording(t *testing.T) {
+	store := &recordGate{memStore: newMemStore(), recording: make(chan struct{}, 1), release: make(chan struct{})}
+	srv := NewServer(store, ServerOptions{Workers: 1})
+	var sims atomic.Int64
+	srv.runSim = func(o sim.Options) (sim.Result, error) {
+		sims.Add(1)
+		return fakeSim(o)
+	}
+	spec := Spec{Modes: []string{"unprotected"}, Workloads: []string{"mcf"}, Quick: true}
+	first, err := submitFresh(srv, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-store.recording:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first sweep's result never reached the store")
+	}
+	second, err := submitFresh(srv, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitParked(t, "service.(*QueuedJob).outcome", 2) // both sweeps wait on the one job
+	close(store.release)
+
+	if st := waitState(t, first); st.State != string(stateDone) || st.Stats.Executed != 1 {
+		t.Fatalf("first sweep = %+v, want done with 1 executed", st)
+	}
+	if st := waitState(t, second); st.State != string(stateDone) || st.Stats.Deduped != 1 || st.Stats.Cached != 0 {
+		t.Fatalf("second sweep = %+v, want done with 1 deduped", st)
+	}
+	if n := sims.Load(); n != 1 {
+		t.Errorf("runSim ran %d times, want 1", n)
+	}
+	if n := store.records.Load(); n != 1 {
+		t.Errorf("Record ran %d times, want 1", n)
+	}
+	srv.Shutdown()
+	srv.Drain()
 }
 
 // TestHTTPSurface covers the small endpoints: health, metrics, 404s, and

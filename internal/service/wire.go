@@ -6,8 +6,8 @@ import (
 )
 
 // Wire types of the worker fleet's leasing protocol. A job's ID on the
-// wire is its digest: the queue holds at most one job per digest (the
-// flight table dedups upstream), digests are content-addressed, and a
+// wire is its digest: the queue holds at most one job per digest
+// (Enqueue joins repeat requests to the open job), digests are content-addressed, and a
 // worker recomputing Options.Digest() can verify what it was handed.
 // sim.Options crosses the wire verbatim — it holds only exported value
 // types, so a JSON round trip preserves the digest bit-for-bit (see
