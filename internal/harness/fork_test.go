@@ -273,3 +273,104 @@ func TestFidelityAxis(t *testing.T) {
 		t.Errorf("no-axis key = %q, want unsuffixed", k)
 	}
 }
+
+// TestCarryAcrossBatches splits the fork grid into lease-sized batches
+// that cut the mcf group in two, as a fleet worker's leases do. With a
+// Carry, the batch that starts mid-group forks from the snapshot the
+// previous batch left, so the whole grid warms once per workload even
+// though a single-point group warms (and forks) instead of running cold.
+// The results are the ones a one-shot campaign produces.
+func TestCarryAcrossBatches(t *testing.T) {
+	jobs := forkGrid().Jobs() // mcf x3, lbm x3
+	want, _, err := Run(Campaign{Jobs: jobs})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var carry Carry
+	before := sim.WarmupRuns()
+	var got []Outcome
+	var forked, warmups int
+	for _, batch := range [][]Job{jobs[:2], jobs[2:3], jobs[3:]} {
+		outs, stats, err := Run(Campaign{Jobs: batch, Carry: &carry})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, outs...)
+		forked += stats.Forked
+		warmups += stats.Warmups
+	}
+	if delta := sim.WarmupRuns() - before; delta != 2 || warmups != 2 {
+		t.Errorf("warmups = %d (stats %d), want 2: the mcf/secddr+ctr batch forks from the carried snapshot", delta, warmups)
+	}
+	if forked != 6 {
+		t.Errorf("forked = %d, want 6", forked)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("batched outcomes with a carry differ from the one-shot campaign")
+	}
+	if w := carry.load(); w == nil || w.Key() != jobs[5].Opt.WarmupKey() {
+		t.Error("carry does not hold the last group's snapshot")
+	}
+
+	// A substituted Sim ignores the carry entirely.
+	stub := func(o sim.Options) (sim.Result, error) { return sim.Result{Workload: o.WorkloadName()}, nil }
+	if _, stats, err := Run(Campaign{Jobs: jobs[:1], Carry: &carry, Sim: stub}); err != nil || stats.Forked != 0 {
+		t.Errorf("stubbed campaign with a carry: stats %+v, err %v; want no forks", stats, err)
+	}
+}
+
+// TestOnStartBracketsEachPoint: every executed point is announced once
+// before it ends, on the cold path and the forked path alike; shared
+// warmups are not announced.
+func TestOnStartBracketsEachPoint(t *testing.T) {
+	jobs := forkGrid().Jobs()
+	for _, tc := range []struct {
+		name string
+		c    Campaign
+	}{
+		{"forked", Campaign{Jobs: jobs}},
+		{"cold", Campaign{Jobs: jobs[:1]}},
+		{"carry", Campaign{Jobs: jobs[:1], Carry: &Carry{}}},
+	} {
+		name, c := tc.name, tc.c
+		var mu sync.Mutex
+		started := map[string]int{}
+		c.OnStart = func(d string) {
+			mu.Lock()
+			started[d]++
+			mu.Unlock()
+		}
+		store := &startCheckStore{memStore: newMemStore(), started: func(d string) bool {
+			mu.Lock()
+			defer mu.Unlock()
+			return started[d] == 1
+		}}
+		c.Store = store
+		_, stats, err := Run(c)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(started) != stats.Executed || store.unannounced != 0 {
+			t.Errorf("%s: %d points announced, %d executed, %d recorded before their start",
+				name, len(started), stats.Executed, store.unannounced)
+		}
+	}
+}
+
+// startCheckStore counts results recorded for points whose start was
+// not announced exactly once.
+type startCheckStore struct {
+	*memStore
+	started     func(digest string) bool
+	unannounced int
+}
+
+func (s *startCheckStore) Record(d string, res sim.Result) error {
+	if !s.started(d) {
+		s.mu.Lock()
+		s.unannounced++
+		s.mu.Unlock()
+	}
+	return s.memStore.Record(d, res)
+}

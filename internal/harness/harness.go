@@ -172,6 +172,18 @@ type Campaign struct {
 	// pass sim.Run to force cold runs), and Stats.Forked and Stats.Warmups
 	// stay zero.
 	Sim func(sim.Options) (sim.Result, error)
+	// Carry, when non-nil, keeps one warmed snapshot from this campaign
+	// for the next one that passes the same Carry, and lets this one fork
+	// from the snapshot an earlier campaign left there (see Carry).
+	// Ignored when Sim is set.
+	Carry *Carry
+	// OnStart, when non-nil, observes each point as it starts executing,
+	// from the worker goroutine about to run it: just before its fork, or
+	// before its cold run when it runs alone. A warmup shared by a group
+	// belongs to no single point and is not announced. Together with
+	// Store.Record and OnError, which see the point end, it brackets one
+	// point's execution for callers that time it.
+	OnStart func(digest string)
 	// OnError, when non-nil, observes each individual simulation failure
 	// (digest, error) from the worker goroutine that hit it, in addition to
 	// the campaign aborting with the first error. The fleet worker uses it

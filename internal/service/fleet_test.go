@@ -336,6 +336,49 @@ func TestShutdownLetsLocalFinish(t *testing.T) {
 	}
 }
 
+// TestShutdownFailsUnstartedLocal: the local pool leases ahead of what
+// it runs. At Shutdown a local job leased but not started fails with
+// ErrShuttingDown, a started one still finishes into the store, and a
+// started one the pool gives back afterwards (an aborted batch releasing
+// its leases) fails too — the closed queue has nowhere to requeue it.
+func TestShutdownFailsUnstartedLocal(t *testing.T) {
+	store := newMemStore()
+	q := newQueue(store)
+	open := map[string]*QueuedJob{}
+	for _, d := range []string{"ran", "unstarted", "given-back"} {
+		jobs, _ := q.Enqueue("c", 0, Submission{Digest: d, Key: d})
+		open[d] = jobs[0]
+	}
+	if jobs, err := q.Lease(expired, localWorkerID, 3, 0); err != nil || len(jobs) != 3 {
+		t.Fatalf("lease = %d jobs, %v", len(jobs), err)
+	}
+	q.Start("ran")
+	q.Start("given-back")
+	if st := q.stats(); st.running != 2 {
+		t.Fatalf("running = %d, want 2 (started, not leased)", st.running)
+	}
+	q.Shutdown()
+
+	if _, _, err := open["unstarted"].outcome(false); !errors.Is(err, ErrShuttingDown) {
+		t.Errorf("unstarted local job: err = %v, want ErrShuttingDown", err)
+	}
+	if !q.Release("given-back", localWorkerID) {
+		t.Error("release of a started local job after Shutdown was refused")
+	}
+	if _, _, err := open["given-back"].outcome(false); !errors.Is(err, ErrShuttingDown) {
+		t.Errorf("local job released after Shutdown: err = %v, want ErrShuttingDown", err)
+	}
+	if !q.Complete("ran", localWorkerID, sim.Result{IPC: 1}, nil) {
+		t.Fatal("started local job could not complete after Shutdown")
+	}
+	if res, via, err := open["ran"].outcome(false); err != nil || via != viaRan || res.IPC != 1 {
+		t.Errorf("started local job: %+v via %s, %v; want its result", res, via, err)
+	}
+	if _, ok := store.Lookup("ran"); !ok {
+		t.Error("started local job's result never reached the store")
+	}
+}
+
 // TestWorkerFleetEndToEnd runs the real Worker loop against a fleet-only
 // server: a remote sweep completes through two workers with results in
 // deterministic local job order, exactly as a local run would emit them.

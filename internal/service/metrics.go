@@ -17,7 +17,7 @@ type serverMetrics struct {
 	mu         sync.Mutex
 	queueWait  *stats.Histogram // enqueue (or requeue) -> lease
 	leaseDur   *stats.Histogram // lease -> completion
-	simWall    *stats.Histogram // one simulation's wall time (local pool + worker-reported)
+	simWall    *stats.Histogram // one executed point, start to result (local pool + worker-reported)
 	storeFlush *stats.Histogram // persisting one fresh result
 }
 

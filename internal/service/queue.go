@@ -52,8 +52,9 @@ const (
 
 // localWorkerID marks jobs held by the in-process pool. Local leases never
 // expire: the goroutine holding one cannot crash without taking the whole
-// queue with it, so reclamation is meaningless and shutdown lets them run
-// to completion (their results still reach the store).
+// queue with it, so reclamation is meaningless. Shutdown lets the ones
+// the pool started run to completion (their results still reach the
+// store) and fails the rest.
 const localWorkerID = "!local"
 
 // QueuedJob is one digest awaiting its result. Digest doubles as the job
@@ -74,6 +75,7 @@ type QueuedJob struct {
 
 	state    jobState
 	worker   string
+	started  bool      // the local pool is executing it (Start)
 	expires  time.Time // zero for local leases
 	ttl      time.Duration
 	requeues int
@@ -239,27 +241,44 @@ func (q *Queue) publishLocked(j *QueuedJob, res sim.Result, err error, via strin
 	close(j.done)
 }
 
-// Enqueue opens a job for digest on behalf of client at priority, or,
-// when one is already open, joins the caller to it (second result true).
-// Either way the caller collects the result with outcome. A closed queue
-// opens nothing new.
-func (q *Queue) Enqueue(digest, key, client string, priority int, opt sim.Options) (*QueuedJob, bool, error) {
+// Submission is one distinct digest a sweep asks the queue to resolve.
+type Submission struct {
+	Digest string
+	Key    string
+	Opt    sim.Options
+}
+
+// Enqueue opens a job for each submission on behalf of client at
+// priority, or, when one is already open for the digest, joins the caller
+// to it (joined[i] true). Either way the caller collects each result with
+// outcome. A closed queue opens nothing new: a submission it cannot join
+// gets a job already failed with ErrShuttingDown. All submissions are
+// filed under one lock, so a drain woken by the first sees the rest too
+// and its lease batch takes grid neighbours, which share warmups.
+func (q *Queue) Enqueue(client string, priority int, subs ...Submission) (jobs []*QueuedJob, joined []bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if j, ok := q.jobs[digest]; ok {
-		return j, true, nil
+	jobs, joined = make([]*QueuedJob, len(subs)), make([]bool, len(subs))
+	for i, sub := range subs {
+		if j, ok := q.jobs[sub.Digest]; ok {
+			jobs[i], joined[i] = j, true
+			continue
+		}
+		j := &QueuedJob{
+			Digest: sub.Digest, Key: sub.Key, Opt: sub.Opt,
+			Client: client, Priority: priority,
+			state: statePending, enqueuedAt: q.now(), done: make(chan struct{}),
+		}
+		jobs[i] = j
+		if q.closed {
+			j.err, j.via = ErrShuttingDown, viaFailed
+			close(j.done)
+			continue
+		}
+		q.jobs[sub.Digest] = j
+		q.pushLocked(j, false)
 	}
-	if q.closed {
-		return nil, false, ErrShuttingDown
-	}
-	j := &QueuedJob{
-		Digest: digest, Key: key, Opt: opt,
-		Client: client, Priority: priority,
-		state: statePending, enqueuedAt: q.now(), done: make(chan struct{}),
-	}
-	q.jobs[digest] = j
-	q.pushLocked(j, false)
-	return j, false, nil
+	return jobs, joined
 }
 
 // takeLocked hands out up to max pending jobs as leases for worker,
@@ -364,6 +383,17 @@ func (q *Queue) Complete(digest, worker string, res sim.Result, err error) bool 
 	return true
 }
 
+// Start marks a job the local pool leased as executing. Starts feed the
+// running gauge, and Shutdown lets a started local job finish where it
+// fails an unstarted one. Remote workers report no starts.
+func (q *Queue) Start(digest string) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if j, ok := q.jobs[digest]; ok && j.state == stateLeased && j.worker == localWorkerID {
+		j.started = true
+	}
+}
+
 // Release returns a leased job to the front of its client's lane
 // immediately (a cooperative worker giving back jobs it will not run,
 // e.g. the tail of a batch aborted by an error or a SIGTERM). Only the
@@ -383,11 +413,18 @@ func (q *Queue) Release(digest, worker string) bool {
 
 // requeueLocked moves a leased job back to pending, at the front of its
 // client's lane so reclaimed work runs before that client's fresh work.
-// Counting (requeued vs released) is the caller's: the two paths mean
-// different things in /metrics.
+// A closed queue has no lanes and no drain left to run the job, so there
+// the job fails with ErrShuttingDown instead. Counting (requeued vs
+// released) is the caller's: the two paths mean different things in
+// /metrics.
 func (q *Queue) requeueLocked(j *QueuedJob) {
+	if q.closed {
+		q.publishLocked(j, sim.Result{}, ErrShuttingDown, viaFailed)
+		return
+	}
 	j.state = statePending
 	j.worker = ""
+	j.started = false
 	j.expires = time.Time{}
 	j.enqueuedAt = q.now() // queue wait restarts; the lost lease is not wait
 	q.pushLocked(j, true)
@@ -459,9 +496,10 @@ func (q *Queue) reapLoop(ctx context.Context) {
 
 // Shutdown closes the queue: pending and remote-leased jobs fail with
 // ErrShuttingDown (a remote worker's ack after this point is ignored),
-// while jobs held by the in-process pool, and jobs already recording
-// their result, are left to finish — they complete in this process, so
-// nothing already paid for is thrown away. Idempotent.
+// and so do jobs the in-process pool leased but has not started. Jobs
+// the pool started, and jobs already recording their result, are left to
+// finish — they complete in this process, so nothing already paid for is
+// thrown away. Idempotent.
 func (q *Queue) Shutdown() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -471,7 +509,7 @@ func (q *Queue) Shutdown() {
 	q.closed = true
 	var failed []*QueuedJob
 	for _, j := range q.jobs {
-		if j.state == stateResolving || j.state == stateLeased && j.worker == localWorkerID {
+		if j.state == stateResolving || j.state == stateLeased && j.worker == localWorkerID && j.started {
 			continue
 		}
 		failed = append(failed, j)
@@ -502,7 +540,7 @@ func clampTTL(d time.Duration) time.Duration {
 type queueStats struct {
 	pending     int
 	leased      int // remote leases only
-	running     int // local leases: simulations the in-process pool is running
+	running     int // local leases the in-process pool has started
 	open        int // digests with a job open: pending, leased, or resolving
 	workers     int // remote workers seen within the attach window
 	requeued    int64
@@ -523,10 +561,11 @@ func (q *Queue) stats() queueStats {
 		if j.state != stateLeased {
 			continue
 		}
-		if j.worker == localWorkerID {
-			st.running++
-		} else {
+		switch {
+		case j.worker != localWorkerID:
 			st.leased++
+		case j.started:
+			st.running++
 		}
 	}
 	cutoff := q.now().Add(-workerAttachedFor)

@@ -39,8 +39,8 @@ func drainOrder(t *testing.T, q *Queue) []string {
 
 func mustEnqueue(t *testing.T, q *Queue, digest, client string, priority int) {
 	t.Helper()
-	if _, _, err := q.Enqueue(digest, digest, client, priority, sim.Options{}); err != nil {
-		t.Fatal(err)
+	if jobs, _ := q.Enqueue(client, priority, Submission{Digest: digest, Key: digest}); jobs[0].err != nil {
+		t.Fatal(jobs[0].err)
 	}
 }
 

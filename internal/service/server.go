@@ -74,8 +74,9 @@ type Server struct {
 	epoch        uint64
 	maxPerClient int
 
-	// runSim is the simulation entry point; tests substitute a counting
-	// or blocking stub.
+	// runSim, when non-nil, substitutes the local pool's simulator (the
+	// harness's Campaign.Sim); tests set a counting or blocking stub. Nil
+	// runs the fork-aware simulator.
 	runSim func(sim.Options) (sim.Result, error)
 
 	mu      sync.Mutex
@@ -126,12 +127,11 @@ func NewServer(store harness.Store, opt ServerOptions) *Server {
 		wal:          opt.WAL,
 		epoch:        opt.Epoch,
 		maxPerClient: opt.MaxJobsPerClient,
-		runSim:       sim.Run,
 		sweeps:       make(map[string]*sweep),
 	}
 	go q.reapLoop(execCtx)
-	for i := 0; i < workers; i++ {
-		go s.runLocal(execCtx)
+	if workers > 0 {
+		go s.runPool(execCtx, workers)
 	}
 	// Whichever way execution stops — BaseContext cancelled or Shutdown
 	// called — the queue must close with it, so sweeps blocked on queued
@@ -145,27 +145,53 @@ func NewServer(store harness.Store, opt ServerOptions) *Server {
 	return s
 }
 
-// runLocal is one slot of the in-process pool: it leases a job,
-// simulates it, and completes it, one at a time. On ctx cancellation or
-// queue shutdown it finishes its current job and exits.
-func (s *Server) runLocal(ctx context.Context) {
-	for {
-		jobs, err := s.queue.Lease(ctx, localWorkerID, 1, 0)
-		if err != nil || len(jobs) == 0 {
+// runPool is the in-process pool: one loop that leases up to two jobs
+// per slot, runs them through the batch runner on workers slots, and
+// gives back whatever a batch did not run (after a failed point aborted
+// it, or on cancellation). It exits on ctx cancellation or queue
+// shutdown, once the points it started have finished.
+func (s *Server) runPool(ctx context.Context, workers int) {
+	runner := &batchRunner{workers: workers}
+	sink := localSink{s}
+	// Lease takes pending work even under an ended ctx, so check ctx
+	// first: a cancelled pool must not re-lease what it just released.
+	for ctx.Err() == nil {
+		leased, err := s.queue.Lease(ctx, localWorkerID, 2*workers, 0)
+		if err != nil || len(leased) == 0 {
 			return
 		}
-		j := jobs[0]
-		start := time.Now()
-		res, err := s.runSim(j.Opt)
-		s.metrics.observeSimWall(time.Since(start))
-		s.queue.Complete(j.Digest, localWorkerID, res, err)
+		jobs := make([]harness.Job, len(leased))
+		for i, j := range leased {
+			jobs[i] = harness.Job{Key: j.Key, Opt: j.Opt}
+		}
+		if err := runner.run(ctx, jobs, s.runSim, sink); err != nil {
+			s.log.Warn("local batch aborted", "err", err)
+		}
+		// Completed jobs are no longer ours, so this releases only the
+		// unrun ones.
+		for _, j := range leased {
+			s.queue.Release(j.Digest, localWorkerID)
+		}
 	}
 }
 
+// localSink completes the local pool's points on the queue.
+type localSink struct{ s *Server }
+
+func (l localSink) start(digest string) { l.s.queue.Start(digest) }
+
+func (l localSink) finish(digest string, res sim.Result, err error, wall time.Duration) {
+	if err == nil {
+		l.s.metrics.observeSimWall(wall)
+	}
+	l.s.queue.Complete(digest, localWorkerID, res, err)
+}
+
 // Shutdown stops execution for good: remote workers can no longer lease,
-// every pending or remote-leased job fails with ErrShuttingDown, jobs the
-// in-process pool already started run to completion (their results still
-// reach the store), and the pool and lease-reaper goroutines exit. Call
+// every pending or remote-leased job fails with ErrShuttingDown, as does
+// every job the in-process pool leased but has not started; jobs the pool
+// already started run to completion (their results still reach the
+// store), and the pool and lease-reaper goroutines exit. Call
 // it before Drain so sweeps blocked on unacked remote work fail promptly
 // instead of waiting on workers that may never answer.
 //
@@ -514,28 +540,27 @@ func (s *Server) runSweep(sw *sweep, jobs []harness.Job) {
 		g.jobs = append(g.jobs, j)
 	}
 
-	var wg sync.WaitGroup
+	// Store hits complete right now; every other digest is submitted to
+	// the queue in one call, so it holds the sweep's jobs in grid order
+	// and a drain's lease batch takes neighbours, which share warmups.
+	var subs []Submission
 	for _, d := range order {
 		g := groups[d]
-
-		// Store hit: every job of the digest completes right now.
 		if res, ok := s.store.Lookup(d); ok {
 			s.completeGroup(sw, d, g.jobs, res, true, len(g.jobs))
 			continue
 		}
+		subs = append(subs, Submission{Digest: d, Key: g.jobs[0].Key, Opt: g.opt})
+	}
+	queued, joinedAt := s.queue.Enqueue(sw.client, sw.priority, subs...)
 
-		// Open (or join) the digest's job here rather than in the waiting
-		// goroutine, so the queue holds a sweep's jobs in grid order and a
-		// fleet worker's lease batch takes neighbours, which share warmups.
-		j, joined, err := s.queue.Enqueue(d, g.jobs[0].Key, sw.client, sw.priority, g.opt)
+	var wg sync.WaitGroup
+	for i, sub := range subs {
+		d, g, j, joined := sub.Digest, groups[sub.Digest], queued[i], joinedAt[i]
 		wg.Add(1)
-		go func(d string, g *group) {
+		go func() {
 			defer wg.Done()
-			var res sim.Result
-			how := viaFailed
-			if err == nil {
-				res, how, err = j.outcome(joined)
-			}
+			res, how, err := j.outcome(joined)
 			if err != nil {
 				s.log.Error("job failed", "sweep", sw.id, "digest", d, "key", g.jobs[0].Key, "err", err)
 				sw.mu.Lock()
@@ -568,7 +593,7 @@ func (s *Server) runSweep(sw *sweep, jobs []harness.Job) {
 				cachedJobs = len(g.jobs)
 			}
 			s.completeGroup(sw, d, g.jobs, res, how != viaRan, cachedJobs)
-		}(d, g)
+		}()
 	}
 	wg.Wait()
 
@@ -760,7 +785,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	accepted := s.queue.Complete(digest, up.WorkerID, res, err)
-	if accepted && up.DurationMS > 0 {
+	if accepted && err == nil && up.DurationMS > 0 {
 		// A straggler's duration is as stale as its result: fold in only
 		// accepted uploads so the histogram counts each job at most once.
 		s.metrics.observeSimWall(time.Duration(up.DurationMS) * time.Millisecond)
@@ -1052,7 +1077,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	e.Gauge("secddr_leader", "1 while this process leads the shared queue (a standalone server always leads).", 1)
 	e.Gauge("secddr_lease_epoch", "Leader-lease epoch fencing this server's WAL records (0 standalone).", float64(s.epoch))
 	e.Gauge("secddr_sweeps_active", "Sweeps currently running.", float64(sweepsActive))
-	e.Gauge("secddr_sims_running", "Local simulations executing right now.", float64(qs.running))
+	e.Gauge("secddr_sims_running", "Points the local pool is executing right now (started, not just leased).", float64(qs.running))
 	e.Gauge("secddr_digests_inflight", "Distinct digests with an open job.", float64(qs.open))
 	e.Gauge("secddr_pool_capacity", "Size of the in-process execution pool (0 in fleet-only mode).", float64(s.localWorkers))
 	e.Gauge("secddr_queue_depth", "Jobs queued and not yet leased.", float64(qs.pending))
@@ -1072,7 +1097,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	queueWait, leaseDur, simWall, storeFlush := s.metrics.snapshot()
 	e.Histogram("secddr_queue_wait_us", "Microseconds jobs spent pending before being leased.", &queueWait)
 	e.Histogram("secddr_lease_duration_us", "Microseconds from lease to completion.", &leaseDur)
-	e.Histogram("secddr_job_sim_wall_us", "Wall-clock microseconds per simulation (local pool, plus worker-reported uploads).", &simWall)
+	e.Histogram("secddr_job_sim_wall_us", "Wall-clock microseconds per executed point, from its start to its result (local pool, plus worker-reported uploads).", &simWall)
 	e.Histogram("secddr_store_flush_us", "Microseconds persisting one fresh result to the store.", &storeFlush)
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")

@@ -50,11 +50,12 @@ type ResultUpload struct {
 	WorkerID string      `json:"worker_id"`
 	Result   *sim.Result `json:"result,omitempty"`
 	Error    string      `json:"error,omitempty"`
-	// DurationMS, when positive, is the worker-measured wall time of the
-	// simulation; the server folds it into its sim-wall histogram. The
-	// stock worker reports it only for points it timed individually — under
-	// the warmup-sharing scheduler a point's cost is not separable, and an
-	// absent value is simply not observed.
+	// DurationMS, when positive, is the worker-measured wall time of a
+	// successful point, from its start (its fork, or its cold run) to its
+	// result; the server folds it into its sim-wall histogram. The stock
+	// worker reports it on every result, rounded up to a whole
+	// millisecond. A shared warmup is part of no point's time. An absent
+	// value is not observed.
 	DurationMS int64 `json:"duration_ms,omitempty"`
 }
 

@@ -17,11 +17,14 @@ import (
 
 // Worker is the client half of the leasing protocol: the engine of
 // cmd/secddr-worker. It leases batches of jobs from a secddr-serve
-// daemon, runs them through the campaign harness's bounded pool, streams
-// each result back as it finishes, heartbeats while the batch runs, and
-// releases anything it will not run. Any number of workers may point at
-// one server; the server's queue hands each job to exactly one of them at
-// a time and reclaims leases from workers that die.
+// daemon, runs them through the same batch runner as the server's local
+// pool, streams each result back as it finishes (with the point's wall
+// time), heartbeats while the batch runs, and releases anything it will
+// not run. Between leases it keeps the warmed snapshot of its last batch,
+// so a warmup group split across two leases warms once. Any number of
+// workers may point at one server; the server's queue hands each job to
+// exactly one of them at a time and reclaims leases from workers that
+// die.
 type Worker struct {
 	Client *Client
 	// ID names this worker in leases and logs; empty means "host-pid".
@@ -35,8 +38,8 @@ type Worker struct {
 	LeaseTTL time.Duration
 	// PollWait is the lease long-poll duration; 0 means 5s.
 	PollWait time.Duration
-	// Sim substitutes the simulation entry point (tests); nil means
-	// sim.Run via the harness.
+	// Sim substitutes the simulation entry point (tests); nil means the
+	// harness's fork-aware simulator.
 	Sim func(sim.Options) (sim.Result, error)
 	// Log, when non-nil, receives structured progress events — lease
 	// batches, uploads, releases — with worker and job-digest attributes,
@@ -87,6 +90,7 @@ func (w *Worker) pollWait() time.Duration {
 // survives its server better than its server needs to know.
 func (w *Worker) Run(ctx context.Context) error {
 	id := w.id()
+	runner := &batchRunner{workers: w.workers()}
 	backoff := time.Second
 	for {
 		if ctx.Err() != nil {
@@ -124,14 +128,15 @@ func (w *Worker) Run(ctx context.Context) error {
 		if len(resp.Jobs) == 0 {
 			continue
 		}
-		w.runBatch(ctx, id, resp.Jobs, time.Duration(resp.TTLMS)*time.Millisecond)
+		w.runBatch(ctx, id, runner, resp.Jobs, time.Duration(resp.TTLMS)*time.Millisecond)
 	}
 }
 
-// runBatch executes one lease batch through the harness, uploading every
-// point's fate: Record posts successes, OnError posts the failing digest,
-// and leftovers (unrun jobs after an abort or cancellation) are released.
-func (w *Worker) runBatch(ctx context.Context, id string, jobs []WireJob, ttl time.Duration) {
+// runBatch executes one lease batch through the batch runner, uploading
+// every point's fate: a result with its wall time, or the failing
+// digest's error. Leftovers (unrun jobs after an abort or cancellation)
+// are released.
+func (w *Worker) runBatch(ctx context.Context, id string, runner *batchRunner, jobs []WireJob, ttl time.Duration) {
 	w.slog().Info("leased jobs", "worker", id, "count", len(jobs), "ttl", ttl)
 	settled := make(map[string]bool, len(jobs)) // digest -> acked or released
 	var mu sync.Mutex
@@ -202,16 +207,7 @@ func (w *Worker) runBatch(ctx context.Context, id string, jobs []WireJob, ttl ti
 	for i, j := range jobs {
 		hjobs[i] = harness.Job{Key: j.Key, Opt: j.Options}
 	}
-	_, _, err := harness.RunContext(ctx, harness.Campaign{
-		Jobs:    hjobs,
-		Workers: w.workers(),
-		Store:   &uploadStore{post: post, id: id},
-		Sim:     w.Sim,
-		OnError: func(digest string, err error) {
-			post(digest, ResultUpload{WorkerID: id, Error: err.Error()})
-		},
-	})
-	if err != nil {
+	if err := runner.run(ctx, hjobs, w.Sim, uploadSink{post: post, id: id}); err != nil {
 		w.slog().Warn("batch aborted", "worker", id, "err", err)
 	}
 
@@ -228,17 +224,25 @@ func (w *Worker) runBatch(ctx context.Context, id string, jobs []WireJob, ttl ti
 	hbDone.Wait()
 }
 
-// uploadStore satisfies harness.Store for a lease batch: Lookup always
-// misses (the server already filtered stored digests at lease time) and
-// Record streams the fresh result back to the server.
-type uploadStore struct {
+// uploadSink streams a lease batch's points back to the server.
+type uploadSink struct {
 	post func(digest string, up ResultUpload)
 	id   string
 }
 
-func (s *uploadStore) Lookup(string) (sim.Result, bool) { return sim.Result{}, false }
+func (uploadSink) start(string) {}
 
-func (s *uploadStore) Record(digest string, res sim.Result) error {
-	s.post(digest, ResultUpload{WorkerID: s.id, Result: &res})
-	return nil
+func (u uploadSink) finish(digest string, res sim.Result, err error, wall time.Duration) {
+	if err != nil {
+		u.post(digest, ResultUpload{WorkerID: u.id, Error: err.Error()})
+		return
+	}
+	u.post(digest, ResultUpload{WorkerID: u.id, Result: &res, DurationMS: wallMS(wall)})
+}
+
+// wallMS rounds a point's wall time up to whole milliseconds, so every
+// uploaded result carries a positive duration and the server's sim-wall
+// histogram counts each executed point, however fast.
+func wallMS(d time.Duration) int64 {
+	return max(1, int64((d+time.Millisecond-1)/time.Millisecond))
 }

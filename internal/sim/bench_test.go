@@ -123,3 +123,21 @@ func BenchmarkScenarioPhaseSwitch(b *testing.B) {
 		b.ReportMetric(res.IPC, "sim-IPC")
 	}
 }
+
+// BenchmarkWarmedFork measures the per-point fork cost: one deep copy of
+// a warmed Table 1 snapshot on mcf (1.5 GiB footprint), without the
+// measured run. B/op is what each forked point allocates up front; the
+// generators' page tables are shared with the snapshot, not copied.
+func BenchmarkWarmedFork(b *testing.B) {
+	opt := benchOptions(b)
+	w, err := Warmup(opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := w.sys.fork(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

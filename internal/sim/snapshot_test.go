@@ -31,6 +31,14 @@ import (
 // the kind-typed accessors, which reflect permits on read-only values.
 // ---------------------------------------------------------------------------
 
+// sharedTableType is the one type the walker and the mutator treat as
+// shared on purpose: trace.PageTable, the immutable page permutation that
+// generator clones read in common (see its doc comment and the
+// //lint:cloned-via annotation on trace.Generator.pagePerm). The
+// exemption is by type identity, so any other shared storage — a plain
+// []uint32 included — is still reported.
+var sharedTableType = reflect.TypeFor[trace.PageTable]()
+
 type walkIssue struct {
 	path string
 	msg  string
@@ -65,6 +73,9 @@ func (w *aliasWalker) walk(path string, a, b reflect.Value) {
 			return
 		}
 		pa, pb := a.Pointer(), b.Pointer()
+		if pa == pb && a.Type().Elem() == sharedTableType {
+			return
+		}
 		if pa == pb {
 			w.report(path, "pointer aliased between parent and fork (%#x)", pa)
 			return
@@ -335,7 +346,9 @@ type graphMutator struct {
 func (m *graphMutator) mutate(v reflect.Value) {
 	switch v.Kind() {
 	case reflect.Pointer:
-		if v.IsNil() {
+		if v.IsNil() || v.Type().Elem() == sharedTableType {
+			// The shared page table is immutable by contract; writing it
+			// would be the bug, not a test of the fork.
 			return
 		}
 		if p := v.Pointer(); m.visited[p] {
@@ -473,6 +486,128 @@ func TestWalkerCatchesPlantedSharing(t *testing.T) {
 	}
 	if !found {
 		t.Error("walker missed a scalar divergence behind a pointer")
+	}
+}
+
+// TestWalkerCatchesSharedPlainTable: the page-table exemption is by type
+// identity, not by shape or name. A generator and its clone share their
+// trace.PageTable silently, but a shallow-copied plain []uint32 — the
+// pre-sharing shape of the same table — and a look-alike type named
+// PageTable are both still reported as aliased.
+func TestWalkerCatchesSharedPlainTable(t *testing.T) {
+	p, ok := trace.ByName("mcf")
+	if !ok {
+		t.Fatal("unknown workload mcf")
+	}
+	g, err := trace.NewGenerator(p, 0, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if issues := compareGraphs("gen", g, g.Clone()); len(issues) != 0 {
+		t.Errorf("walker reported a generator clone's shared page table: %v", issues)
+	}
+
+	type PageTable struct{ perm []uint32 }
+	type canary struct {
+		plain []uint32
+		named *PageTable
+	}
+	parent := &canary{plain: []uint32{2, 0, 1}, named: &PageTable{perm: []uint32{1, 0}}}
+	fork := &canary{}
+	*fork = *parent // planted bug: shallow copy
+	issues := compareGraphs("canary", parent, fork)
+	for _, want := range []string{"canary.plain", "canary.named"} {
+		found := false
+		for _, is := range issues {
+			if is.path == want && strings.Contains(is.msg, "aliased") {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("walker missed planted shared field %s (issues: %v)", want, issues)
+		}
+	}
+}
+
+// pageTables collects every trace.PageTable reachable from root, keyed
+// by address, with a checksum (FNV-1a) of its permutation. The permutation
+// is read through reflection, which may read unexported fields.
+func pageTables(root any) map[uintptr]uint64 {
+	out := make(map[uintptr]uint64)
+	visited := make(map[uintptr]bool)
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			if v.IsNil() || visited[v.Pointer()] {
+				return
+			}
+			visited[v.Pointer()] = true
+			if v.Type().Elem() == sharedTableType {
+				perm := v.Elem().FieldByName("perm")
+				h := uint64(14695981039346656037)
+				for i := 0; i < perm.Len(); i++ {
+					h = (h ^ perm.Index(i).Uint()) * 1099511628211
+				}
+				out[v.Pointer()] = h
+				return
+			}
+			walk(v.Elem())
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i))
+			}
+		case reflect.Slice, reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i))
+			}
+		case reflect.Map:
+			it := v.MapRange()
+			for it.Next() {
+				walk(it.Value())
+			}
+		case reflect.Interface:
+			if !v.IsNil() {
+				walk(v.Elem())
+			}
+		}
+	}
+	walk(reflect.ValueOf(root))
+	return out
+}
+
+// TestSharedPageTableUnchangedByForkedRun: a fork reads its snapshot's
+// page tables in place, so complete forked runs must leave every table's
+// contents exactly as the warmup built them.
+func TestSharedPageTableUnchangedByForkedRun(t *testing.T) {
+	opt := tinyOpt(config.ModeSecDDRCTR, "mcf")
+	w, err := Warmup(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := pageTables(w.sys)
+	if len(before) != opt.Config.Core.NumCores {
+		t.Fatalf("snapshot holds %d page tables, want one per core (%d)", len(before), opt.Config.Core.NumCores)
+	}
+	forked := pageTables(mustFork(t, w.sys))
+	if len(forked) != len(before) {
+		t.Errorf("fork holds %d page tables, snapshot %d", len(forked), len(before))
+	}
+	for addr := range forked {
+		if _, ok := before[addr]; !ok {
+			t.Errorf("fork holds page table %#x that its snapshot does not share", addr)
+		}
+	}
+	for _, mode := range []config.Mode{config.ModeSecDDRCTR, config.ModeIntegrityTree} {
+		if _, err := w.Fork(tinyOpt(mode, "mcf")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := pageTables(w.sys)
+	for addr, sum := range before {
+		if after[addr] != sum {
+			t.Errorf("page table %#x checksum %#x -> %#x after forked runs", addr, sum, after[addr])
+		}
 	}
 }
 

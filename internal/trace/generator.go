@@ -19,7 +19,7 @@ type Generator struct {
 	rng  rng
 	base uint64 // physical base address of this core's footprint
 
-	pagePerm  []uint32 // random virtual-to-physical page permutation
+	pagePerm  *PageTable //lint:cloned-via shared: immutable, clones read the same table
 	pages     uint64
 	hotPages  uint64
 	midPages  uint64    // medium-locality tier (page-level temporal reuse)
@@ -41,21 +41,14 @@ func NewGenerator(p Profile, base uint64, seed uint64) (*Generator, error) {
 	}
 	g := &Generator{
 		p:     p,
-		rng:   rng{state: seed ^ 0x9e3779b97f4a7c15},
 		base:  base,
 		pages: p.Footprint / _pageBytes,
 	}
 	g.hotPages = p.HotBytes / _pageBytes
-	// Random page mapping (Section IV-A): virtual pages scatter over the
-	// physical footprint, fragmenting streams at page boundaries.
-	g.pagePerm = make([]uint32, g.pages)
-	for i := range g.pagePerm {
-		g.pagePerm[i] = uint32(i)
-	}
-	for i := len(g.pagePerm) - 1; i > 0; i-- {
-		j := int(g.rng.next() % uint64(i+1))
-		g.pagePerm[i], g.pagePerm[j] = g.pagePerm[j], g.pagePerm[i]
-	}
+	// Random page mapping (Section IV-A), drawn first from the seed's
+	// stream; the rest of the stream continues where the shuffle stopped.
+	g.pagePerm = pageTableFor(g.pages, rng{state: seed ^ 0x9e3779b97f4a7c15})
+	g.rng = g.pagePerm.after
 	// Ops per kilo-instruction such that the cold (missing) fraction lands
 	// near the profile's target MPKI.
 	cold := 1 - p.HotFrac
@@ -184,7 +177,7 @@ func (g *Generator) randomVA() uint64 {
 func (g *Generator) translate(va uint64) uint64 {
 	page := va / _pageBytes
 	off := va % _pageBytes
-	pa := uint64(g.pagePerm[page%g.pages])*_pageBytes + off
+	pa := uint64(g.pagePerm.perm[page%g.pages])*_pageBytes + off
 	return g.base + pa
 }
 
@@ -224,3 +217,16 @@ func (r *rng) next() uint64 {
 func (r *rng) float() float64 {
 	return float64(r.next()>>11) / float64(1<<53)
 }
+
+// Clone returns a copy of the generator: same profile, RNG state, and
+// stream cursors. The immutable page table is shared, not copied; every
+// other field is a value, so the clone shares no mutable storage with g.
+// A clone's Next stream is cycle-for-cycle identical to the original's
+// continuation.
+func (g *Generator) Clone() *Generator {
+	n := *g
+	return &n
+}
+
+// CloneSource implements cpu.CloneableSource.
+func (g *Generator) CloneSource() cpu.OpSource { return g.Clone() }

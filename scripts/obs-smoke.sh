@@ -7,13 +7,10 @@
 #   2. A local-pool secddr-serve runs a QuickScale 2x2 grid; obscheck
 #      asserts /metrics is valid Prometheus text exposition, carries the
 #      build-info gauge, and that all four latency histograms counted
-#      exactly the 4 executed jobs (including per-job sim wall, which
-#      only the local executor can attribute).
+#      exactly the 4 executed jobs (including per-point sim wall).
 #   3. A fleet-only secddr-serve with one attached secddr-worker runs
-#      the same grid; obscheck asserts the fleet path feeds the
-#      queue-wait/lease-duration/store-flush histograms too, and that
-#      the sim-wall histogram stays empty (the stock worker cannot
-#      split per-point wall time under warmup sharing).
+#      the same grid; obscheck asserts the fleet path feeds all four
+#      histograms too (the worker uploads each point's wall time).
 #
 # Run from the repo root: ./scripts/obs-smoke.sh
 set -euo pipefail
@@ -72,6 +69,6 @@ boot_serve fleet -workers -1
 "$work/secddr-worker" -server "$url" -workers 2 -id obs-w1 2>"$work/worker.log" &
 pids+=("$!")
 "$work/secddr-sweep" -server "$url" "${grid[@]}" -out "$work/run-fleet.json" 2>"$work/sweep-fleet.log"
-"$work/obscheck" -metrics "$url/metrics" -jobs 4 -sim-wall 0 -remote 4
+"$work/obscheck" -metrics "$url/metrics" -jobs 4 -sim-wall 4 -remote 4
 
 echo "PASS: observability smoke"

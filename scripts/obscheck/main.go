@@ -45,7 +45,7 @@ func run() error {
 		metricsURL = flag.String("metrics", "", "scrape and validate this /metrics URL")
 		tracePath  = flag.String("trace", "", "validate this Chrome trace-event JSON file")
 		jobs       = flag.Int("jobs", -1, "with -metrics: executed-job count; sims_executed_total and the queue-wait/lease-duration/store-flush histogram _counts must all equal it (-1 skips)")
-		simWall    = flag.Int("sim-wall", -1, "with -metrics: required secddr_job_sim_wall_us_count (-1 skips; pass 0 for fleet-only runs — the stock worker cannot attribute per-point wall time under warmup sharing)")
+		simWall    = flag.Int("sim-wall", -1, "with -metrics: required secddr_job_sim_wall_us_count (-1 skips)")
 		remote     = flag.Int("remote", -1, "with -metrics: required secddr_jobs_remote_done_total (-1 skips)")
 	)
 	flag.Parse()
