@@ -2,9 +2,12 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"secddr/internal/config"
 	"secddr/internal/sim"
@@ -274,12 +277,32 @@ func TestFidelityAxis(t *testing.T) {
 	}
 }
 
-// TestCarryAcrossBatches splits the fork grid into lease-sized batches
-// that cut the mcf group in two, as a fleet worker's leases do. With a
-// Carry, the batch that starts mid-group forks from the snapshot the
-// previous batch left, so the whole grid warms once per workload even
-// though a single-point group warms (and forks) instead of running cold.
-// The results are the ones a one-shot campaign produces.
+// batchFeed hands out one batch per call, as a sweep server's queue
+// hands out lease batches; once they run out it blocks until ctx ends,
+// as an idle queue does.
+func batchFeed(batches ...[]Job) Feed {
+	var mu sync.Mutex
+	return func(ctx context.Context, _ int) []Job {
+		mu.Lock()
+		if len(batches) > 0 {
+			b := batches[0]
+			batches = batches[1:]
+			mu.Unlock()
+			return b
+		}
+		mu.Unlock()
+		<-ctx.Done()
+		return nil
+	}
+}
+
+// TestCarryAcrossBatches feeds the fork grid to the open-feed scheduler
+// in three lease-sized batches that cut the mcf group in two, as a fleet
+// worker's leases do. The batch that starts mid-group forks from the
+// snapshot the scheduler kept, so the whole grid warms once per workload
+// even though a single-point group warms (and forks) instead of running
+// cold. The results are the ones a one-shot campaign produces, and the
+// scheduler is left holding the last group's snapshot.
 func TestCarryAcrossBatches(t *testing.T) {
 	jobs := forkGrid().Jobs() // mcf x3, lbm x3
 	want, _, err := Run(Campaign{Jobs: jobs})
@@ -287,51 +310,193 @@ func TestCarryAcrossBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var carry Carry
-	before := sim.WarmupRuns()
-	var got []Outcome
-	var forked, warmups int
-	for _, batch := range [][]Job{jobs[:2], jobs[2:3], jobs[3:]} {
-		outs, stats, err := Run(Campaign{Jobs: batch, Carry: &carry})
-		if err != nil {
-			t.Fatal(err)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	full := make(chan struct{})
+	store := &countingStore{memStore: newMemStore(), n: len(jobs), full: func() { close(full) }}
+	prog := &progressTracker{}
+	s := Campaign{Workers: 2}.sched(prog)
+	// Once every result is in and the slots are quiet, note the kept
+	// snapshot's key and end the feed.
+	var keptKey string
+	go func() {
+		<-full
+		for quiet := false; !quiet; time.Sleep(time.Millisecond) {
+			s.mu.Lock()
+			if quiet = s.active == 0; quiet && s.groups[s.newest.key] == s.newest {
+				keptKey = s.newest.warmed.Key()
+			}
+			s.mu.Unlock()
 		}
-		got = append(got, outs...)
-		forked += stats.Forked
-		warmups += stats.Warmups
+		cancel()
+	}()
+	var forked atomic.Int32
+	s.finish = func(p point, res sim.Result, err error, f bool) {
+		if err != nil {
+			t.Errorf("%s: %v", p.Key, err)
+			return
+		}
+		if f {
+			forked.Add(1)
+		}
+		store.Record(p.digest, res)
 	}
-	if delta := sim.WarmupRuns() - before; delta != 2 || warmups != 2 {
-		t.Errorf("warmups = %d (stats %d), want 2: the mcf/secddr+ctr batch forks from the carried snapshot", delta, warmups)
+	before := sim.WarmupRuns()
+	s.run(ctx, nil, batchFeed(jobs[:2], jobs[2:3], jobs[3:]))
+	if delta := sim.WarmupRuns() - before; delta != 2 || prog.snapshot().Warmups != 2 {
+		t.Errorf("warmups = %d (counted %d), want 2: mcf/secddr+ctr forks from the kept snapshot", delta, prog.snapshot().Warmups)
 	}
-	if forked != 6 {
-		t.Errorf("forked = %d, want 6", forked)
+	if n := forked.Load(); n != 6 {
+		t.Errorf("forked = %d, want 6", n)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("batched outcomes with a carry differ from the one-shot campaign")
+	for _, o := range want {
+		if got, ok := store.Lookup(o.Digest); !ok || !reflect.DeepEqual(got, o.Result) {
+			t.Errorf("%s: fed result differs from the one-shot campaign", o.Key)
+		}
 	}
-	if w := carry.load(); w == nil || w.Key() != jobs[5].Opt.WarmupKey() {
-		t.Error("carry does not hold the last group's snapshot")
+	if keptKey != jobs[5].Opt.WarmupKey() {
+		t.Error("the scheduler does not keep the last group's snapshot")
 	}
-
-	// A substituted Sim ignores the carry entirely.
-	stub := func(o sim.Options) (sim.Result, error) { return sim.Result{Workload: o.WorkloadName()}, nil }
-	if _, stats, err := Run(Campaign{Jobs: jobs[:1], Carry: &carry, Sim: stub}); err != nil || stats.Forked != 0 {
-		t.Errorf("stubbed campaign with a carry: stats %+v, err %v; want no forks", stats, err)
+	if len(s.held) != 0 {
+		t.Errorf("%d points still held after all finished", len(s.held))
 	}
 }
 
+// TestServeLeaseWindow: a top-up never lifts the jobs held but not
+// started above two per slot. The six jobs share one warmup group, so
+// while one slot warms it the other has nothing to run; the members
+// waiting on that warmup fill the window, and the feed is not asked for
+// more until forks start.
+func TestServeLeaseWindow(t *testing.T) {
+	jobs := forkGrid().Jobs()[:3] // mcf x3
+	for _, j := range jobs[:3] {
+		j.Key += "/long"
+		j.Opt.InstrPerCore += 1_000 // measured region only: same group
+		jobs = append(jobs, j)
+	}
+	for _, j := range jobs {
+		if j.Opt.WarmupKey() != jobs[0].Opt.WarmupKey() {
+			t.Fatalf("%s is not in the first job's warmup group", j.Key)
+		}
+	}
+	const workers = 2
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s := Campaign{Workers: workers}.sched(&progressTracker{})
+	var mu sync.Mutex
+	next, finished, peak := 0, 0, 0
+	s.finish = func(p point, _ sim.Result, err error, _ bool) {
+		if err != nil {
+			t.Errorf("%s: %v", p.Key, err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if finished++; finished == len(jobs) {
+			cancel()
+		}
+	}
+	s.run(ctx, nil, func(ctx context.Context, limit int) []Job {
+		mu.Lock()
+		batch := jobs[next:min(len(jobs), next+limit)]
+		next += len(batch)
+		mu.Unlock()
+		if len(batch) == 0 {
+			<-ctx.Done()
+			return nil
+		}
+		s.mu.Lock()
+		held := s.unstarted + len(batch)
+		s.mu.Unlock()
+		mu.Lock()
+		peak = max(peak, held)
+		mu.Unlock()
+		return batch
+	})
+	if finished != len(jobs) {
+		t.Errorf("%d of %d points finished", finished, len(jobs))
+	}
+	if peak > leaseAhead*workers {
+		t.Errorf("held %d jobs not started, want at most %d", peak, leaseAhead*workers)
+	}
+}
+
+// TestServeFailuresEndAlone: on an open feed a failure ends only what it
+// touches. A failed warmup fails each member of its group, once, and the
+// other group's points still run and record; nothing aborts.
+func TestServeFailuresEndAlone(t *testing.T) {
+	jobs := forkGrid().Jobs() // mcf x3, lbm x3
+	for i := range jobs[3:] {
+		jobs[3+i].Opt.InstrPerCore = 0 // the lbm group's warmup rejects it
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var mu sync.Mutex
+	failed := map[string]int{}
+	fates := 0
+	fate := func() {
+		if fates++; fates == len(jobs) {
+			cancel()
+		}
+	}
+	store := newMemStore()
+	Serve(ctx, ServeOptions{Workers: 2, Finish: func(d string, res sim.Result, err error) {
+		if err == nil {
+			store.Record(d, res)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if err != nil {
+			failed[d]++
+		}
+		fate()
+	}}, batchFeed(jobs))
+
+	for _, j := range jobs[:3] {
+		if _, ok := store.Lookup(j.Opt.Digest()); !ok {
+			t.Errorf("%s: no result; a failure in another group stopped it", j.Key)
+		}
+	}
+	for _, j := range jobs[3:] {
+		if n := failed[j.Opt.Digest()]; n != 1 {
+			t.Errorf("%s: reported failed %d times, want once", j.Key, n)
+		}
+	}
+	if len(failed) != 3 {
+		t.Errorf("%d points failed, want the 3 of the failed group", len(failed))
+	}
+}
+
+// countingStore calls full once it holds n results.
+type countingStore struct {
+	*memStore
+	n    int
+	full func()
+}
+
+func (s *countingStore) Record(d string, res sim.Result) error {
+	s.memStore.Record(d, res)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.m) == s.n {
+		s.full()
+	}
+	return nil
+}
+
 // TestOnStartBracketsEachPoint: every executed point is announced once
-// before it ends, on the cold path and the forked path alike; shared
-// warmups are not announced.
+// before it ends, on the cold path and the forked path alike, and on an
+// open feed, where a lone point warms and forks; shared warmups are not
+// announced.
 func TestOnStartBracketsEachPoint(t *testing.T) {
 	jobs := forkGrid().Jobs()
 	for _, tc := range []struct {
 		name string
 		c    Campaign
+		feed Feed // nil: RunContext over c.Jobs
 	}{
-		{"forked", Campaign{Jobs: jobs}},
-		{"cold", Campaign{Jobs: jobs[:1]}},
-		{"carry", Campaign{Jobs: jobs[:1], Carry: &Carry{}}},
+		{"forked", Campaign{Jobs: jobs}, nil},
+		{"cold", Campaign{Jobs: jobs[:1]}, nil},
+		{"fed", Campaign{}, batchFeed(jobs[:1])},
 	} {
 		name, c := tc.name, tc.c
 		var mu sync.Mutex
@@ -347,13 +512,32 @@ func TestOnStartBracketsEachPoint(t *testing.T) {
 			return started[d] == 1
 		}}
 		c.Store = store
-		_, stats, err := Run(c)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		executed := 0
+		if tc.feed == nil {
+			_, stats, err := Run(c)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			executed = stats.Executed
+		} else {
+			before := sim.WarmupRuns()
+			ctx, cancel := context.WithCancel(context.Background())
+			Serve(ctx, ServeOptions{OnStart: c.OnStart, Finish: func(d string, res sim.Result, err error) {
+				if err != nil {
+					t.Errorf("%s: %v", name, err)
+				}
+				store.Record(d, res)
+				cancel() // the feed's only job is done
+			}}, tc.feed)
+			cancel()
+			executed = len(store.m)
+			if sim.WarmupRuns()-before != 1 {
+				t.Errorf("%s: the lone fed point did not warm and fork", name)
+			}
 		}
-		if len(started) != stats.Executed || store.unannounced != 0 {
+		if executed == 0 || len(started) != executed || store.unannounced != 0 {
 			t.Errorf("%s: %d points announced, %d executed, %d recorded before their start",
-				name, len(started), stats.Executed, store.unannounced)
+				name, len(started), executed, store.unannounced)
 		}
 	}
 }

@@ -2,260 +2,319 @@ package harness
 
 import (
 	"context"
-	"fmt"
-	"slices"
 	"sync"
 
 	"secddr/internal/sim"
 )
 
-// This file holds the campaign scheduler behind RunContext. Points whose
-// options share a sim.WarmupKey form a snapshot group that warms once
-// (sim.Warmup) and forks every member from the snapshot
-// (sim.Warmed.Fork). Forking is result-identical to a cold run — the sim
-// package's snapshot identity suite is the proof — so the caching, dedup,
-// and store semantics are unchanged; only redundant warmups disappear. A
-// substituted Campaign.Sim makes every point its own group, run through
-// c.Sim, so tests and cold-run benchmarks take the same dispatch, abort,
-// and error-reporting path as production sweeps.
+// This file holds the one campaign scheduler. RunContext runs it over a
+// campaign's fixed job list; Serve runs it over an open feed of jobs for
+// as long as a process executes leased work (a sweep server's local pool
+// and secddr-worker each run one). Points whose options share a
+// sim.WarmupKey form a snapshot group that warms once (sim.Warmup) and
+// forks every member from the snapshot (sim.Warmed.Fork). Forking is
+// result-identical to a cold run — the sim package's snapshot identity
+// suite is the proof — so the caching, dedup, and store semantics are
+// unchanged; only redundant warmups disappear. A substituted Campaign.Sim
+// makes every point its own group, run through c.Sim, so tests and
+// cold-run benchmarks take the same dispatch, abort, and error-reporting
+// path as production sweeps.
 
-// Carry holds one warmed snapshot between campaigns. A fleet worker and a
-// sweep server's local pool each run a stream of small lease batches, and
-// the queue hands out a sweep's jobs in grid order, so a batch often
-// begins with the warmup group the previous batch ended with. A campaign
-// given a Carry forks that group from the carried snapshot instead of
-// warming it again, and leaves behind the snapshot of its own last group
-// in dispatch order. Capacity is one snapshot, fixed, which bounds what a
-// long-lived process holds between batches. The zero value is empty and
-// ready to use; campaigns may share one Carry concurrently.
-type Carry struct {
-	mu sync.Mutex
-	w  *sim.Warmed
+// Feed is the open job source of Serve. It blocks until it has work and
+// returns at most max jobs; an empty return means no job will ever come
+// (the source closed, or ctx ended).
+type Feed func(ctx context.Context, max int) []Job
+
+// leaseAhead is how many jobs per slot Serve holds ahead: a top-up asks
+// the feed for leaseAhead×workers minus the jobs held but not started,
+// and none comes while that is zero.
+const leaseAhead = 2
+
+// point is one job the scheduler holds, with its digest and group key.
+type point struct {
+	Job
+	digest string
+	group  string // the WarmupKey; the digest when a substituted Sim runs points alone
 }
 
-func (c *Carry) load() *sim.Warmed {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.w
+// group is one snapshot group: its members wait on the warmup, then each
+// forks from the warmed snapshot.
+type group struct {
+	key     string
+	members []point     // waiting on the warmup
+	warmed  *sim.Warmed // nil while warming
+	forks   int         // forks queued or running
 }
 
-func (c *Carry) store(w *sim.Warmed) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.w = w
+type forkTask struct {
+	g *group
+	p point
 }
 
-// runForked executes the pending points with warmup sharing. Groups are
-// formed by iterating the deterministic order slice, never the pending
-// map: map iteration would randomize group and store-append order between
-// identical runs (the emitted JSON stays byte-identical either way, but
-// determinism everywhere is what keeps that property easy to trust).
-// Without a carry, single-point groups run cold, through sim.Run or c.Sim
-// when set: forking a snapshot used once would pay a deep copy for
-// nothing. With one, they warm and fork like any group, because their
-// snapshot may serve the next campaign, and the group matching the
-// carried snapshot skips its warmup. Fork tasks are scheduled in
-// preference to warmup tasks so snapshots retire (and free their memory)
-// before new ones are created. It returns the results of the points that
-// completed and the first error, labelled with its job key.
-func (c Campaign) runForked(ctx context.Context, order []string, pending map[string]sim.Options,
-	keyOf map[string]string, store Store, prog *progressTracker) (map[string]sim.Result, error) {
+// sched is the dispatch loop behind RunContext and Serve. Slots claim
+// fork tasks in preference to warmups, so snapshots retire (and free
+// their memory) before new ones are created. Groups are formed in
+// arrival order, never map order: map iteration would randomize group and
+// store-append order between identical runs (the emitted JSON stays
+// byte-identical either way, but determinism everywhere is what keeps
+// that property easy to trust).
+//
+// With a feed, a feeder goroutine tops up whenever a slot would
+// otherwise wait (no fork is ready and no group is left to warm) and the
+// lease window (leaseAhead) has room. A job
+// that arrives for a group that is warming or live joins it. A retired
+// group's snapshot is kept while that group is the newest one opened:
+// the queue hands out a sweep's jobs in grid order, so the next top-up
+// may continue it, while a group older than the newest is done for.
+// Until the feed ends, a group of one warms and forks like any other,
+// since later jobs may join it; once no job can come, one runs cold,
+// through sim.Run or the substituted Sim: forking a snapshot used once
+// would pay a deep copy for nothing.
+type sched struct {
+	workers int
+	simFn   func(sim.Options) (sim.Result, error) // nil: fork-aware built-in
+	onStart func(digest string)
+	warmup  func() // a timed warmup ran
+	// finish delivers a point's fate, outside the scheduler's lock.
+	finish func(p point, res sim.Result, err error, forked bool)
 
-	cold := sim.Run
-	carry := c.Carry
-	if c.Sim != nil {
-		cold = c.Sim
-		carry = nil
-	}
-	type group struct {
-		idx     int
-		digests []string
-	}
-	groupIdx := make(map[string]int)
-	var groups []*group
-	for _, d := range order {
-		k := d // a substituted Sim cannot fork: every point runs alone
-		if c.Sim == nil {
-			k = pending[d].WarmupKey()
-		}
-		gi, ok := groupIdx[k]
-		if !ok {
-			gi = len(groups)
-			groupIdx[k] = gi
-			groups = append(groups, &group{idx: gi})
-		}
-		groups[gi].digests = append(groups[gi].digests, d)
-	}
+	mu     sync.Mutex
+	work   *sync.Cond // slots wait for a task or the end
+	demand *sync.Cond // the feeder waits for an idle slot with nothing to run
+	held   map[string]bool
+	groups map[string]*group
+	warms  []*group
+	forks  []forkTask
+	newest *group // the group opened last
+	// unstarted counts held points not yet started, active the running
+	// tasks, idle the slots waiting for one.
+	unstarted, active, idle int
+	ended                   bool // nothing more will arrive
+}
 
-	type forkTask struct {
-		warmed *sim.Warmed
-		digest string
+func (c Campaign) sched(prog *progressTracker) *sched {
+	return &sched{workers: c.workers(), simFn: c.Sim, onStart: c.OnStart, warmup: prog.warmup}
+}
+
+// point keys job j for the scheduler, given its digest.
+func (s *sched) point(j Job, digest string) point {
+	p := point{Job: j, digest: digest, group: digest}
+	if s.simFn == nil {
+		p.group = j.Opt.WarmupKey()
 	}
-	executed := make(map[string]sim.Result, len(order))
-	var (
-		mu       sync.Mutex // guards executed, firstErr and keep
-		firstErr error
-		qmu      sync.Mutex
-		cond     = sync.NewCond(&qmu)
-		warms    = groups
-		forks    []forkTask
-		active   int
-		// keep is the snapshot to carry out: the one serving the
-		// latest group in dispatch order.
-		keep struct {
-			idx int
-			w   *sim.Warmed
-		}
-	)
-	keep.idx = -1
-	offer := func(gi int, w *sim.Warmed) {
-		mu.Lock()
-		defer mu.Unlock()
-		if gi > keep.idx {
-			keep.idx, keep.w = gi, w
-		}
-	}
-	if carry != nil {
-		if w := carry.load(); w != nil {
-			if gi, ok := groupIdx[w.Key()]; ok {
-				for _, d := range groups[gi].digests {
-					forks = append(forks, forkTask{warmed: w, digest: d})
-				}
-				warms = slices.Delete(slices.Clone(groups), gi, gi+1)
-				offer(gi, w)
-			}
-		}
-	}
-	// aborted is checked before claiming each task; in-flight tasks always
-	// finish (their results still reach the store). Lock order: qmu, then
-	// mu — never the reverse.
-	aborted := func() bool {
-		if ctx.Err() != nil {
-			return true
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		return firstErr != nil
-	}
-	finish := func(d string, res sim.Result, err error, forked bool) {
-		if err != nil && c.OnError != nil {
-			c.OnError(d, err)
-		}
-		if err == nil {
-			// The store has its own lock, so disk flushes never
-			// serialize result collection under mu.
-			err = store.Record(d, res)
-		}
-		mu.Lock()
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%s: %w", keyOf[d], err)
-			}
-		} else {
-			executed[d] = res
-		}
-		mu.Unlock()
-		if err == nil {
-			prog.executed(forked)
-		}
-	}
+	return p
+}
+
+// run schedules pts, then jobs from feed (nil: none), and returns once
+// every task has run — or, after ctx ends, once in-flight tasks have
+// finished; tasks not started by then are dropped.
+func (s *sched) run(ctx context.Context, pts []point, feed Feed) {
+	s.work, s.demand = sync.NewCond(&s.mu), sync.NewCond(&s.mu)
+	s.held, s.groups = make(map[string]bool), make(map[string]*group)
+	s.mu.Lock()
+	s.add(pts)
+	s.ended = feed == nil
+	s.mu.Unlock()
+	stop := context.AfterFunc(ctx, func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.work.Broadcast()
+		s.demand.Broadcast()
+	})
+	defer stop()
 
 	var wg sync.WaitGroup
-	for w := 0; w < c.workers(); w++ {
+	if feed != nil {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				qmu.Lock()
-				for len(forks) == 0 && len(warms) == 0 && active > 0 {
-					cond.Wait()
-				}
-				if len(forks) == 0 && len(warms) == 0 {
-					// Nothing queued and nothing in flight that could
-					// enqueue more: the campaign is done.
-					qmu.Unlock()
-					cond.Broadcast()
-					return
-				}
-				if aborted() {
-					forks, warms = nil, nil
-					qmu.Unlock()
-					cond.Broadcast()
-					return
-				}
-				var ft forkTask
-				var g *group
-				if len(forks) > 0 {
-					ft = forks[len(forks)-1]
-					forks = forks[:len(forks)-1]
-				} else {
-					g = warms[0]
-					warms = warms[1:]
-				}
-				active++
-				qmu.Unlock()
-
-				switch {
-				case g == nil:
-					if c.OnStart != nil {
-						c.OnStart(ft.digest)
-					}
-					res, err := ft.warmed.Fork(pending[ft.digest])
-					finish(ft.digest, res, err, true)
-				case len(g.digests) == 1 && carry == nil:
-					// A cold run pays its own (uncounted-by-Warmup) timed
-					// warmup; count it so Executed - Warmups is exactly the
-					// number of warmups sharing saved. A substituted Sim
-					// reports no warmups.
-					if c.Sim == nil {
-						prog.warmup()
-					}
-					d := g.digests[0]
-					if c.OnStart != nil {
-						c.OnStart(d)
-					}
-					res, err := cold(pending[d])
-					finish(d, res, err, false)
-				default:
-					d0 := g.digests[0]
-					warmed, err := sim.Warmup(pending[d0])
-					if err != nil {
-						// The whole group is doomed: report every member so
-						// a fleet worker can release its leases, and label
-						// the campaign error with the first one.
-						for _, d := range g.digests {
-							if c.OnError != nil {
-								c.OnError(d, err)
-							}
-						}
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = fmt.Errorf("%s: %w", keyOf[d0], err)
-						}
-						mu.Unlock()
-					} else {
-						prog.warmup()
-						if carry != nil {
-							offer(g.idx, warmed)
-						}
-						qmu.Lock()
-						for _, d := range g.digests {
-							forks = append(forks, forkTask{warmed: warmed, digest: d})
-						}
-						qmu.Unlock()
-					}
-				}
-
-				qmu.Lock()
-				active--
-				qmu.Unlock()
-				cond.Broadcast()
-			}
+			s.feed(ctx, feed)
+		}()
+	}
+	for range s.workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.slot(ctx)
 		}()
 	}
 	wg.Wait()
-	if carry != nil && keep.w != nil {
-		carry.store(keep.w)
+}
+
+// add files arriving points: each joins its group when one is warming or
+// live, or opens a group to warm. A digest already held is dropped (a
+// lease can hand back a job whose first lease expired mid-run). Caller
+// holds s.mu.
+func (s *sched) add(pts []point) {
+	for _, p := range pts {
+		if s.held[p.digest] {
+			continue
+		}
+		s.held[p.digest] = true
+		s.unstarted++
+		switch g := s.groups[p.group]; {
+		case g == nil:
+			if old := s.newest; old != nil && old.warmed != nil && old.forks == 0 {
+				delete(s.groups, old.key) // retired and no longer the newest
+			}
+			g = &group{key: p.group, members: []point{p}}
+			s.groups[p.group] = g
+			s.newest = g
+			s.warms = append(s.warms, g)
+		case g.warmed == nil:
+			g.members = append(g.members, p)
+		default:
+			g.forks++
+			s.forks = append(s.forks, forkTask{g, p})
+		}
 	}
-	return executed, firstErr
+	s.work.Broadcast()
+}
+
+// feed fills the scheduler from f at once, every slot being free, then
+// tops it up whenever a slot would otherwise wait and the window has
+// room, until f runs dry or ctx ends. Members waiting on a warming group
+// fill the window like any other unstarted job, so a slot may idle
+// through a warmup rather than hoard the rest of its group.
+func (s *sched) feed(ctx context.Context, f Feed) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for ctx.Err() == nil {
+		n := leaseAhead*s.workers - s.unstarted
+		s.mu.Unlock()
+		jobs := f(ctx, n)
+		pts := make([]point, len(jobs))
+		for i, j := range jobs {
+			pts[i] = s.point(j, j.Opt.Digest())
+		}
+		s.mu.Lock()
+		if len(pts) == 0 {
+			break
+		}
+		s.add(pts)
+		for ctx.Err() == nil && (s.idle == 0 || len(s.forks) > 0 || len(s.warms) > 0 ||
+			s.unstarted >= leaseAhead*s.workers) {
+			s.demand.Wait()
+		}
+	}
+	s.ended = true
+	s.work.Broadcast()
+}
+
+// slot is one worker: it claims tasks until nothing more can arrive or
+// ctx ends.
+func (s *sched) slot(ctx context.Context) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for ctx.Err() == nil {
+		switch {
+		case len(s.forks) > 0:
+			t := s.forks[len(s.forks)-1]
+			s.forks[len(s.forks)-1] = forkTask{}
+			s.forks = s.forks[:len(s.forks)-1]
+			s.unstarted--
+			s.active++
+			s.mu.Unlock()
+			s.start(t.p)
+			res, err := t.g.warmed.Fork(t.p.Opt)
+			s.done(t.p, res, err, true)
+			s.mu.Lock()
+			if t.g.forks--; t.g.forks == 0 {
+				s.retire(t.g)
+			}
+		case len(s.warms) > 0:
+			g := s.warms[0]
+			s.warms[0] = nil
+			s.warms = s.warms[1:]
+			s.active++
+			s.warmGroup(g)
+		case s.ended && s.active == 0:
+			s.work.Broadcast()
+			return
+		default:
+			s.idle++
+			s.demand.Signal()
+			s.work.Wait()
+			s.idle--
+			continue
+		}
+		s.active--
+		s.work.Broadcast()
+	}
+	s.forks, s.warms = nil, nil // never to start
+}
+
+// warmGroup runs group g's warmup and queues a fork per member; a group
+// of one runs cold instead once no job can join it. Called and returns
+// with s.mu held, releasing it while simulating.
+func (s *sched) warmGroup(g *group) {
+	p := g.members[0]
+	if len(g.members) == 1 && (s.simFn != nil || s.ended) {
+		g.members = nil
+		delete(s.groups, g.key)
+		s.unstarted--
+		s.mu.Unlock()
+		run := sim.Run
+		if s.simFn != nil {
+			run = s.simFn
+		} else {
+			// A cold run pays its own timed warmup; count it so Executed -
+			// Warmups is exactly the number of warmups sharing saved. A
+			// substituted Sim reports no warmups.
+			s.warmup()
+		}
+		s.start(p)
+		res, err := run(p.Opt)
+		s.done(p, res, err, false)
+		s.mu.Lock()
+		return
+	}
+	s.mu.Unlock()
+	warmed, err := sim.Warmup(p.Opt)
+	s.mu.Lock()
+	members := g.members
+	g.members = nil
+	if err != nil {
+		// The whole group is doomed, members that joined during the
+		// warmup included: report each one.
+		delete(s.groups, g.key)
+		s.unstarted -= len(members)
+		s.mu.Unlock()
+		for _, m := range members {
+			s.done(m, sim.Result{}, err, false)
+		}
+		s.mu.Lock()
+		return
+	}
+	g.warmed = warmed
+	g.forks += len(members)
+	for _, m := range members {
+		s.forks = append(s.forks, forkTask{g, m})
+	}
+	s.mu.Unlock()
+	s.warmup()
+	s.mu.Lock()
+}
+
+// retire drops group g, whose forks have all finished, unless jobs may
+// still arrive and g is the newest group: then its snapshot stays for
+// them until a newer group opens. Caller holds s.mu.
+func (s *sched) retire(g *group) {
+	if s.ended || g != s.newest {
+		delete(s.groups, g.key)
+	}
+}
+
+func (s *sched) start(p point) {
+	if s.onStart != nil {
+		s.onStart(p.digest)
+	}
+}
+
+// done delivers p's fate and lets go of it. Called without s.mu.
+func (s *sched) done(p point, res sim.Result, err error, forked bool) {
+	s.finish(p, res, err, forked)
+	s.mu.Lock()
+	delete(s.held, p.digest)
+	s.mu.Unlock()
 }

@@ -172,11 +172,6 @@ type Campaign struct {
 	// pass sim.Run to force cold runs), and Stats.Forked and Stats.Warmups
 	// stay zero.
 	Sim func(sim.Options) (sim.Result, error)
-	// Carry, when non-nil, keeps one warmed snapshot from this campaign
-	// for the next one that passes the same Carry, and lets this one fork
-	// from the snapshot an earlier campaign left there (see Carry).
-	// Ignored when Sim is set.
-	Carry *Carry
 	// OnStart, when non-nil, observes each point as it starts executing,
 	// from the worker goroutine about to run it: just before its fork, or
 	// before its cold run when it runs alone. A warmup shared by a group
@@ -186,10 +181,9 @@ type Campaign struct {
 	OnStart func(digest string)
 	// OnError, when non-nil, observes each individual simulation failure
 	// (digest, error) from the worker goroutine that hit it, in addition to
-	// the campaign aborting with the first error. The fleet worker uses it
-	// to report the failing point to the server while releasing the rest of
-	// its lease batch; Store.Record failures are not reported here (they
-	// are the caller's storage, not the point's fate).
+	// the campaign aborting with the first error. Store.Record failures
+	// are not reported here (they are the caller's storage, not the
+	// point's fate).
 	OnError func(digest string, err error)
 	// Progress, when non-nil, observes campaign progress: once after cache
 	// resolution (Pending fixed, Executed zero), then after every timed
@@ -320,12 +314,13 @@ func RunContext(ctx context.Context, c Campaign) ([]Outcome, Stats, error) {
 	}
 
 	// Resolve each job to a digest; schedule one execution per distinct
-	// digest that the store cannot satisfy.
+	// digest that the store cannot satisfy, in job order.
+	prog := &progressTracker{fn: c.Progress}
+	s := c.sched(prog)
 	digests := make([]string, len(c.Jobs))
 	cached := make(map[string]sim.Result)
-	pending := make(map[string]sim.Options)
-	keyOf := make(map[string]string) // digest -> job key, for error labels
-	var order []string               // deterministic dispatch order
+	pending := make(map[string]bool)
+	var pts []point
 	for i, j := range c.Jobs {
 		d := j.Opt.Digest()
 		digests[i] = d
@@ -338,18 +333,48 @@ func RunContext(ctx context.Context, c Campaign) ([]Outcome, Stats, error) {
 			stats.Cached++
 			continue
 		}
-		if _, ok := pending[d]; ok {
+		if pending[d] {
 			stats.Deduped++
 			continue
 		}
-		pending[d] = j.Opt
-		keyOf[d] = j.Key
-		order = append(order, d)
+		pending[d] = true
+		pts = append(pts, s.point(j, d))
 	}
+	prog.resolved(stats.Total, stats.Cached, len(pts))
 
-	prog := &progressTracker{fn: c.Progress}
-	prog.resolved(stats.Total, stats.Cached, len(order))
-	executed, firstErr := c.runForked(ctx, order, pending, keyOf, store, prog)
+	// The first error aborts: no new point starts, in-flight ones finish
+	// and still reach the store.
+	runCtx, abort := context.WithCancel(ctx)
+	defer abort()
+	var (
+		mu       sync.Mutex // guards executed and firstErr
+		executed = make(map[string]sim.Result, len(pts))
+		firstErr error
+	)
+	s.finish = func(p point, res sim.Result, err error, forked bool) {
+		if err != nil && c.OnError != nil {
+			c.OnError(p.digest, err)
+		}
+		if err == nil {
+			// The store has its own lock, so disk flushes never
+			// serialize result collection under mu.
+			err = store.Record(p.digest, res)
+		}
+		mu.Lock()
+		if err != nil {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("%s: %w", p.Key, err)
+				abort()
+			}
+		} else {
+			executed[p.digest] = res
+		}
+		mu.Unlock()
+		if err == nil {
+			prog.executed(forked)
+		}
+	}
+	s.run(runCtx, pts, nil)
 	stats.Executed = len(executed)
 	p := prog.snapshot()
 	stats.Forked, stats.Warmups = p.Forked, p.Warmups
@@ -381,4 +406,44 @@ func RunContext(ctx context.Context, c Campaign) ([]Outcome, Stats, error) {
 		}
 	}
 	return outs, stats, nil
+}
+
+// ServeOptions configures Serve.
+type ServeOptions struct {
+	// Workers bounds parallel simulations; <= 0 means GOMAXPROCS.
+	Workers int
+	// Sim substitutes the simulation entry point, as Campaign.Sim does;
+	// nil means the fork-aware built-in.
+	Sim func(sim.Options) (sim.Result, error)
+	// OnStart, when non-nil, observes each point as it starts executing,
+	// as Campaign.OnStart does.
+	OnStart func(digest string)
+	// Finish receives each executed point's result or error, from the
+	// goroutine that ran it.
+	Finish func(digest string, res sim.Result, err error)
+}
+
+// Serve runs jobs from feed through the campaign scheduler until the feed
+// runs dry or ctx ends: the execution loop of a process that works
+// through a stream of leased jobs, a sweep server's local pool or a fleet
+// worker. It asks the feed for more whenever a slot would otherwise wait
+// (no fork is ready and no group is left to warm), for two jobs per slot
+// minus those held but not started, and asks nothing while that is zero.
+// A job joins the snapshot group of its WarmupKey while that group is
+// warming or live, and the newest group's snapshot outlives its last fork
+// until a newer group opens, so a warmup group split across top-ups
+// warms once.
+//
+// Every point Serve executes ends in one o.Finish call: a failed point
+// ends alone, and a failed warmup fails each member of its group. The
+// feed may repeat a digest Serve still holds; the repeat is dropped.
+// Once ctx ends no point starts; started ones finish, and Serve returns.
+// Jobs it held but never started get no Finish call: what becomes of
+// them is the caller's business.
+func Serve(ctx context.Context, o ServeOptions, feed Feed) {
+	s := Campaign{Workers: o.Workers, Sim: o.Sim, OnStart: o.OnStart}.sched(&progressTracker{})
+	s.finish = func(p point, res sim.Result, err error, _ bool) {
+		o.Finish(p.digest, res, err)
+	}
+	s.run(ctx, nil, feed)
 }

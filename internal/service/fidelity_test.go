@@ -69,8 +69,7 @@ func TestFidelitySpecExpansion(t *testing.T) {
 // knob would silently alias two different experiments under one digest.
 // The keyless POST route is gone: it must answer 405, not run the sweep.
 func TestFidelityUnknownFieldRejected(t *testing.T) {
-	srv := NewServer(newMemStore(), ServerOptions{Workers: 1})
-	srv.runSim = fakeSim
+	srv := NewServer(newMemStore(), ServerOptions{Workers: 1, runSim: fakeSim})
 	defer srv.Drain()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -115,8 +114,7 @@ func TestFidelityUnknownFieldRejected(t *testing.T) {
 // so it passes decoding and fails in Grid(); the client must still get
 // an errors.Is-able ErrUnsupportedFidelity back.
 func TestFidelityUnknownModeOverWire(t *testing.T) {
-	srv := NewServer(newMemStore(), ServerOptions{Workers: 1})
-	srv.runSim = fakeSim
+	srv := NewServer(newMemStore(), ServerOptions{Workers: 1, runSim: fakeSim})
 	defer srv.Drain()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

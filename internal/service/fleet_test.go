@@ -303,14 +303,14 @@ func TestReservedWorkerIDRejected(t *testing.T) {
 // away).
 func TestShutdownLetsLocalFinish(t *testing.T) {
 	store := newMemStore()
-	srv := NewServer(store, ServerOptions{Workers: 4})
 	started := make(chan struct{}, 8)
 	release := make(chan struct{})
-	srv.runSim = func(o sim.Options) (sim.Result, error) {
+	runSim := func(o sim.Options) (sim.Result, error) {
 		started <- struct{}{}
 		<-release
 		return fakeSim(o)
 	}
+	srv := NewServer(store, ServerOptions{Workers: 4, runSim: runSim})
 	sw, err := submitFresh(srv, tinySpec())
 	if err != nil {
 		t.Fatal(err)
@@ -473,6 +473,67 @@ func TestWorkerReportsSimError(t *testing.T) {
 
 	cancel()
 	wg.Wait()
+}
+
+// TestWorkerReleasesFailedUpload: a result upload that fails (here the
+// server answers 500 to the first one) must not strand its job on the
+// worker. The worker gives the lease back, the job is leased and run
+// again, and the sweep completes.
+func TestWorkerReleasesFailedUpload(t *testing.T) {
+	srv := NewServer(newMemStore(), ServerOptions{Workers: -1})
+	defer func() { srv.Shutdown(); srv.Drain() }()
+	h := srv.Handler()
+	var mu sync.Mutex
+	refused := "" // the path of the refused upload
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/result") {
+			mu.Lock()
+			first := refused == ""
+			if first {
+				refused = r.URL.Path
+			}
+			mu.Unlock()
+			if first {
+				http.Error(w, "upload lost", http.StatusInternalServerError)
+				return
+			}
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	ran := map[string]int{}
+	w := &Worker{
+		Client:   &Client{BaseURL: ts.URL},
+		ID:       "w1",
+		Workers:  2,
+		PollWait: 50 * time.Millisecond,
+		Sim: func(o sim.Options) (sim.Result, error) {
+			mu.Lock()
+			ran[o.Digest()]++
+			mu.Unlock()
+			return fakeSim(o)
+		},
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { defer wg.Done(); w.Run(ctx) }()
+	defer func() { cancel(); wg.Wait() }()
+
+	sw, err := submitFresh(srv, tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitState(t, sw); st.State != string(stateDone) {
+		t.Fatalf("sweep = %+v, want done", st)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	digest := strings.TrimSuffix(strings.TrimPrefix(refused, "/v1/jobs/"), "/result")
+	if ran[digest] != 2 {
+		t.Errorf("the job whose upload failed ran %d times, want 2 (leased again)", ran[digest])
+	}
 }
 
 // TestLeaseAbandonedLongPoll: a worker whose long-poll was abandoned

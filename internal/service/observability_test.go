@@ -54,8 +54,7 @@ func histCount(t *testing.T, fams map[string]*obs.MetricFamily, name string) flo
 // scheduling counters report. /healthz must serve the JSON readiness
 // document.
 func TestObservabilityEndpoints(t *testing.T) {
-	srv := NewServer(newMemStore(), ServerOptions{Workers: 2})
-	srv.runSim = fakeSim
+	srv := NewServer(newMemStore(), ServerOptions{Workers: 2, runSim: fakeSim})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	cl := &Client{BaseURL: ts.URL}
@@ -173,14 +172,14 @@ func TestSimWallCountsExecutedPoints(t *testing.T) {
 // TestSimsRunningCountsStartedPoints: the pool leases two jobs per slot
 // but secddr_sims_running counts only the points it is executing.
 func TestSimsRunningCountsStartedPoints(t *testing.T) {
-	srv := NewServer(newMemStore(), ServerOptions{Workers: 1})
 	started := make(chan struct{}, 8)
 	proceed := make(chan struct{})
-	srv.runSim = func(o sim.Options) (sim.Result, error) {
+	runSim := func(o sim.Options) (sim.Result, error) {
 		started <- struct{}{}
 		<-proceed
 		return fakeSim(o)
 	}
+	srv := NewServer(newMemStore(), ServerOptions{Workers: 1, runSim: runSim})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	waitStart := func() {

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -104,12 +105,12 @@ func (j *QueuedJob) outcome(joined bool) (sim.Result, string, error) {
 	return j.res, j.via, j.err
 }
 
-// prioBucket holds the pending lanes of one priority level: one FIFO
-// lane per client plus a rotating round-robin cursor, so submitters
-// sharing a priority take turns job-for-job instead of queueing behind
-// whoever submitted the biggest sweep first.
+// prioBucket holds the pending lanes of one priority level: one
+// non-empty FIFO lane per client plus a rotating round-robin cursor, so
+// submitters sharing a priority take turns job-for-job instead of
+// queueing behind whoever submitted the biggest sweep first.
 type prioBucket struct {
-	order []string                // clients in first-seen order (the RR ring)
+	order []string                // clients with pending work, in arrival order (the RR ring)
 	next  int                     // ring cursor: index into order of the next client to serve
 	lanes map[string][]*QueuedJob // client -> FIFO lane; requeues go to the front
 }
@@ -186,7 +187,7 @@ func (q *Queue) touchLocked(worker string) {
 }
 
 // pushLocked files a pending job into its priority bucket and client
-// lane, creating both on first sight. front puts it at the head of its
+// lane, creating either when absent. front puts it at the head of its
 // lane (requeued leases run before that client's fresh work).
 func (q *Queue) pushLocked(j *QueuedJob, front bool) {
 	b := q.buckets[j.Priority]
@@ -194,9 +195,7 @@ func (q *Queue) pushLocked(j *QueuedJob, front bool) {
 		b = &prioBucket{lanes: make(map[string][]*QueuedJob)}
 		q.buckets[j.Priority] = b
 		i := sort.Search(len(q.prios), func(i int) bool { return q.prios[i] < j.Priority })
-		q.prios = append(q.prios, 0)
-		copy(q.prios[i+1:], q.prios[i:])
-		q.prios[i] = j.Priority
+		q.prios = slices.Insert(q.prios, i, j.Priority)
 	}
 	if _, seen := b.lanes[j.Client]; !seen {
 		b.order = append(b.order, j.Client)
@@ -211,26 +210,39 @@ func (q *Queue) pushLocked(j *QueuedJob, front bool) {
 }
 
 // popNextLocked removes and returns the next pending job under the
-// priority-then-round-robin policy, or nil when nothing is pending.
-// Every traversal walks the deterministic prios slice and each bucket's
-// order ring — never a map — so the schedule is reproducible.
+// priority-then-round-robin policy, or nil when nothing is pending: the
+// head of the lane at the ring cursor of the highest priority. Only
+// pending work is filed: a lane that drains leaves its ring, and a
+// bucket whose ring empties leaves prios, so the daemon holds nothing
+// for a client with no pending work — not its finished jobs, not a ring
+// slot for every client name it ever saw. Traversal is over slices,
+// never a map, so the schedule is reproducible.
 func (q *Queue) popNextLocked() *QueuedJob {
-	for _, p := range q.prios {
-		b := q.buckets[p]
-		n := len(b.order)
-		for i := 0; i < n; i++ {
-			client := b.order[(b.next+i)%n]
-			lane := b.lanes[client]
-			if len(lane) == 0 {
-				continue
-			}
-			b.lanes[client] = lane[1:]
-			b.next = (b.next + i + 1) % n
-			q.npending--
-			return lane[0]
-		}
+	if len(q.prios) == 0 {
+		return nil
 	}
-	return nil
+	b := q.buckets[q.prios[0]]
+	client := b.order[b.next]
+	lane := b.lanes[client]
+	j := lane[0]
+	lane[0] = nil
+	q.npending--
+	if len(lane) > 1 {
+		b.lanes[client] = lane[1:]
+		b.next = (b.next + 1) % len(b.order)
+		return j
+	}
+	// The lane drained: the next client in the ring slides into its slot.
+	delete(b.lanes, client)
+	b.order = slices.Delete(b.order, b.next, b.next+1)
+	switch {
+	case len(b.order) == 0:
+		delete(q.buckets, q.prios[0])
+		q.prios = slices.Delete(q.prios, 0, 1)
+	case b.next == len(b.order):
+		b.next = 0
+	}
+	return j
 }
 
 // publishLocked makes j's outcome final, drops j from the table, and
@@ -396,7 +408,7 @@ func (q *Queue) Start(digest string) {
 
 // Release returns a leased job to the front of its client's lane
 // immediately (a cooperative worker giving back jobs it will not run,
-// e.g. the tail of a batch aborted by an error or a SIGTERM). Only the
+// e.g. on a SIGTERM, the jobs it leased but never started). Only the
 // leaseholder may release; stale releases are ignored.
 func (q *Queue) Release(digest, worker string) bool {
 	q.mu.Lock()

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"secddr/internal/sim"
 )
@@ -103,16 +105,43 @@ func TestQueueRequeueFront(t *testing.T) {
 	}
 }
 
+// TestQueueDropsDrainedLanes: once a client's jobs are leased and
+// completed, the queue holds nothing of them: the completed jobs (and
+// their results) can be collected, and every lane, ring slot and
+// priority bucket they used is gone.
+func TestQueueDropsDrainedLanes(t *testing.T) {
+	q := newQueue(newMemStore())
+	var refs []weak.Pointer[QueuedJob]
+	for i := range 8 {
+		d := fmt.Sprint("d", i)
+		jobs, _ := q.Enqueue(fmt.Sprint("client", i%3), i%2, Submission{Digest: d, Key: d})
+		refs = append(refs, weak.Make(jobs[0]))
+	}
+	if got := drainOrder(t, q); len(got) != 8 {
+		t.Fatalf("drained %d jobs, want 8", len(got))
+	}
+	if len(q.prios) != 0 || len(q.buckets) != 0 {
+		t.Errorf("queue keeps %d priorities, %d buckets after draining; want none", len(q.prios), len(q.buckets))
+	}
+	runtime.GC()
+	for i, r := range refs {
+		if r.Value() != nil {
+			t.Errorf("completed job d%d is still reachable", i)
+		}
+	}
+	runtime.KeepAlive(q) // the queue itself must outlive the check
+}
+
 // TestServerQuota: MaxJobsPerClient rejects a submission that would push
 // one client's outstanding jobs over the cap, per client, and frees up
 // as sweeps complete.
 func TestServerQuota(t *testing.T) {
-	srv := NewServer(newMemStore(), ServerOptions{Workers: 1, MaxJobsPerClient: 5})
 	block := make(chan struct{})
-	srv.runSim = func(o sim.Options) (sim.Result, error) {
+	runSim := func(o sim.Options) (sim.Result, error) {
 		<-block
 		return fakeSim(o)
 	}
+	srv := NewServer(newMemStore(), ServerOptions{Workers: 1, MaxJobsPerClient: 5, runSim: runSim})
 
 	aliceSpec := tinySpec() // 4 jobs
 	aliceSpec.Client = "alice"

@@ -195,10 +195,8 @@ func (r *Replica) promote(ctx context.Context, epoch uint64) error {
 	if sopt.Log == nil {
 		sopt.Log = r.log
 	}
+	sopt.runSim = r.simHook
 	srv := NewServer(r.store, sopt)
-	if r.simHook != nil {
-		srv.runSim = r.simHook
-	}
 	resumed, err := srv.Recover()
 	if err != nil {
 		srv.Shutdown()

@@ -51,6 +51,11 @@ type ServerOptions struct {
 	// jobs across its running sweeps; a submission that would exceed it
 	// fails with ErrQuotaExceeded. 0 means unlimited.
 	MaxJobsPerClient int
+
+	// runSim, when non-nil, substitutes the local pool's simulator (the
+	// harness's ServeOptions.Sim); tests pass a counting or blocking stub.
+	// Nil runs the fork-aware simulator.
+	runSim func(sim.Options) (sim.Result, error)
 }
 
 // Server runs sweep campaigns behind an HTTP API. All sweeps share one
@@ -73,11 +78,6 @@ type Server struct {
 	wal          *WAL               // nil: ephemeral sweeps
 	epoch        uint64
 	maxPerClient int
-
-	// runSim, when non-nil, substitutes the local pool's simulator (the
-	// harness's Campaign.Sim); tests set a counting or blocking stub. Nil
-	// runs the fork-aware simulator.
-	runSim func(sim.Options) (sim.Result, error)
 
 	mu      sync.Mutex
 	sweeps  map[string]*sweep
@@ -131,7 +131,7 @@ func NewServer(store harness.Store, opt ServerOptions) *Server {
 	}
 	go q.reapLoop(execCtx)
 	if workers > 0 {
-		go s.runPool(execCtx, workers)
+		go s.runPool(execCtx, workers, opt.runSim)
 	}
 	// Whichever way execution stops — BaseContext cancelled or Shutdown
 	// called — the queue must close with it, so sweeps blocked on queued
@@ -145,34 +145,22 @@ func NewServer(store harness.Store, opt ServerOptions) *Server {
 	return s
 }
 
-// runPool is the in-process pool: one loop that leases up to two jobs
-// per slot, runs them through the batch runner on workers slots, and
-// gives back whatever a batch did not run (after a failed point aborted
-// it, or on cancellation). It exits on ctx cancellation or queue
-// shutdown, once the points it started have finished.
-func (s *Server) runPool(ctx context.Context, workers int) {
-	runner := &batchRunner{workers: workers}
-	sink := localSink{s}
-	// Lease takes pending work even under an ended ctx, so check ctx
-	// first: a cancelled pool must not re-lease what it just released.
-	for ctx.Err() == nil {
-		leased, err := s.queue.Lease(ctx, localWorkerID, 2*workers, 0)
-		if err != nil || len(leased) == 0 {
-			return
+// runPool is the in-process pool: the execution loop on workers slots,
+// fed by never-expiring local leases. It exits on ctx cancellation or
+// queue shutdown, once the points it started have finished; Shutdown
+// fails the jobs it leased but never started.
+func (s *Server) runPool(ctx context.Context, workers int, simFn func(sim.Options) (sim.Result, error)) {
+	execute(ctx, workers, simFn, func(ctx context.Context, max int) []harness.Job {
+		leased, err := s.queue.Lease(ctx, localWorkerID, max, 0)
+		if err != nil {
+			return nil
 		}
 		jobs := make([]harness.Job, len(leased))
 		for i, j := range leased {
 			jobs[i] = harness.Job{Key: j.Key, Opt: j.Opt}
 		}
-		if err := runner.run(ctx, jobs, s.runSim, sink); err != nil {
-			s.log.Warn("local batch aborted", "err", err)
-		}
-		// Completed jobs are no longer ours, so this releases only the
-		// unrun ones.
-		for _, j := range leased {
-			s.queue.Release(j.Digest, localWorkerID)
-		}
-	}
+		return jobs
+	}, localSink{s})
 }
 
 // localSink completes the local pool's points on the queue.

@@ -122,12 +122,12 @@ func TestSpecValidation(t *testing.T) {
 // store right after).
 func TestDrainWaitsForSweeps(t *testing.T) {
 	store := newMemStore()
-	srv := NewServer(store, ServerOptions{Workers: 4})
 	slow := make(chan struct{})
-	srv.runSim = func(o sim.Options) (sim.Result, error) {
+	runSim := func(o sim.Options) (sim.Result, error) {
 		<-slow
 		return fakeSim(o)
 	}
+	srv := NewServer(store, ServerOptions{Workers: 4, runSim: runSim})
 	if _, err := submitFresh(srv, tinySpec()); err != nil {
 		t.Fatal(err)
 	}
@@ -222,17 +222,17 @@ func TestRemoteSweepEndToEnd(t *testing.T) {
 // must simulate each shared digest exactly once — the in-flight dedup the
 // subsystem is named for.
 func TestSingleflightAcrossSweeps(t *testing.T) {
-	srv := NewServer(newMemStore(), ServerOptions{Workers: 8})
 	block := make(chan struct{})
 	var mu sync.Mutex
 	counts := make(map[string]int)
-	srv.runSim = func(o sim.Options) (sim.Result, error) {
+	runSim := func(o sim.Options) (sim.Result, error) {
 		mu.Lock()
 		counts[o.Digest()]++
 		mu.Unlock()
 		<-block
 		return fakeSim(o)
 	}
+	srv := NewServer(newMemStore(), ServerOptions{Workers: 8, runSim: runSim})
 
 	shared := Spec{Modes: []string{"unprotected"}, Workloads: []string{"mcf", "lbm"}, Quick: true}
 	overlap := Spec{Modes: []string{"unprotected"}, Workloads: []string{"mcf", "pr"}, Quick: true}
@@ -337,12 +337,12 @@ func waitParked(t *testing.T, fn string, n int) {
 // and recorded once, and the late sweep counts a dedup.
 func TestJoinWhileRecording(t *testing.T) {
 	store := &recordGate{memStore: newMemStore(), recording: make(chan struct{}, 1), release: make(chan struct{})}
-	srv := NewServer(store, ServerOptions{Workers: 1})
 	var sims atomic.Int64
-	srv.runSim = func(o sim.Options) (sim.Result, error) {
+	runSim := func(o sim.Options) (sim.Result, error) {
 		sims.Add(1)
 		return fakeSim(o)
 	}
+	srv := NewServer(store, ServerOptions{Workers: 1, runSim: runSim})
 	spec := Spec{Modes: []string{"unprotected"}, Workloads: []string{"mcf"}, Quick: true}
 	first, err := submitFresh(srv, spec)
 	if err != nil {
@@ -379,8 +379,7 @@ func TestJoinWhileRecording(t *testing.T) {
 // TestHTTPSurface covers the small endpoints: health, metrics, 404s, and
 // spec rejection.
 func TestHTTPSurface(t *testing.T) {
-	srv := NewServer(newMemStore(), ServerOptions{Workers: 1})
-	srv.runSim = fakeSim
+	srv := NewServer(newMemStore(), ServerOptions{Workers: 1, runSim: fakeSim})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	cl := &Client{BaseURL: ts.URL}
@@ -431,11 +430,10 @@ func TestHTTPSurface(t *testing.T) {
 // TestStreamWhileRunning: a streamer connected before completion receives
 // outcomes incrementally, not only at the end.
 func TestStreamWhileRunning(t *testing.T) {
-	srv := NewServer(newMemStore(), ServerOptions{Workers: 1})
 	release := make(chan struct{})
 	first := true
 	var gate sync.Mutex
-	srv.runSim = func(o sim.Options) (sim.Result, error) {
+	runSim := func(o sim.Options) (sim.Result, error) {
 		gate.Lock()
 		wasFirst := first
 		first = false
@@ -445,6 +443,7 @@ func TestStreamWhileRunning(t *testing.T) {
 		}
 		return fakeSim(o)
 	}
+	srv := NewServer(newMemStore(), ServerOptions{Workers: 1, runSim: runSim})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	cl := &Client{BaseURL: ts.URL}

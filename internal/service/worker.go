@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -16,15 +18,15 @@ import (
 )
 
 // Worker is the client half of the leasing protocol: the engine of
-// cmd/secddr-worker. It leases batches of jobs from a secddr-serve
-// daemon, runs them through the same batch runner as the server's local
-// pool, streams each result back as it finishes (with the point's wall
-// time), heartbeats while the batch runs, and releases anything it will
-// not run. Between leases it keeps the warmed snapshot of its last batch,
-// so a warmup group split across two leases warms once. Any number of
-// workers may point at one server; the server's queue hands each job to
-// exactly one of them at a time and reclaims leases from workers that
-// die.
+// cmd/secddr-worker. It runs the same execution loop as the server's
+// local pool for its whole life, leasing more jobs from a secddr-serve
+// daemon whenever a slot would idle, streams each result back as it
+// finishes (with the point's wall time), heartbeats every lease it
+// holds, and releases anything it will not run. The loop keeps the
+// warmed snapshot of its newest group after the group's last fork, so a
+// warmup group split across two leases warms once. Any number of workers
+// may point at one server; the server's queue hands each job to exactly
+// one of them at a time and reclaims leases from workers that die.
 type Worker struct {
 	Client *Client
 	// ID names this worker in leases and logs; empty means "host-pid".
@@ -82,7 +84,9 @@ func (w *Worker) pollWait() time.Duration {
 	return 5 * time.Second
 }
 
-// Run leases and executes jobs until ctx is cancelled. On cancellation
+// Run leases and executes jobs until ctx is cancelled. One execution loop
+// serves the whole run: it leases more whenever a slot would idle, and
+// one heartbeat loop keeps every held lease alive. On cancellation
 // in-flight simulations finish and their results are still uploaded (the
 // paid-for work reaches the store); unstarted leases are released so the
 // server re-queues them immediately instead of waiting out the TTL.
@@ -90,19 +94,71 @@ func (w *Worker) pollWait() time.Duration {
 // survives its server better than its server needs to know.
 func (w *Worker) Run(ctx context.Context) error {
 	id := w.id()
-	runner := &batchRunner{workers: w.workers()}
-	backoff := time.Second
-	for {
-		if ctx.Err() != nil {
-			return nil
+	held := &leaseSet{ttl: clampTTL(w.LeaseTTL), digests: make(map[string]bool)}
+
+	// Heartbeat on a context independent of ctx: a cancelled worker still
+	// holds its leases while in-flight points drain, and losing them to
+	// the reaper mid-drain would waste the work.
+	hbCtx, stopHB := context.WithCancel(context.Background())
+	hbDone := make(chan struct{})
+	go func() {
+		defer close(hbDone)
+		w.heartbeat(hbCtx, id, held)
+	}()
+
+	// Uploads run on background contexts for the same reason: once a
+	// simulation finished, its result should reach the server even while
+	// the worker is shutting down. Either way the point is no longer
+	// held: a failed upload releases the job, so the server re-queues it
+	// (or, if the release fails too, the unrenewed lease expires).
+	post := func(digest string, up ResultUpload) {
+		upCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		accepted, err := w.Client.PostResult(upCtx, digest, up)
+		held.drop(digest)
+		if err != nil {
+			w.slog().Warn("upload failed", "worker", id, "digest", digest, "err", err)
+			w.release(id, digest)
+			return
 		}
+		w.slog().Debug("uploaded result", "worker", id, "digest", digest,
+			"accepted", accepted, "failed", up.Error != "")
+	}
+	execute(ctx, w.workers(), w.Sim, func(ctx context.Context, max int) []harness.Job {
+		return w.lease(ctx, id, max, held)
+	}, uploadSink{post: post, id: id})
+
+	// Give back whatever never ran so the server re-queues it now.
+	for _, digest := range held.list() {
+		held.drop(digest)
+		w.release(id, digest)
+	}
+	stopHB()
+	<-hbDone
+	return nil
+}
+
+// release gives the lease on digest back to the server, which re-queues
+// the job.
+func (w *Worker) release(id, digest string) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := w.Client.Release(ctx, digest, id); err != nil {
+		w.slog().Warn("release failed", "worker", id, "digest", digest, "err", err)
+	}
+}
+
+// lease is the execution loop's feed: it long-polls the server for up
+// to max jobs, retrying errors with backoff, until it gets some or ctx
+// ends (nil).
+func (w *Worker) lease(ctx context.Context, id string, max int, held *leaseSet) []harness.Job {
+	backoff := time.Second
+	for ctx.Err() == nil {
 		resp, err := w.Client.Lease(ctx, LeaseRequest{
 			WorkerID: id,
-			// Lease one spare job per pool slot so the next point starts
-			// without a round trip to the server.
-			MaxJobs: 2 * w.workers(),
-			WaitMS:  w.pollWait().Milliseconds(),
-			TTLMS:   w.LeaseTTL.Milliseconds(),
+			MaxJobs:  max,
+			WaitMS:   w.pollWait().Milliseconds(),
+			TTLMS:    w.LeaseTTL.Milliseconds(),
 		})
 		if err != nil {
 			if ctx.Err() != nil {
@@ -128,103 +184,75 @@ func (w *Worker) Run(ctx context.Context) error {
 		if len(resp.Jobs) == 0 {
 			continue
 		}
-		w.runBatch(ctx, id, runner, resp.Jobs, time.Duration(resp.TTLMS)*time.Millisecond)
+		ttl := time.Duration(resp.TTLMS) * time.Millisecond
+		w.slog().Info("leased jobs", "worker", id, "count", len(resp.Jobs), "ttl", ttl)
+		jobs := make([]harness.Job, len(resp.Jobs))
+		held.add(resp.Jobs, ttl)
+		for i, j := range resp.Jobs {
+			jobs[i] = harness.Job{Key: j.Key, Opt: j.Options}
+		}
+		return jobs
 	}
+	return nil
 }
 
-// runBatch executes one lease batch through the batch runner, uploading
-// every point's fate: a result with its wall time, or the failing
-// digest's error. Leftovers (unrun jobs after an abort or cancellation)
-// are released.
-func (w *Worker) runBatch(ctx context.Context, id string, runner *batchRunner, jobs []WireJob, ttl time.Duration) {
-	w.slog().Info("leased jobs", "worker", id, "count", len(jobs), "ttl", ttl)
-	settled := make(map[string]bool, len(jobs)) // digest -> acked or released
-	var mu sync.Mutex
-	settle := func(d string) {
-		mu.Lock()
-		settled[d] = true
-		mu.Unlock()
-	}
-	held := func() []string {
-		mu.Lock()
-		defer mu.Unlock()
-		var out []string
-		for _, j := range jobs {
-			if !settled[j.Digest] {
-				out = append(out, j.Digest)
-			}
-		}
-		return out
-	}
-
-	// Heartbeat until the batch settles, on a context independent of ctx:
-	// a cancelled worker still holds its leases while in-flight points
-	// drain, and losing them to the reaper mid-drain would waste the work.
-	hbCtx, stopHB := context.WithCancel(context.Background())
-	var hbDone sync.WaitGroup
-	hbDone.Add(1)
-	go func() {
-		defer hbDone.Done()
-		every := ttl / 3
-		if every < 100*time.Millisecond {
-			every = 100 * time.Millisecond
-		}
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-hbCtx.Done():
-				return
-			case <-t.C:
-				digests := held()
-				if len(digests) == 0 {
-					return
-				}
-				if _, err := w.Client.Heartbeat(hbCtx, id, digests); err != nil {
-					w.slog().Warn("heartbeat failed", "worker", id, "err", err)
-				}
-			}
-		}
-	}()
-
-	// Uploads run on background contexts for the same reason: once a
-	// simulation finished, its result should reach the server even while
-	// the worker is shutting down.
-	post := func(digest string, up ResultUpload) {
-		upCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		accepted, err := w.Client.PostResult(upCtx, digest, up)
-		if err != nil {
-			w.slog().Warn("upload failed", "worker", id, "digest", digest, "err", err)
+// heartbeat extends every held lease at a third of the granted TTL until
+// ctx ends.
+func (w *Worker) heartbeat(ctx context.Context, id string, held *leaseSet) {
+	for {
+		select {
+		case <-ctx.Done():
 			return
+		case <-time.After(held.every()):
 		}
-		settle(digest)
-		w.slog().Debug("uploaded result", "worker", id, "digest", digest,
-			"accepted", accepted, "failed", up.Error != "")
-	}
-
-	hjobs := make([]harness.Job, len(jobs))
-	for i, j := range jobs {
-		hjobs[i] = harness.Job{Key: j.Key, Opt: j.Options}
-	}
-	if err := runner.run(ctx, hjobs, w.Sim, uploadSink{post: post, id: id}); err != nil {
-		w.slog().Warn("batch aborted", "worker", id, "err", err)
-	}
-
-	// Give back whatever never ran so the server re-queues it now.
-	for _, digest := range held() {
-		relCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		if _, err := w.Client.Release(relCtx, digest, id); err != nil {
-			w.slog().Warn("release failed", "worker", id, "digest", digest, "err", err)
+		digests := held.list()
+		if len(digests) == 0 {
+			continue
 		}
-		cancel()
-		settle(digest)
+		if _, err := w.Client.Heartbeat(ctx, id, digests); err != nil && ctx.Err() == nil {
+			w.slog().Warn("heartbeat failed", "worker", id, "err", err)
+		}
 	}
-	stopHB()
-	hbDone.Wait()
 }
 
-// uploadSink streams a lease batch's points back to the server.
+// leaseSet is the digests a worker holds: leased, neither acked nor
+// released yet.
+type leaseSet struct {
+	mu      sync.Mutex
+	ttl     time.Duration // the latest granted lease TTL
+	digests map[string]bool
+}
+
+func (l *leaseSet) add(jobs []WireJob, ttl time.Duration) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.ttl = ttl
+	for _, j := range jobs {
+		l.digests[j.Digest] = true
+	}
+}
+
+func (l *leaseSet) drop(digest string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	delete(l.digests, digest)
+}
+
+// list returns the held digests, sorted.
+func (l *leaseSet) list() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Sorted(maps.Keys(l.digests))
+}
+
+// every is the heartbeat interval: a third of the TTL, at least 100ms.
+func (l *leaseSet) every() time.Duration {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return max(l.ttl/3, 100*time.Millisecond)
+}
+
+// uploadSink streams each point's fate back to the server.
 type uploadSink struct {
 	post func(digest string, up ResultUpload)
 	id   string
