@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"secddr/internal/config"
@@ -27,34 +26,13 @@ func FormatAblation(title string, rows []AblationRow) string {
 	return b.String()
 }
 
-// gmeanNormalized runs cfg across the scale's workloads and returns gmean
-// IPC normalized per-workload to the TDX baseline.
-func gmeanNormalized(scale Scale, cfgs []namedConfig) (map[string]float64, error) {
-	profiles, err := scale.profiles()
-	if err != nil {
-		return nil, err
+// protectedConfigs is the pair most ablations set against each other:
+// the paper's 64-ary integrity tree and SecDDR+CTR.
+func protectedConfigs() []namedConfig {
+	return []namedConfig{
+		{Label: "tree-64ary", Config: config.Table1(config.ModeIntegrityTree)},
+		{Label: "secddr+ctr", Config: config.Table1(config.ModeSecDDRCTR)},
 	}
-	grid := append([]namedConfig{{Label: "base", Config: tdxBaseline().Config}}, cfgs...)
-	results, err := scale.runGrid(profiles, grid)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]float64, len(cfgs))
-	for _, nc := range cfgs {
-		prod, n := 1.0, 0
-		for _, p := range profiles {
-			b := results[p.Name+"/base"].IPC
-			v := results[p.Name+"/"+nc.Label].IPC
-			if b > 0 && v > 0 {
-				prod *= v / b
-				n++
-			}
-		}
-		if n > 0 {
-			out[nc.Label] = math.Pow(prod, 1/float64(n))
-		}
-	}
-	return out, nil
 }
 
 // AblationScenarioMix sweeps the built-in scenario library (heterogeneous
@@ -65,37 +43,15 @@ func gmeanNormalized(scale Scale, cfgs []namedConfig) (map[string]float64, error
 // sweeps cannot express, and the regime where tree-walk amplification
 // meets adversarial metadata pressure.
 func AblationScenarioMix(scale Scale) ([]AblationRow, error) {
-	configs := []namedConfig{
-		{Label: "base", Config: tdxBaseline().Config},
-		{Label: "tree-64ary", Config: config.Table1(config.ModeIntegrityTree)},
-		{Label: "secddr+ctr", Config: config.Table1(config.ModeSecDDRCTR)},
-	}
-	scns := scenario.Builtins()
-	grid := harness.Grid{
-		Scenarios:    scns,
-		Configs:      configs,
-		InstrPerCore: scale.InstrPerCore,
-		WarmupInstr:  scale.WarmupInstr,
-		Seed:         scale.Seed,
-	}
-	outs, _, err := harness.Run(harness.Campaign{
-		Jobs:    grid.Jobs(),
-		Workers: scale.workers(),
-		Store:   scale.Store,
-	})
+	fig, err := scale.normalizedFigure("", harness.Grid{Scenarios: scenario.Builtins()},
+		tdxBaseline(), protectedConfigs())
 	if err != nil {
 		return nil, err
 	}
-	results := harness.Index(outs)
 	var rows []AblationRow
-	for _, scn := range scns {
-		base := results[scn.Name+"/base"].IPC
-		for _, label := range []string{"tree-64ary", "secddr+ctr"} {
-			v := 0.0
-			if base > 0 {
-				v = results[scn.Name+"/"+label].IPC / base
-			}
-			rows = append(rows, AblationRow{scn.Name, label, v})
+	for _, w := range fig.Workloads {
+		for _, s := range fig.Series {
+			rows = append(rows, AblationRow{w, s.Label, s.Values[w]})
 		}
 	}
 	return rows, nil
@@ -109,34 +65,20 @@ func AblationScenarioMix(scale Scale) ([]AblationRow, error) {
 // footprint is a no-op — the extra tree levels sit near the root and stay
 // cache-resident — so the working set is the honest lever.)
 func AblationFootprintScaling(scale Scale) ([]AblationRow, error) {
-	baseProfiles, err := scale.profiles()
-	if err != nil {
-		return nil, err
-	}
 	var rows []AblationRow
 	for _, mb := range []uint64{96, 384, 1536} {
-		fp := scale
 		// Override every profile's footprint (hot/mid tiers keep their
 		// sizes, so only the cold working set scales).
-		names := make([]string, 0, len(baseProfiles))
-		for _, p := range baseProfiles {
-			names = append(names, p.Name)
-		}
-		fp.Workloads = names
+		fp := scale
 		fp.footprintOverride = mb << 20
-
-		vals, err := gmeanNormalized(fp, []namedConfig{
-			{Label: "tree-64ary", Config: config.Table1(config.ModeIntegrityTree)},
-			{Label: "secddr+ctr", Config: config.Table1(config.ModeSecDDRCTR)},
-		})
+		fig, err := fp.vsTDX("", protectedConfigs())
 		if err != nil {
 			return nil, err
 		}
 		param := fmt.Sprintf("%dMB", mb)
-		rows = append(rows,
-			AblationRow{param, "tree-64ary", vals["tree-64ary"]},
-			AblationRow{param, "secddr+ctr", vals["secddr+ctr"]},
-		)
+		for _, s := range fig.Series {
+			rows = append(rows, AblationRow{param, s.Label, fig.gmean(s.Label)})
+		}
 	}
 	return rows, nil
 }
@@ -148,7 +90,7 @@ func AblationEWCRC(scale Scale) ([]AblationRow, error) {
 	without := config.Table1(config.ModeSecDDRXTS)
 	without.Security.EWCRC = false
 	without.Normalize()
-	vals, err := gmeanNormalized(scale, []namedConfig{
+	fig, err := scale.vsTDX("", []namedConfig{
 		{Label: "with-ewcrc", Config: with},
 		{Label: "no-ewcrc", Config: without},
 	})
@@ -156,8 +98,8 @@ func AblationEWCRC(scale Scale) ([]AblationRow, error) {
 		return nil, err
 	}
 	return []AblationRow{
-		{"BL10", "with-ewcrc", vals["with-ewcrc"]},
-		{"BL8", "no-ewcrc", vals["no-ewcrc"]},
+		{"BL10", "with-ewcrc", fig.gmean("with-ewcrc")},
+		{"BL8", "no-ewcrc", fig.gmean("no-ewcrc")},
 	}, nil
 }
 
@@ -172,13 +114,13 @@ func AblationMetadataCache(scale Scale) ([]AblationRow, error) {
 		c.Normalize()
 		cfgs = append(cfgs, namedConfig{Label: fmt.Sprintf("%dKB", kb), Config: c})
 	}
-	vals, err := gmeanNormalized(scale, cfgs)
+	fig, err := scale.vsTDX("", cfgs)
 	if err != nil {
 		return nil, err
 	}
 	var rows []AblationRow
 	for _, nc := range cfgs {
-		rows = append(rows, AblationRow{nc.Label, "tree-64ary", vals[nc.Label]})
+		rows = append(rows, AblationRow{nc.Label, "tree-64ary", fig.gmean(nc.Label)})
 	}
 	return rows, nil
 }
@@ -198,13 +140,13 @@ func AblationCryptoLatency(scale Scale) ([]AblationRow, error) {
 			namedConfig{Label: fmt.Sprintf("xts@%d", cyc), Config: xts},
 		)
 	}
-	vals, err := gmeanNormalized(scale, cfgs)
+	fig, err := scale.vsTDX("", cfgs)
 	if err != nil {
 		return nil, err
 	}
 	var rows []AblationRow
 	for _, nc := range cfgs {
-		rows = append(rows, AblationRow{nc.Label, "secddr", vals[nc.Label]})
+		rows = append(rows, AblationRow{nc.Label, "secddr", fig.gmean(nc.Label)})
 	}
 	return rows, nil
 }
@@ -214,10 +156,6 @@ func AblationCryptoLatency(scale Scale) ([]AblationRow, error) {
 // so the relative cost is halved). Values are SecDDR+XTS IPC normalized to
 // encrypt-only XTS *within the same memory technology*.
 func AblationDDR5EWCRC(scale Scale) ([]AblationRow, error) {
-	profiles, err := scale.profiles()
-	if err != nil {
-		return nil, err
-	}
 	techs := []struct {
 		name string
 		mk   func(config.Mode) config.Config
@@ -227,27 +165,13 @@ func AblationDDR5EWCRC(scale Scale) ([]AblationRow, error) {
 	}
 	var rows []AblationRow
 	for _, tech := range techs {
-		results, err := scale.runGrid(profiles, []namedConfig{
-			{Label: "sec", Config: tech.mk(config.ModeSecDDRXTS)},
-			{Label: "enc", Config: tech.mk(config.ModeEncryptOnlyXTS)},
-		})
+		fig, err := scale.normalizedFigure("", harness.Grid{},
+			namedConfig{Label: "enc", Config: tech.mk(config.ModeEncryptOnlyXTS)},
+			[]namedConfig{{Label: "sec", Config: tech.mk(config.ModeSecDDRXTS)}})
 		if err != nil {
 			return nil, err
 		}
-		prod, n := 1.0, 0
-		for _, p := range profiles {
-			e := results[p.Name+"/enc"].IPC
-			s := results[p.Name+"/sec"].IPC
-			if e > 0 && s > 0 {
-				prod *= s / e
-				n++
-			}
-		}
-		v := 0.0
-		if n > 0 {
-			v = math.Pow(prod, 1/float64(n))
-		}
-		rows = append(rows, AblationRow{tech.name, "secddr/encrypt-only", v})
+		rows = append(rows, AblationRow{tech.name, "secddr/encrypt-only", fig.gmean("sec")})
 	}
 	return rows, nil
 }
@@ -260,10 +184,6 @@ func AblationDDR5EWCRC(scale Scale) ([]AblationRow, error) {
 // the TDX-like encrypt-only baseline *at the same channel count*, isolating
 // the protection overhead from the raw bandwidth win.
 func AblationChannelScaling(scale Scale) ([]AblationRow, error) {
-	profiles, err := scale.profiles()
-	if err != nil {
-		return nil, err
-	}
 	withChannels := func(mode config.Mode, nch int) config.Config {
 		c := config.Table1(mode)
 		c.DRAM.Channels = nch
@@ -272,29 +192,18 @@ func AblationChannelScaling(scale Scale) ([]AblationRow, error) {
 	}
 	var rows []AblationRow
 	for _, nch := range []int{1, 2, 4} {
-		results, err := scale.runGrid(profiles, []namedConfig{
-			{Label: "base", Config: withChannels(config.ModeEncryptOnlyCTR, nch)},
-			{Label: "tree-64ary", Config: withChannels(config.ModeIntegrityTree, nch)},
-			{Label: "secddr+ctr", Config: withChannels(config.ModeSecDDRCTR, nch)},
-		})
+		fig, err := scale.normalizedFigure("", harness.Grid{},
+			namedConfig{Label: "base", Config: withChannels(config.ModeEncryptOnlyCTR, nch)},
+			[]namedConfig{
+				{Label: "tree-64ary", Config: withChannels(config.ModeIntegrityTree, nch)},
+				{Label: "secddr+ctr", Config: withChannels(config.ModeSecDDRCTR, nch)},
+			})
 		if err != nil {
 			return nil, err
 		}
-		for _, label := range []string{"tree-64ary", "secddr+ctr"} {
-			prod, n := 1.0, 0
-			for _, p := range profiles {
-				b := results[p.Name+"/base"].IPC
-				v := results[p.Name+"/"+label].IPC
-				if b > 0 && v > 0 {
-					prod *= v / b
-					n++
-				}
-			}
-			v := 0.0
-			if n > 0 {
-				v = math.Pow(prod, 1/float64(n))
-			}
-			rows = append(rows, AblationRow{fmt.Sprintf("%dch", nch), label, v})
+		param := fmt.Sprintf("%dch", nch)
+		for _, s := range fig.Series {
+			rows = append(rows, AblationRow{param, s.Label, fig.gmean(s.Label)})
 		}
 	}
 	return rows, nil

@@ -72,22 +72,23 @@ func (s Scale) workers() int {
 }
 
 func (s Scale) profiles() ([]trace.Profile, error) {
-	if s.Workloads == nil {
-		return trace.Profiles(), nil
-	}
 	var out []trace.Profile
-	for _, name := range s.Workloads {
-		p, ok := trace.ByName(name)
-		if !ok {
-			return nil, fmt.Errorf("experiments: unknown workload %q", name)
-		}
-		if s.footprintOverride > 0 {
-			p.Footprint = s.footprintOverride
-			if p.HotBytes > p.Footprint {
-				p.HotBytes = p.Footprint
+	if s.Workloads == nil {
+		out = trace.Profiles()
+	} else {
+		for _, name := range s.Workloads {
+			p, ok := trace.ByName(name)
+			if !ok {
+				return nil, fmt.Errorf("experiments: unknown workload %q", name)
 			}
+			out = append(out, p)
 		}
-		out = append(out, p)
+	}
+	if s.footprintOverride > 0 {
+		for i := range out {
+			out[i].Footprint = s.footprintOverride
+			out[i].HotBytes = min(out[i].HotBytes, s.footprintOverride)
+		}
 	}
 	return out, nil
 }
@@ -95,29 +96,55 @@ func (s Scale) profiles() ([]trace.Profile, error) {
 // namedConfig pairs a configuration with its figure label.
 type namedConfig = harness.NamedConfig
 
-// runGrid executes a workload x configuration grid on the harness and
-// returns results keyed "workload/label". All figures share one seed so
-// every configuration sees the identical address stream, as in the paper.
-func (s Scale) runGrid(profiles []trace.Profile, configs []namedConfig) (map[string]sim.Result, error) {
-	grid := harness.Grid{
-		Workloads:    profiles,
-		Configs:      configs,
-		InstrPerCore: s.InstrPerCore,
-		WarmupInstr:  s.WarmupInstr,
-		Seed:         s.Seed,
-		// A single-fidelity axis keeps the "workload/label" keys
-		// unsuffixed, so figure lookups are fidelity-agnostic.
-		Fidelities: []sim.Fidelity{s.Fidelity},
+// runGrid executes one figure grid, g's configs crossed with its
+// workloads, at the scale's instruction counts, seed, fidelity, workers
+// and store. The workloads are g.Scenarios when set, else the scale's
+// profiles. It returns the workload names in grid order and the results
+// keyed "workload/label". All figures share one seed so every
+// configuration sees the identical address stream, as in the paper.
+func (s Scale) runGrid(g harness.Grid) ([]string, map[string]sim.Result, error) {
+	if g.Scenarios == nil {
+		profiles, err := s.profiles()
+		if err != nil {
+			return nil, nil, err
+		}
+		g.Workloads = profiles
 	}
+	names := make([]string, 0, len(g.Workloads)+len(g.Scenarios))
+	for _, p := range g.Workloads {
+		names = append(names, p.Name)
+	}
+	for _, scn := range g.Scenarios {
+		names = append(names, scn.Name)
+	}
+	g.InstrPerCore, g.WarmupInstr, g.Seed = s.InstrPerCore, s.WarmupInstr, s.Seed
+	// A single-fidelity axis keeps the "workload/label" keys unsuffixed,
+	// so figure lookups are fidelity-agnostic.
+	g.Fidelities = []sim.Fidelity{s.Fidelity}
 	outs, _, err := harness.Run(harness.Campaign{
-		Jobs:    grid.Jobs(),
+		Jobs:    g.Jobs(),
 		Workers: s.workers(),
 		Store:   s.Store,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return harness.Index(outs), nil
+	return names, harness.Index(outs), nil
+}
+
+// normalizedFigure runs baseline and configs over g's workloads (see
+// runGrid) and normalizes each config's IPC to the baseline's.
+func (s Scale) normalizedFigure(name string, g harness.Grid, baseline namedConfig, configs []namedConfig) (FigureResult, error) {
+	g.Configs = append([]namedConfig{baseline}, configs...)
+	workloads, results, err := s.runGrid(g)
+	if err != nil {
+		return FigureResult{}, err
+	}
+	labels := make([]string, len(configs))
+	for i, nc := range configs {
+		labels[i] = nc.Label
+	}
+	return normalize(name, workloads, results, baseline.Label, labels), nil
 }
 
 // Series is one labelled bar series across workloads (one figure line).
@@ -165,6 +192,13 @@ func (f FigureResult) GeoMeans(label string) (memInt, all float64) {
 	return stats.GeoMean(mi), stats.GeoMean(av)
 }
 
+// gmean is one series' geometric mean over all of the figure's
+// workloads: the single value a Fig. 8 bar or an ablation row reports.
+func (f FigureResult) gmean(label string) float64 {
+	_, all := f.GeoMeans(label)
+	return all
+}
+
 // Format renders the figure as an aligned text table with gmean rows.
 func (f FigureResult) Format() string {
 	var b strings.Builder
@@ -200,41 +234,35 @@ func (f FigureResult) Format() string {
 	return b.String()
 }
 
-// normalizedFigure runs baseline + configs over all workloads and
-// normalizes each config's IPC to the baseline's.
-func normalizedFigure(name string, scale Scale, baseline namedConfig, configs []namedConfig) (FigureResult, error) {
-	profiles, err := scale.profiles()
-	if err != nil {
-		return FigureResult{}, err
-	}
-	results, err := scale.runGrid(profiles, append([]namedConfig{baseline}, configs...))
-	if err != nil {
-		return FigureResult{}, err
-	}
-	fig := FigureResult{Name: name}
-	for _, p := range profiles {
-		fig.Workloads = append(fig.Workloads, p.Name)
-	}
-	for _, nc := range configs {
-		s := Series{Label: nc.Label, Values: make(map[string]float64, len(profiles))}
-		for _, p := range profiles {
-			baseRes := results[p.Name+"/"+baseline.Label]
-			res := results[p.Name+"/"+nc.Label]
+// normalize is the one normalization rule behind every figure and
+// ablation: each config's IPC on a workload over the baseline's IPC on
+// the same workload, read from results keyed "workload/label". A
+// workload whose baseline IPC is not positive has no value in any
+// series; a config IPC that is not positive shows as 0 and, like a
+// missing value, is left out of the geometric means. When both sides
+// carry sampled IPC estimates the value carries their propagated 95% CI.
+func normalize(name string, workloads []string, results map[string]sim.Result, baseline string, labels []string) FigureResult {
+	fig := FigureResult{Name: name, Workloads: workloads}
+	for _, label := range labels {
+		s := Series{Label: label, Values: make(map[string]float64, len(workloads))}
+		for _, w := range workloads {
+			baseRes := results[w+"/"+baseline]
+			res := results[w+"/"+label]
 			if baseRes.IPC <= 0 {
 				continue
 			}
 			v := res.IPC / baseRes.IPC
-			s.Values[p.Name] = v
+			s.Values[w] = v
 			if ci, ok := ratioCI95(v, res, baseRes); ok {
 				if s.CIs == nil {
-					s.CIs = make(map[string]float64, len(profiles))
+					s.CIs = make(map[string]float64, len(workloads))
 				}
-				s.CIs[p.Name] = ci
+				s.CIs[w] = ci
 			}
 		}
 		fig.Series = append(fig.Series, s)
 	}
-	return fig, nil
+	return fig
 }
 
 // ratioCI95 propagates the 95% confidence half-widths of two sampled IPC
@@ -258,11 +286,17 @@ func tdxBaseline() namedConfig {
 	return namedConfig{Label: "tdx-baseline", Config: config.Table1(config.ModeEncryptOnlyCTR)}
 }
 
+// vsTDX runs cfgs and the TDX-like baseline over the scale's workloads
+// and normalizes each config to the baseline.
+func (s Scale) vsTDX(name string, cfgs []namedConfig) (FigureResult, error) {
+	return s.normalizedFigure(name, harness.Grid{}, tdxBaseline(), cfgs)
+}
+
 // Fig6 reproduces the overall performance comparison: the 64-ary integrity
 // tree, SecDDR+CTR, encrypt-only CTR, SecDDR+XTS, and encrypt-only XTS,
 // normalized to the TDX-like baseline.
 func Fig6(scale Scale) (FigureResult, error) {
-	return normalizedFigure("Fig. 6: normalized performance (IPC)", scale, tdxBaseline(), Fig6Configs())
+	return scale.vsTDX("Fig. 6: normalized performance (IPC)", Fig6Configs())
 }
 
 // Fig6Configs returns the five evaluated configurations of Fig. 6 in
@@ -287,20 +321,16 @@ type Fig7Row struct {
 // Fig7 reproduces the metadata-cache behaviour figure under the baseline
 // integrity-tree configuration.
 func Fig7(scale Scale) ([]Fig7Row, error) {
-	profiles, err := scale.profiles()
-	if err != nil {
-		return nil, err
-	}
-	results, err := scale.runGrid(profiles, []namedConfig{
+	workloads, results, err := scale.runGrid(harness.Grid{Configs: []namedConfig{
 		{Label: "tree", Config: config.Table1(config.ModeIntegrityTree)},
-	})
+	}})
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]Fig7Row, 0, len(profiles))
-	for _, p := range profiles {
-		r := results[p.Name+"/tree"]
-		rows = append(rows, Fig7Row{Workload: p.Name, LLCMPKI: r.LLCMPKI, MetaMissRate: r.MetaMissRate})
+	rows := make([]Fig7Row, 0, len(workloads))
+	for _, w := range workloads {
+		r := results[w+"/tree"]
+		rows = append(rows, Fig7Row{Workload: w, LLCMPKI: r.LLCMPKI, MetaMissRate: r.MetaMissRate})
 	}
 	return rows, nil
 }
@@ -329,10 +359,6 @@ type Fig8Bar struct {
 // encrypt-only CTR with that packing. Values are gmean IPC over all
 // workloads normalized to the TDX-like baseline.
 func Fig8(scale Scale) ([]Fig8Bar, error) {
-	type variant struct {
-		group string
-		label string
-	}
 	mk := func(mode config.Mode, arity, packing int, hash bool) config.Config {
 		c := config.Table1(mode)
 		c.Security.TreeArity = arity
@@ -344,8 +370,8 @@ func Fig8(scale Scale) ([]Fig8Bar, error) {
 		c.Normalize()
 		return c
 	}
-	var variants []variant
-	configs := []namedConfig{{Label: "base", Config: tdxBaseline().Config}}
+	var bars []Fig8Bar
+	var configs []namedConfig
 	for _, g := range []int{8, 64, 128} {
 		gs := fmt.Sprintf("%d", g)
 		hash := g == 8 // the paper's 8-ary design is a hash tree over MACs
@@ -357,28 +383,16 @@ func Fig8(scale Scale) ([]Fig8Bar, error) {
 			{"secddr", mk(config.ModeSecDDRCTR, g, g, false)},
 			{"encrypt-only", mk(config.ModeEncryptOnlyCTR, g, g, false)},
 		} {
-			variants = append(variants, variant{gs, v.label})
+			bars = append(bars, Fig8Bar{Group: gs, Label: v.label})
 			configs = append(configs, namedConfig{Label: gs + "/" + v.label, Config: v.cfg})
 		}
 	}
-	profiles, err := scale.profiles()
+	fig, err := scale.vsTDX("", configs)
 	if err != nil {
 		return nil, err
 	}
-	results, err := scale.runGrid(profiles, configs)
-	if err != nil {
-		return nil, err
-	}
-	bars := make([]Fig8Bar, 0, len(variants))
-	for _, v := range variants {
-		var vals []float64
-		for _, p := range profiles {
-			b := results[p.Name+"/base"].IPC
-			if b > 0 {
-				vals = append(vals, results[p.Name+"/"+v.group+"/"+v.label].IPC/b)
-			}
-		}
-		bars = append(bars, Fig8Bar{Group: v.group, Label: v.label, Value: stats.GeoMean(vals)})
+	for i := range bars {
+		bars[i].Value = fig.gmean(configs[i].Label)
 	}
 	return bars, nil
 }
@@ -420,12 +434,10 @@ func invisiMemConfigs(enc config.EncryptionKind) []namedConfig {
 
 // Fig10 reproduces the InvisiMem comparison with AES-XTS everywhere.
 func Fig10(scale Scale) (FigureResult, error) {
-	return normalizedFigure("Fig. 10: InvisiMem comparison (AES-XTS)", scale,
-		tdxBaseline(), invisiMemConfigs(config.EncXTS))
+	return scale.vsTDX("Fig. 10: InvisiMem comparison (AES-XTS)", invisiMemConfigs(config.EncXTS))
 }
 
 // Fig12 reproduces the InvisiMem comparison with counter-mode encryption.
 func Fig12(scale Scale) (FigureResult, error) {
-	return normalizedFigure("Fig. 12: InvisiMem comparison (counter-mode)", scale,
-		tdxBaseline(), invisiMemConfigs(config.EncCounterMode))
+	return scale.vsTDX("Fig. 12: InvisiMem comparison (counter-mode)", invisiMemConfigs(config.EncCounterMode))
 }

@@ -483,61 +483,60 @@ func (s *countingStore) Record(d string, res sim.Result) error {
 	return nil
 }
 
-// TestOnStartBracketsEachPoint: every executed point is announced once
-// before it ends, on the cold path and the forked path alike, and on an
-// open feed, where a lone point warms and forks; shared warmups are not
-// announced.
+// TestOnStartBracketsEachPoint: every point Serve executes is announced
+// once before it ends: on the forked path, on the cold path of a
+// substituted Sim, and for a lone fed point, which warms and forks.
+// Shared warmups are not announced.
 func TestOnStartBracketsEachPoint(t *testing.T) {
-	jobs := forkGrid().Jobs()
+	jobs := forkGrid().Jobs() // mcf x3, lbm x3
 	for _, tc := range []struct {
-		name string
-		c    Campaign
-		feed Feed // nil: RunContext over c.Jobs
+		name    string
+		jobs    []Job
+		sim     func(sim.Options) (sim.Result, error)
+		warmups uint64 // timed warmups the run takes
 	}{
-		{"forked", Campaign{Jobs: jobs}, nil},
-		{"cold", Campaign{Jobs: jobs[:1]}, nil},
-		{"fed", Campaign{}, batchFeed(jobs[:1])},
+		{"forked", jobs, nil, 2},
+		{"cold", jobs, sim.Run, uint64(len(jobs))},
+		{"fed", jobs[:1], nil, 1},
 	} {
-		name, c := tc.name, tc.c
+		name := tc.name
 		var mu sync.Mutex
 		started := map[string]int{}
-		c.OnStart = func(d string) {
-			mu.Lock()
-			started[d]++
-			mu.Unlock()
-		}
 		store := &startCheckStore{memStore: newMemStore(), started: func(d string) bool {
 			mu.Lock()
 			defer mu.Unlock()
 			return started[d] == 1
 		}}
-		c.Store = store
-		executed := 0
-		if tc.feed == nil {
-			_, stats, err := Run(c)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			executed = stats.Executed
-		} else {
-			before := sim.WarmupRuns()
-			ctx, cancel := context.WithCancel(context.Background())
-			Serve(ctx, ServeOptions{OnStart: c.OnStart, Finish: func(d string, res sim.Result, err error) {
+		before := sim.WarmupRuns()
+		ctx, cancel := context.WithCancel(context.Background())
+		finished := 0
+		Serve(ctx, ServeOptions{
+			Sim: tc.sim,
+			OnStart: func(d string) {
+				mu.Lock()
+				started[d]++
+				mu.Unlock()
+			},
+			Finish: func(d string, res sim.Result, err error) {
 				if err != nil {
 					t.Errorf("%s: %v", name, err)
 				}
 				store.Record(d, res)
-				cancel() // the feed's only job is done
-			}}, tc.feed)
-			cancel()
-			executed = len(store.m)
-			if sim.WarmupRuns()-before != 1 {
-				t.Errorf("%s: the lone fed point did not warm and fork", name)
-			}
+				mu.Lock()
+				defer mu.Unlock()
+				if finished++; finished == len(tc.jobs) {
+					cancel() // the feed has nothing more
+				}
+			},
+		}, batchFeed(tc.jobs))
+		cancel()
+		executed := len(store.m)
+		if executed != len(tc.jobs) || len(started) != executed || store.unannounced != 0 {
+			t.Errorf("%s: %d points announced, %d of %d executed, %d recorded before their start",
+				name, len(started), executed, len(tc.jobs), store.unannounced)
 		}
-		if executed == 0 || len(started) != executed || store.unannounced != 0 {
-			t.Errorf("%s: %d points announced, %d executed, %d recorded before their start",
-				name, len(started), executed, store.unannounced)
+		if got := sim.WarmupRuns() - before; got != tc.warmups {
+			t.Errorf("%s: %d warmups, want %d", name, got, tc.warmups)
 		}
 	}
 }

@@ -93,7 +93,7 @@ type sched struct {
 }
 
 func (c Campaign) sched(prog *progressTracker) *sched {
-	return &sched{workers: c.workers(), simFn: c.Sim, onStart: c.OnStart, warmup: prog.warmup}
+	return &sched{workers: c.workers(), simFn: c.Sim, warmup: prog.warmup}
 }
 
 // point keys job j for the scheduler, given its digest.

@@ -172,19 +172,6 @@ type Campaign struct {
 	// pass sim.Run to force cold runs), and Stats.Forked and Stats.Warmups
 	// stay zero.
 	Sim func(sim.Options) (sim.Result, error)
-	// OnStart, when non-nil, observes each point as it starts executing,
-	// from the worker goroutine about to run it: just before its fork, or
-	// before its cold run when it runs alone. A warmup shared by a group
-	// belongs to no single point and is not announced. Together with
-	// Store.Record and OnError, which see the point end, it brackets one
-	// point's execution for callers that time it.
-	OnStart func(digest string)
-	// OnError, when non-nil, observes each individual simulation failure
-	// (digest, error) from the worker goroutine that hit it, in addition to
-	// the campaign aborting with the first error. Store.Record failures
-	// are not reported here (they are the caller's storage, not the
-	// point's fate).
-	OnError func(digest string, err error)
 	// Progress, when non-nil, observes campaign progress: once after cache
 	// resolution (Pending fixed, Executed zero), then after every timed
 	// warmup and every completed point. Calls are serialized under an
@@ -352,9 +339,6 @@ func RunContext(ctx context.Context, c Campaign) ([]Outcome, Stats, error) {
 		firstErr error
 	)
 	s.finish = func(p point, res sim.Result, err error, forked bool) {
-		if err != nil && c.OnError != nil {
-			c.OnError(p.digest, err)
-		}
 		if err == nil {
 			// The store has its own lock, so disk flushes never
 			// serialize result collection under mu.
@@ -416,7 +400,11 @@ type ServeOptions struct {
 	// nil means the fork-aware built-in.
 	Sim func(sim.Options) (sim.Result, error)
 	// OnStart, when non-nil, observes each point as it starts executing,
-	// as Campaign.OnStart does.
+	// from the worker goroutine about to run it: just before its fork, or
+	// before its cold run when it runs alone. A warmup shared by a group
+	// belongs to no single point and is not announced. Together with
+	// Finish, which sees the point end, it brackets one point's execution
+	// for callers that time it.
 	OnStart func(digest string)
 	// Finish receives each executed point's result or error, from the
 	// goroutine that ran it.
@@ -441,7 +429,8 @@ type ServeOptions struct {
 // Jobs it held but never started get no Finish call: what becomes of
 // them is the caller's business.
 func Serve(ctx context.Context, o ServeOptions, feed Feed) {
-	s := Campaign{Workers: o.Workers, Sim: o.Sim, OnStart: o.OnStart}.sched(&progressTracker{})
+	s := Campaign{Workers: o.Workers, Sim: o.Sim}.sched(&progressTracker{})
+	s.onStart = o.OnStart
 	s.finish = func(p point, res sim.Result, err error, _ bool) {
 		o.Finish(p.digest, res, err)
 	}

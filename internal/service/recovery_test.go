@@ -54,7 +54,7 @@ func TestCrashRecovery(t *testing.T) {
 		<-release
 		return countingSim(o)
 	}
-	srv1 := NewServer(store1, ServerOptions{Workers: 2, WAL: wal1, Epoch: 1, runSim: runSim})
+	srv1 := NewServer(store1, ServerOptions{Workers: 2, WAL: wal1, runSim: runSim})
 	sw1, attached, err := srv1.SubmitKeyed(key, spec)
 	if err != nil || attached {
 		t.Fatalf("submit = attached %v, %v", attached, err)
@@ -92,7 +92,7 @@ func TestCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wal2.Close()
-	srv2 := NewServer(store2, ServerOptions{Workers: 2, WAL: wal2, Epoch: 2, runSim: countingSim})
+	srv2 := NewServer(store2, ServerOptions{Workers: 2, WAL: wal2, runSim: countingSim})
 	resumed, err := srv2.Recover()
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +203,7 @@ func TestRecoveryTerminalSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv1 := NewServer(store1, ServerOptions{Workers: 2, WAL: wal1, Epoch: 1, runSim: fakeSim})
+	srv1 := NewServer(store1, ServerOptions{Workers: 2, WAL: wal1, runSim: fakeSim})
 	sw1, _, err := srv1.SubmitKeyed(key, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +230,7 @@ func TestRecoveryTerminalSweep(t *testing.T) {
 		t.Errorf("terminal sweep re-ran digest %s", o.Digest())
 		return fakeSim(o)
 	}
-	srv2 := NewServer(store2, ServerOptions{Workers: 2, WAL: wal2, Epoch: 2, runSim: runSim})
+	srv2 := NewServer(store2, ServerOptions{Workers: 2, WAL: wal2, runSim: runSim})
 	resumed, err := srv2.Recover()
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,6 @@ import (
 
 	"secddr/internal/harness"
 	"secddr/internal/obs"
-	"secddr/internal/sim"
 )
 
 // ReplicaOptions configures one member of a replica group sharing a
@@ -32,8 +31,7 @@ type ReplicaOptions struct {
 	// 0 means 5s; clamped to at least 1s.
 	LeaseTTL time.Duration
 	// Server templates the inner sweep server started on promotion. Its
-	// WAL, Epoch, and BaseContext fields are owned by the replica and
-	// overwritten.
+	// WAL and BaseContext fields are owned by the replica and overwritten.
 	Server ServerOptions
 	// Log receives replica lifecycle events (promotions, demotions,
 	// lease loss). Nil discards them.
@@ -59,10 +57,6 @@ type Replica struct {
 	// LeaderLease.Now) so failover tests drive a fake clock instead of
 	// waiting out real TTLs. It returns false when ctx ended.
 	sleep func(ctx context.Context, d time.Duration) bool
-
-	// simHook substitutes the promoted server's simulation entry point
-	// (tests); nil means the real simulator.
-	simHook func(sim.Options) (sim.Result, error)
 
 	mu        sync.Mutex
 	srv       *Server      // non-nil while leading
@@ -190,12 +184,10 @@ func (r *Replica) promote(ctx context.Context, epoch uint64) error {
 	}
 	sopt := r.opt.Server
 	sopt.WAL = wal
-	sopt.Epoch = epoch
 	sopt.BaseContext = ctx
 	if sopt.Log == nil {
 		sopt.Log = r.log
 	}
-	sopt.runSim = r.simHook
 	srv := NewServer(r.store, sopt)
 	resumed, err := srv.Recover()
 	if err != nil {

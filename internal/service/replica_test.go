@@ -126,12 +126,12 @@ func TestReplicaFailover(t *testing.T) {
 
 	started := make(chan struct{}, 8)
 	release := make(chan struct{})
-	r1.simHook = func(o sim.Options) (sim.Result, error) {
+	r1.opt.Server.runSim = func(o sim.Options) (sim.Result, error) {
 		started <- struct{}{}
 		<-release
 		return countingSim(o)
 	}
-	r2.simHook = countingSim
+	r2.opt.Server.runSim = countingSim
 
 	// r1 wins the lease and leads; r2's contending acquire loses and
 	// learns the leader's URL.
@@ -186,6 +186,11 @@ func TestReplicaFailover(t *testing.T) {
 	}
 	if leading, epoch := r2.Leading(); !leading || epoch != epoch2 {
 		t.Fatalf("r2 Leading() = (%v, %d), want (true, %d)", leading, epoch, epoch2)
+	}
+	if fam := scrape(t, ts2.URL)["secddr_lease_epoch"]; fam == nil {
+		t.Error("leader /metrics has no secddr_lease_epoch")
+	} else if v, _ := fam.Value(); v != float64(r2.Server().wal.Epoch()) || v != float64(epoch2) {
+		t.Errorf("leader secddr_lease_epoch = %v, want its WAL epoch %d", v, epoch2)
 	}
 	sw, ok := r2.Server().lookupSweep(id)
 	if !ok {

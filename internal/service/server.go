@@ -44,9 +44,6 @@ type ServerOptions struct {
 	// same store resumes interrupted sweeps. Nil keeps the pre-WAL
 	// in-memory behavior (tests, embedded use).
 	WAL *WAL
-	// Epoch is the leader-lease epoch for /metrics; the WAL stamps its
-	// own epoch on records. 0 for a standalone server.
-	Epoch uint64
 	// MaxJobsPerClient caps one client's outstanding (not yet completed)
 	// jobs across its running sweeps; a submission that would exceed it
 	// fails with ErrQuotaExceeded. 0 means unlimited.
@@ -76,7 +73,6 @@ type Server struct {
 	metrics      *serverMetrics     // latency histograms served by /metrics
 	log          *slog.Logger       // structured progress; a discard logger when unset
 	wal          *WAL               // nil: ephemeral sweeps
-	epoch        uint64
 	maxPerClient int
 
 	mu      sync.Mutex
@@ -125,7 +121,6 @@ func NewServer(store harness.Store, opt ServerOptions) *Server {
 		metrics:      q.metrics,
 		log:          logger,
 		wal:          opt.WAL,
-		epoch:        opt.Epoch,
 		maxPerClient: opt.MaxJobsPerClient,
 		sweeps:       make(map[string]*sweep),
 	}
@@ -1046,9 +1041,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	jobsCached := s.jobsCached
 	jobsDeduped := s.jobsDeduped
 	s.mu.Unlock()
-	walRecords := walReplayed
+	walRecords, epoch := walReplayed, uint64(0)
 	if s.wal != nil {
 		walRecords += s.wal.Records()
+		epoch = s.wal.Epoch()
 	}
 
 	var e obs.Exposition
@@ -1063,7 +1059,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	e.Counter("secddr_wal_records_total", "Sweep WAL records: replayed at boot plus appended since.", walRecords)
 	e.Counter("secddr_quota_rejections_total", "Submissions rejected by the per-client quota.", quotaRejected)
 	e.Gauge("secddr_leader", "1 while this process leads the shared queue (a standalone server always leads).", 1)
-	e.Gauge("secddr_lease_epoch", "Leader-lease epoch fencing this server's WAL records (0 standalone).", float64(s.epoch))
+	e.Gauge("secddr_lease_epoch", "Leader-lease epoch fencing this server's WAL records (0 standalone).", float64(epoch))
 	e.Gauge("secddr_sweeps_active", "Sweeps currently running.", float64(sweepsActive))
 	e.Gauge("secddr_sims_running", "Points the local pool is executing right now (started, not just leased).", float64(qs.running))
 	e.Gauge("secddr_digests_inflight", "Distinct digests with an open job.", float64(qs.open))
