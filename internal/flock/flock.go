@@ -1,11 +1,12 @@
 //go:build unix
 
 // Package flock provides advisory file locking for the processes that
-// share a result store directory. The segment store flocks each live
-// segment so compaction can tell an abandoned segment (crashed process,
-// lock free) from one an active writer still owns; the campaign service
-// flocks its WAL files the same way and serializes leader-lease updates
-// under an exclusive lock.
+// share a result store directory. Every append-only file there — result
+// segments and sweep WALs alike — is a resultstore.Log, flocked by its
+// writer for its lifetime, so compaction can tell an abandoned segment
+// (crashed process, lock free) from one an active writer still owns; the
+// campaign service also serializes leader-lease updates under an
+// exclusive lock.
 //
 // Locks are flock(2)-style: per open file description, so they exclude
 // both other processes and other handles within one process, and the
@@ -56,10 +57,4 @@ func LockFile(f *os.File) error {
 		return fmt.Errorf("flock: lock %s: %w", f.Name(), err)
 	}
 	return nil
-}
-
-// Unlock releases a lock taken with TryLock or LockFile. Closing the file
-// releases it too; Unlock exists for handles that outlive the lock.
-func Unlock(f *os.File) error {
-	return syscall.Flock(int(f.Fd()), syscall.LOCK_UN)
 }

@@ -5,14 +5,13 @@
 // in-memory digest -> result index. Recording a result appends one line to
 // the process's own segment under a per-store lock — O(point) bytes per
 // flush, so a long sweep writes O(N) bytes in total. Several processes share a directory safely: each
-// writes only its own segment (created unique, held under an exclusive
-// flock for the store's lifetime), so appends never interleave, and
-// Refresh folds peers' segments into the index.
+// writes only its own segment, a Log (see log.go), so appends never
+// interleave, and Refresh folds peers' segments into the index.
 //
 // Recovery is crash-safe by construction: a torn final line (crashed or
-// mid-write writer) is simply not consumed yet, and is re-examined when
-// more bytes arrive. Compaction — threshold-triggered in the background,
-// or explicit via Compact — merges every *unlocked* segment (no live
+// mid-write writer) is simply not consumed yet (ScanLines), and is
+// re-examined when more bytes arrive. Compaction — threshold-triggered in
+// the background, or explicit via Compact — merges every *unlocked* segment (no live
 // writer) into one, dropping duplicate digests; a segment whose writer is
 // alive is skipped, so no result is ever lost. Duplicates are harmless
 // whenever they occur (equal digests imply identical results; see
@@ -23,13 +22,10 @@ package resultstore
 
 import (
 	"bytes"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 
@@ -91,9 +87,7 @@ type Store struct {
 	// some segments never erases the garbage tally of the rest.
 	seen map[string]*segInfo
 
-	seg        *os.File // own active segment, exclusively flocked
-	segName    string
-	segBytes   int64
+	seg        *Log  // own active segment
 	ownGarbage int64 // duplicate bytes in the own active segment
 
 	totalBytes int64 // all segment bytes known to this store
@@ -116,9 +110,8 @@ type segInfo struct {
 	garbage  int64 // bytes of records whose digest was already indexed
 }
 
-// Dir is the store's directory — shared infrastructure for files that
-// live alongside the segments under the same crash discipline (the
-// campaign service keeps its sweep WAL there).
+// Dir is the store's directory. The campaign service keeps its sweep WAL
+// there, a Log like each segment, and its leader lease.
 func (s *Store) Dir() string { return s.dir }
 
 // StoreStats is a point-in-time size summary (served by /metrics).
@@ -185,25 +178,13 @@ func checkVersion(dir string) error {
 	return nil
 }
 
-// newSegName returns a fresh, collision-free segment file name.
-func newSegName() string {
-	var b [8]byte
-	rand.Read(b[:])
-	return fmt.Sprintf("%s%d-%s%s", segPrefix, os.Getpid(), hex.EncodeToString(b[:]), segSuffix)
-}
-
-// openSegment creates and flocks this store's own active segment.
+// openSegment creates this store's own active segment.
 func (s *Store) openSegment() error {
-	name := newSegName()
-	f, err := os.OpenFile(filepath.Join(s.dir, name), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	seg, err := CreateLog(s.dir, segPrefix, segSuffix)
 	if err != nil {
-		return fmt.Errorf("resultstore: creating segment: %w", err)
+		return err
 	}
-	if err := flock.LockFile(f); err != nil {
-		f.Close()
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	s.seg, s.segName, s.segBytes = f, name, 0
+	s.seg = seg
 	return nil
 }
 
@@ -224,26 +205,24 @@ func (s *Store) Record(digest string, res sim.Result) error {
 	if err != nil {
 		return fmt.Errorf("resultstore: encoding record: %w", err)
 	}
-	line = append(line, '\n')
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("resultstore: store is closed")
 	}
-	if _, err := s.seg.Write(line); err != nil {
-		s.lastWriteErr = fmt.Errorf("resultstore: appending to %s: %w", s.segName, err)
-		return s.lastWriteErr
+	n, err := s.seg.Append(line)
+	if err != nil {
+		s.lastWriteErr = err
+		return err
 	}
-	n := int64(len(line))
-	s.segBytes += n
 	s.totalBytes += n
 	if _, dup := s.index[digest]; dup {
 		s.ownGarbage += n
 	} else {
 		s.index[digest] = res
 	}
-	if s.segBytes >= s.opt.RotateBytes {
+	if s.seg.Size() >= s.opt.RotateBytes {
 		if err := s.rotateLocked(); err != nil {
 			s.lastWriteErr = err
 			return err
@@ -271,9 +250,9 @@ func (s *Store) Health() error {
 // may claim it) and opens a fresh one.
 func (s *Store) rotateLocked() error {
 	if err := s.seg.Close(); err != nil {
-		return fmt.Errorf("resultstore: sealing %s: %w", s.segName, err)
+		return err
 	}
-	s.seen[s.segName] = &segInfo{consumed: s.segBytes, garbage: s.ownGarbage}
+	s.seen[s.seg.Name()] = &segInfo{consumed: s.seg.Size(), garbage: s.ownGarbage}
 	s.ownGarbage = 0
 	s.sealed++
 	return s.openSegment()
@@ -289,14 +268,14 @@ func (s *Store) Refresh() error {
 
 // scanLocked reads every foreign segment forward from its consumed offset.
 func (s *Store) scanLocked() error {
-	names, err := segmentNames(s.dir)
+	names, err := LogNames(s.dir, segPrefix, segSuffix)
 	if err != nil {
 		return err
 	}
 	present := make(map[string]bool, len(names))
 	for _, name := range names {
 		present[name] = true
-		if name == s.segName {
+		if name == s.seg.Name() {
 			continue
 		}
 		if err := s.consumeLocked(name); err != nil {
@@ -349,69 +328,28 @@ func (s *Store) consumeLocked(name string) error {
 	if _, err := f.ReadAt(raw, info.consumed); err != nil {
 		return fmt.Errorf("resultstore: reading %s: %w", name, err)
 	}
-	consumed, garbage, err := s.indexBytes(raw)
-	if err != nil {
-		return fmt.Errorf("resultstore: segment %s at offset %d: %w", name, info.consumed+consumed, err)
-	}
-	info.consumed += consumed
-	info.garbage += garbage
-	s.totalBytes += consumed
-	return nil
-}
-
-// indexBytes parses complete NDJSON lines into the index. It returns how
-// many bytes were consumed — an unterminated or unparsable *final* line is
-// a torn tail (crash or in-flight write) and is left for a later scan; a
-// bad line with complete lines after it is real corruption and errors.
-func (s *Store) indexBytes(raw []byte) (consumed, garbage int64, err error) {
-	for len(raw) > 0 {
-		nl := bytes.IndexByte(raw, '\n')
-		if nl < 0 {
-			return consumed, garbage, nil // torn tail: not yet consumed
-		}
-		line := raw[:nl]
+	// A torn tail is left for a later scan; a record already indexed is
+	// garbage.
+	var garbage int64
+	consumed, err := ScanLines(raw, func(line []byte) bool {
 		var rec record
-		if jerr := json.Unmarshal(line, &rec); jerr != nil || rec.Digest == "" {
-			if nl == len(raw)-1 {
-				return consumed, garbage, nil // torn final line
-			}
-			return consumed, garbage, fmt.Errorf("corrupt record %q", truncate(line))
+		if json.Unmarshal(line, &rec) != nil || rec.Digest == "" {
+			return false
 		}
-		n := int64(nl + 1)
 		if _, dup := s.index[rec.Digest]; dup {
-			garbage += n
+			garbage += int64(len(line) + 1)
 		} else {
 			s.index[rec.Digest] = rec.Result
 		}
-		consumed += n
-		raw = raw[nl+1:]
-	}
-	return consumed, garbage, nil
-}
-
-func truncate(b []byte) string {
-	const max = 60
-	if len(b) <= max {
-		return string(b)
-	}
-	return string(b[:max]) + "..."
-}
-
-// segmentNames lists the directory's segment files in stable order.
-func segmentNames(dir string) ([]string, error) {
-	ents, err := os.ReadDir(dir)
+		return true
+	})
 	if err != nil {
-		return nil, fmt.Errorf("resultstore: %w", err)
+		return fmt.Errorf("resultstore: segment %s at offset %d: %w", name, info.consumed+int64(consumed), err)
 	}
-	var names []string
-	for _, e := range ents {
-		name := e.Name()
-		if !e.IsDir() && strings.HasPrefix(name, segPrefix) && strings.HasSuffix(name, segSuffix) {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	return names, nil
+	info.consumed += int64(consumed)
+	info.garbage += garbage
+	s.totalBytes += int64(consumed)
+	return nil
 }
 
 // maybeCompactLocked starts a background compaction when garbage crosses
@@ -481,10 +419,10 @@ func (s *Store) Compact() error {
 // compact does the work; it must run with s.compacting held true.
 func (s *Store) compact() error {
 	s.mu.Lock()
-	own := s.segName
+	own := s.seg.Name()
 	s.mu.Unlock()
 
-	names, err := segmentNames(s.dir)
+	names, err := LogNames(s.dir, segPrefix, segSuffix)
 	if err != nil {
 		return err
 	}
@@ -546,60 +484,39 @@ func (s *Store) compact() error {
 			release()
 			return fmt.Errorf("resultstore: reading %s: %w", c.name, err)
 		}
-		for len(raw) > 0 {
-			nl := bytes.IndexByte(raw, '\n')
-			if nl < 0 {
-				break
-			}
-			line := raw[:nl]
-			raw = raw[nl+1:]
+		_, err := ScanLines(raw, func(line []byte) bool {
 			var rec struct {
 				Digest string          `json:"digest"`
 				Result json.RawMessage `json:"result"`
 			}
 			if json.Unmarshal(line, &rec) != nil || rec.Digest == "" {
-				continue // torn or foreign line; nothing to preserve
+				return false
 			}
 			if _, dup := merged[rec.Digest]; !dup {
 				merged[rec.Digest] = rec.Result
 				order = append(order, rec.Digest)
 			}
+			return true
+		})
+		if err != nil {
+			release()
+			return fmt.Errorf("resultstore: segment %s: %w", c.name, err)
 		}
 	}
 
-	// Write the replacement segment (temp + rename: crash leaves either
-	// the old segments or both, never less than the union).
-	tmp, err := os.CreateTemp(s.dir, ".compact-*")
-	if err != nil {
-		release()
-		return fmt.Errorf("resultstore: %w", err)
-	}
+	// Publish the replacement segment before removing the claimed ones: a
+	// crash leaves either the old segments or both, never less than the
+	// union.
 	var buf bytes.Buffer
 	for _, d := range order {
 		buf.WriteString(`{"digest":"` + d + `","result":`)
 		buf.Write(merged[d])
 		buf.WriteString("}\n")
 	}
-	cleanup := func(err error) error {
-		tmp.Close()
-		os.Remove(tmp.Name())
+	newName := logName(segPrefix, segSuffix)
+	if err := ReplaceFile(s.dir, newName, buf.Bytes(), true); err != nil {
 		release()
 		return err
-	}
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		return cleanup(fmt.Errorf("resultstore: writing compacted segment: %w", err))
-	}
-	if err := tmp.Sync(); err != nil {
-		return cleanup(fmt.Errorf("resultstore: syncing compacted segment: %w", err))
-	}
-	if err := tmp.Close(); err != nil {
-		return cleanup(fmt.Errorf("resultstore: closing compacted segment: %w", err))
-	}
-	newName := newSegName()
-	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, newName)); err != nil {
-		os.Remove(tmp.Name())
-		release()
-		return fmt.Errorf("resultstore: publishing compacted segment: %w", err)
 	}
 	for _, c := range claims {
 		os.Remove(filepath.Join(s.dir, c.name)) // safe: we hold its flock
@@ -639,7 +556,7 @@ func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	segs := len(s.seen)
-	if s.seg != nil {
+	if !s.closed {
 		segs++
 	}
 	return StoreStats{
@@ -663,15 +580,9 @@ func (s *Store) Close() error {
 	s.waitCompactionLocked()
 
 	err := s.seg.Close()
-	if s.segBytes == 0 {
-		os.Remove(filepath.Join(s.dir, s.segName))
-	} else {
-		s.seen[s.segName] = &segInfo{consumed: s.segBytes, garbage: s.ownGarbage}
+	if s.seg.Size() > 0 {
+		s.seen[s.seg.Name()] = &segInfo{consumed: s.seg.Size(), garbage: s.ownGarbage}
 		s.ownGarbage = 0
 	}
-	s.seg = nil
-	if err != nil {
-		return fmt.Errorf("resultstore: closing %s: %w", s.segName, err)
-	}
-	return nil
+	return err
 }

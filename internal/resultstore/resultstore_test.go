@@ -81,7 +81,7 @@ func TestTruncatedTailTolerated(t *testing.T) {
 	}
 	s.Close()
 
-	names, err := segmentNames(dir)
+	names, err := LogNames(dir, segPrefix, segSuffix)
 	if err != nil || len(names) != 1 {
 		t.Fatalf("segments = %v, %v", names, err)
 	}
@@ -115,7 +115,7 @@ func TestMidSegmentCorruptionRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	names, _ := segmentNames(dir)
+	names, _ := LogNames(dir, segPrefix, segSuffix)
 	path := filepath.Join(dir, names[0])
 	raw, _ := os.ReadFile(path)
 	bad := append([]byte("{broken\n"), raw...)
@@ -214,7 +214,7 @@ func TestCompactionMergesSealedSegments(t *testing.T) {
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	names, err := segmentNames(dir)
+	names, err := LogNames(dir, segPrefix, segSuffix)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"secddr/internal/flock"
+	"secddr/internal/resultstore"
 )
 
 // Multi-replica coordination: N secddr-serve replicas may share one
@@ -90,11 +91,7 @@ func (l *LeaderLease) writeDoc(doc leaseDoc) error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(l.Dir, leaderFile+".tmp")
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(l.Dir, leaderFile))
+	return resultstore.ReplaceFile(l.Dir, leaderFile, append(data, '\n'), false)
 }
 
 // Acquire attempts to take (or keep) leadership. On success it returns

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"secddr/internal/obs"
 	"secddr/internal/stats"
 )
 
@@ -51,4 +52,23 @@ func (m *serverMetrics) snapshot() (queueWait, leaseDur, simWall, storeFlush sta
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return *m.queueWait, *m.leaseDur, *m.simWall, *m.storeFlush
+}
+
+// buildInfo adds the build identification family both replica roles
+// expose.
+func buildInfo(e *obs.Exposition) {
+	version, revision := obs.BuildFields()
+	e.InfoGauge("secddr_build_info", "Build identification of the serving binary.",
+		obs.Label{Name: "revision", Value: revision}, obs.Label{Name: "version", Value: version})
+}
+
+// leadership adds the leader and lease-epoch gauges both replica roles
+// expose.
+func leadership(e *obs.Exposition, leading bool, epoch uint64) {
+	leader := 0.0
+	if leading {
+		leader = 1
+	}
+	e.Gauge("secddr_leader", "1 while this process leads the shared queue (a standalone server always leads).", leader)
+	e.Gauge("secddr_lease_epoch", "Leader-lease epoch fencing this server's WAL records (0 standalone).", float64(epoch))
 }

@@ -71,7 +71,7 @@ func TestCrashRecovery(t *testing.T) {
 		t.Fatalf("interrupted sweep state = %q, want failed", st.State)
 	}
 	srv1.Drain()
-	if n := wal1.Records(); n != 3 { // 1 sweep + 2 done, no end record
+	if n := wal1.Lines(); n != 3 { // 1 sweep + 2 done, no end record
 		t.Fatalf("WAL records at death = %d, want 3", n)
 	}
 	if err := wal1.Close(); err != nil {

@@ -84,7 +84,7 @@ func NewReplica(store harness.Store, dir string, opt ReplicaOptions) *Replica {
 	}
 	logger := opt.Log
 	if logger == nil {
-		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		logger = discardLog
 	}
 	return &Replica{
 		store: store,
@@ -276,7 +276,7 @@ func (r *Replica) Handler() http.Handler {
 		}
 		switch {
 		case req.URL.Path == "/healthz":
-			r.followerHealthz(w)
+			writeHealth(w, r.store, HealthStatus{Role: "follower"})
 		case req.URL.Path == "/metrics":
 			r.followerMetrics(w, epoch)
 		case strings.HasPrefix(req.URL.Path, "/v1/") && proxy != nil:
@@ -288,30 +288,13 @@ func (r *Replica) Handler() http.Handler {
 	})
 }
 
-func (r *Replica) followerHealthz(w http.ResponseWriter) {
-	hs := HealthStatus{Status: "ok", Store: "ok", Role: "follower"}
-	if h, ok := r.store.(interface{ Health() error }); ok {
-		if err := h.Health(); err != nil {
-			hs.Status, hs.Store = "degraded", err.Error()
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if hs.Status != "ok" {
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}
-	writeJSON(w, hs)
-}
-
 // followerMetrics is the minimal exposition of a non-leading replica:
 // enough for a scraper to see the process up, not leading, and at which
 // last-known epoch.
 func (r *Replica) followerMetrics(w http.ResponseWriter, epoch uint64) {
 	var e obs.Exposition
-	version, revision := obs.BuildFields()
-	e.InfoGauge("secddr_build_info", "Build identification of the serving binary.",
-		obs.Label{Name: "revision", Value: revision}, obs.Label{Name: "version", Value: version})
-	e.Gauge("secddr_leader", "1 while this process leads the shared queue (a standalone server always leads).", 0)
-	e.Gauge("secddr_lease_epoch", "Leader-lease epoch fencing this server's WAL records (0 standalone).", float64(epoch))
+	buildInfo(&e)
+	leadership(&e, false, epoch)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	io.WriteString(w, e.String())
 }

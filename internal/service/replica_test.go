@@ -189,7 +189,7 @@ func TestReplicaFailover(t *testing.T) {
 	}
 	if fam := scrape(t, ts2.URL)["secddr_lease_epoch"]; fam == nil {
 		t.Error("leader /metrics has no secddr_lease_epoch")
-	} else if v, _ := fam.Value(); v != float64(r2.Server().wal.Epoch()) || v != float64(epoch2) {
+	} else if v, _ := fam.Value(); v != float64(r2.Server().wal.epoch) || v != float64(epoch2) {
 		t.Errorf("leader secddr_lease_epoch = %v, want its WAL epoch %d", v, epoch2)
 	}
 	sw, ok := r2.Server().lookupSweep(id)

@@ -1007,8 +1007,14 @@ type HealthStatus struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	hs := HealthStatus{Status: "ok", Store: "ok", QueueDepth: s.queue.stats().pending}
-	if h, ok := s.store.(interface{ Health() error }); ok {
+	writeHealth(w, s.store, HealthStatus{QueueDepth: s.queue.stats().pending})
+}
+
+// writeHealth serves hs as the /healthz answer of either replica role,
+// with Status and Store filled in from the store's write health.
+func writeHealth(w http.ResponseWriter, store harness.Store, hs HealthStatus) {
+	hs.Status, hs.Store = "ok", "ok"
+	if h, ok := store.(interface{ Health() error }); ok {
 		if err := h.Health(); err != nil {
 			hs.Status, hs.Store = "degraded", err.Error()
 		}
@@ -1043,14 +1049,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Unlock()
 	walRecords, epoch := walReplayed, uint64(0)
 	if s.wal != nil {
-		walRecords += s.wal.Records()
-		epoch = s.wal.Epoch()
+		walRecords += s.wal.Lines()
+		epoch = s.wal.epoch
 	}
 
 	var e obs.Exposition
-	version, revision := obs.BuildFields()
-	e.InfoGauge("secddr_build_info", "Build identification of the serving binary.",
-		obs.Label{Name: "revision", Value: revision}, obs.Label{Name: "version", Value: version})
+	buildInfo(&e)
 	e.Counter("secddr_sims_executed_total", "Simulations actually run (local pool or remote workers).", simsExecuted)
 	e.Counter("secddr_jobs_cached_total", "Jobs answered straight from the result store.", jobsCached)
 	e.Counter("secddr_jobs_deduped_total", "Jobs that joined an in-flight or in-batch digest.", jobsDeduped)
@@ -1058,8 +1062,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	e.Counter("secddr_sweeps_recovered_total", "Unfinished sweeps resumed from the WAL at boot.", sweepsRecovered)
 	e.Counter("secddr_wal_records_total", "Sweep WAL records: replayed at boot plus appended since.", walRecords)
 	e.Counter("secddr_quota_rejections_total", "Submissions rejected by the per-client quota.", quotaRejected)
-	e.Gauge("secddr_leader", "1 while this process leads the shared queue (a standalone server always leads).", 1)
-	e.Gauge("secddr_lease_epoch", "Leader-lease epoch fencing this server's WAL records (0 standalone).", float64(epoch))
+	leadership(&e, true, epoch)
 	e.Gauge("secddr_sweeps_active", "Sweeps currently running.", float64(sweepsActive))
 	e.Gauge("secddr_sims_running", "Points the local pool is executing right now (started, not just leased).", float64(qs.running))
 	e.Gauge("secddr_digests_inflight", "Distinct digests with an open job.", float64(qs.open))

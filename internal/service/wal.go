@@ -1,29 +1,25 @@
 package service
 
 import (
-	"bytes"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"sync"
 
-	"secddr/internal/flock"
+	"secddr/internal/resultstore"
 )
 
 // The sweep WAL makes submitted sweeps durable: every accepted sweep,
 // every per-job completion, and every terminal state is appended as one
-// NDJSON record to a per-process write-ahead log in the store directory,
-// alongside the resultstore's segments and under the same crash
-// discipline (append-only, flocked while owned, torn final lines
-// tolerated on replay, no fsync — process-crash-safe, not
-// power-loss-safe). On boot the server replays every WAL file in the
-// directory, reconciles the recorded completions against the
-// resultstore, and re-enqueues only the remainder: a SIGKILLed server
-// resumes its sweeps with zero lost and zero re-executed digests.
+// NDJSON record to a per-process write-ahead log in the store directory:
+// a resultstore.Log, like the store's own segments, so it shares their
+// crash discipline (append-only, flocked while owned, a failed append
+// truncated away, torn final lines left unread on replay, no fsync —
+// process-crash-safe, not power-loss-safe). On boot the server replays
+// every WAL file in the directory, reconciles the recorded completions
+// against the resultstore, and re-enqueues only the remainder: a
+// SIGKILLed server resumes its sweeps with zero lost and zero
+// re-executed digests.
 //
 // Records are never rewritten. A "done" record is appended only after
 // the digest's result reached the resultstore, so replay can trust that
@@ -65,106 +61,39 @@ const (
 	walEndRec   = "end"
 )
 
-// walName returns a collision-free WAL file name for this process, the
-// same scheme as resultstore segments: pid plus crypto-random suffix.
-func walName() string {
-	var b [4]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic("service: crypto/rand failed: " + err.Error())
-	}
-	return fmt.Sprintf("wal-%d-%s.wal", os.Getpid(), hex.EncodeToString(b[:]))
-}
+// walPrefix/walSuffix frame WAL file names: wal-<pid>-<rand>.wal.
+const (
+	walPrefix = "wal-"
+	walSuffix = ".wal"
+)
 
-// WAL is one process's append-only sweep log. Safe for concurrent use.
+// WAL is one process's sweep log: its Log (file name, record count,
+// Close) plus the leader-lease epoch stamped on every record, which
+// fences them against logs written by replicas that held the lease
+// before or after this one. Safe for concurrent use.
 type WAL struct {
-	dir   string
+	*resultstore.Log
 	epoch uint64
-
-	mu       sync.Mutex
-	f        *os.File
-	appended int64
 }
 
-// OpenWAL creates a fresh, exclusively-flocked WAL file in dir (which
-// must exist — it is the result store directory). epoch fences the
-// records against logs written by replicas that held the leader lease
-// before or after this one.
+// OpenWAL creates a fresh WAL file in dir, the result store directory.
 func OpenWAL(dir string, epoch uint64) (*WAL, error) {
-	path := filepath.Join(dir, walName())
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
+	l, err := resultstore.CreateLog(dir, walPrefix, walSuffix)
 	if err != nil {
-		return nil, fmt.Errorf("service: creating WAL: %w", err)
+		return nil, fmt.Errorf("service: WAL: %w", err)
 	}
-	if err := flock.LockFile(f); err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, fmt.Errorf("service: locking WAL: %w", err)
-	}
-	return &WAL{dir: dir, epoch: epoch, f: f}, nil
+	return &WAL{Log: l, epoch: epoch}, nil
 }
 
-// Dir is the directory the WAL (and its peers) live in.
-func (w *WAL) Dir() string { return w.dir }
-
-// Epoch is the leader-lease epoch stamped on every record.
-func (w *WAL) Epoch() uint64 { return w.epoch }
-
-// Name is the WAL's file name within Dir (so replay can skip it), or ""
-// after Close.
-func (w *WAL) Name() string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return ""
-	}
-	return filepath.Base(w.f.Name())
-}
-
-// Append writes one record. Errors are sticky only in the sense that
-// the caller decides what to do; the server logs and keeps running (a
-// failed append degrades durability, not correctness of the live run).
+// Append writes one record. The server logs a failure and keeps running:
+// a failed append degrades durability, not the live run.
 func (w *WAL) Append(rec walRecord) error {
 	rec.Epoch = w.epoch
 	line, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("service: encoding WAL record: %w", err)
 	}
-	line = append(line, '\n')
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return fmt.Errorf("service: WAL closed")
-	}
-	if _, err := w.f.Write(line); err != nil {
-		return fmt.Errorf("service: appending WAL record: %w", err)
-	}
-	w.appended++
-	return nil
-}
-
-// Records reports how many records this WAL has appended (the
-// secddr_wal_records_total counter).
-func (w *WAL) Records() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.appended
-}
-
-// Close releases the flock and removes the file if nothing was ever
-// appended (an empty WAL carries no recovery value and would accumulate
-// one file per restart).
-func (w *WAL) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return nil
-	}
-	name := w.f.Name()
-	err := w.f.Close() // releases the flock with it
-	w.f = nil
-	if w.appended == 0 {
-		os.Remove(name)
-	}
+	_, err = w.Log.Append(line)
 	return err
 }
 
@@ -200,12 +129,12 @@ func (ws *walSweep) maxSeq() int {
 // merged sweeps and the total record count. skip names one file to
 // ignore — the replayer's own freshly created WAL.
 //
-// Per-file torn-tail rule, identical to resultstore segments: an
-// unterminated or unparsable final line is the write the crash
-// interrupted and is skipped; an unparsable line anywhere else is
-// corruption and errors.
+// Each file is read with resultstore.ScanLines, the segments' torn-tail
+// rule: an unterminated or unparsable final line is the write a crash
+// interrupted and is not applied; an unparsable line anywhere else,
+// blank lines included, is corruption and errors.
 func ReplayWAL(dir, skip string) (map[string]*walSweep, int, error) {
-	names, err := walNames(dir)
+	names, err := resultstore.LogNames(dir, walPrefix, walSuffix)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -219,67 +148,20 @@ func ReplayWAL(dir, skip string) (map[string]*walSweep, int, error) {
 		if err != nil {
 			return nil, 0, fmt.Errorf("service: reading WAL %s: %w", name, err)
 		}
-		n, err := replayFile(sweeps, data)
+		_, err = resultstore.ScanLines(data, func(line []byte) bool {
+			var rec walRecord
+			if json.Unmarshal(line, &rec) != nil || rec.Sweep == "" {
+				return false
+			}
+			applyRecord(sweeps, rec)
+			total++
+			return true
+		})
 		if err != nil {
 			return nil, 0, fmt.Errorf("service: WAL %s: %w", name, err)
 		}
-		total += n
 	}
 	return sweeps, total, nil
-}
-
-// walNames lists WAL files in dir sorted by name.
-func walNames(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("service: reading WAL dir: %w", err)
-	}
-	var names []string
-	for _, e := range entries {
-		name := e.Name()
-		if !e.IsDir() && len(name) > 8 && name[:4] == "wal-" && filepath.Ext(name) == ".wal" {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	return names, nil
-}
-
-// replayFile folds one WAL file's records into sweeps, returning how
-// many records it applied.
-func replayFile(sweeps map[string]*walSweep, data []byte) (int, error) {
-	applied := 0
-	for len(data) > 0 {
-		nl := bytes.IndexByte(data, '\n')
-		var line []byte
-		terminated := nl >= 0
-		if terminated {
-			line, data = data[:nl], data[nl+1:]
-		} else {
-			line, data = data, nil
-		}
-		line = bytes.TrimSpace(line)
-		if len(line) == 0 {
-			continue
-		}
-		var rec walRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			if !terminated || len(data) == 0 {
-				// The torn tail: the append a crash cut short.
-				return applied, nil
-			}
-			return applied, fmt.Errorf("corrupt record mid-file: %w", err)
-		}
-		if rec.Sweep == "" {
-			return applied, fmt.Errorf("record without sweep id")
-		}
-		applyRecord(sweeps, rec)
-		applied++
-	}
-	return applied, nil
 }
 
 // applyRecord merges one record, resolving duplicates by epoch (higher

@@ -27,8 +27,8 @@ func TestWALRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := w.Records(); got != 4 {
-		t.Fatalf("Records() = %d, want 4", got)
+	if got := w.Lines(); got != 4 {
+		t.Fatalf("Lines() = %d, want 4", got)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -112,6 +112,33 @@ func TestWALTornTail(t *testing.T) {
 	}
 	if _, _, err = ReplayWAL(dir, ""); err == nil || !strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("mid-file corruption error = %v", err)
+	}
+}
+
+// TestWALReplayUsesStoreRule pins the two places where WAL replay follows
+// the store segments' torn-tail rule (resultstore.ScanLines): a final
+// line without its newline is an interrupted append and is not applied
+// even when it parses, and a blank line with records after it is
+// corruption.
+func TestWALReplayUsesStoreRule(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "wal-1-aa.wal")
+	sweep := `{"type":"sweep","sweep":"sw-1","key":"k","spec":{}}`
+	done := `{"type":"done","sweep":"sw-1","seq":1,"job_key":"a","digest":"d1"}`
+
+	if err := os.WriteFile(path, []byte(sweep+"\n"+done), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sweeps, n, err := ReplayWAL(dir, "")
+	if err != nil || n != 1 || len(sweeps["sw-1"].Done) != 0 {
+		t.Fatalf("unterminated final record: %d records, %v, %+v; want it not applied", n, err, sweeps["sw-1"])
+	}
+
+	if err := os.WriteFile(path, []byte(sweep+"\n\n"+done+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReplayWAL(dir, ""); err == nil || !strings.Contains(err.Error(), "corrupt") {
+		t.Fatalf("blank line mid-WAL: err = %v, want corruption", err)
 	}
 }
 
