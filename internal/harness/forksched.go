@@ -311,10 +311,13 @@ func (s *sched) start(p point) {
 	}
 }
 
-// done delivers p's fate and lets go of it. Called without s.mu.
+// done lets go of p and delivers its fate. Letting go comes first: a
+// sink may hand the job back while it delivers (a worker releases a job
+// whose upload failed), and the feed must then be able to run it again.
+// Called without s.mu.
 func (s *sched) done(p point, res sim.Result, err error, forked bool) {
-	s.finish(p, res, err, forked)
 	s.mu.Lock()
 	delete(s.held, p.digest)
 	s.mu.Unlock()
+	s.finish(p, res, err, forked)
 }

@@ -252,6 +252,19 @@ type Outcome struct {
 	Result   sim.Result `json:"result"`
 }
 
+// Outcome is j's outcome: its result res under digest, cached when no
+// simulation ran for it here.
+func (j Job) Outcome(digest string, cached bool, res sim.Result) Outcome {
+	return Outcome{
+		Key:      j.Key,
+		Workload: j.Opt.WorkloadName(),
+		Mode:     j.Opt.Config.Security.Mode.String(),
+		Digest:   digest,
+		Cached:   cached,
+		Result:   res,
+	}
+}
+
 // Stats summarizes how a campaign was satisfied.
 type Stats struct {
 	Total    int `json:"total"`    // jobs requested
@@ -380,14 +393,7 @@ func RunContext(ctx context.Context, c Campaign) ([]Outcome, Stats, error) {
 				return nil, stats, fmt.Errorf("harness: job %q produced no result", j.Key)
 			}
 		}
-		outs[i] = Outcome{
-			Key:      j.Key,
-			Workload: j.Opt.WorkloadName(),
-			Mode:     j.Opt.Config.Security.Mode.String(),
-			Digest:   d,
-			Cached:   fromCache,
-			Result:   res,
-		}
+		outs[i] = j.Outcome(d, fromCache, res)
 	}
 	return outs, stats, nil
 }

@@ -43,7 +43,7 @@ const (
 	stateResolving
 )
 
-// How a digest's result was produced, as runSweep accounts for it.
+// How a job's result was produced, as Server.complete accounts for it.
 const (
 	viaRan    = "ran"    // a drain simulated it
 	viaJoined = "joined" // the caller joined a job another sweep opened
@@ -116,9 +116,10 @@ type prioBucket struct {
 }
 
 // Queue owns every digest a sweep is waiting on, from submission to
-// published result: runSweep opens (or joins) one job per distinct
-// digest, and the in-process pool and remote workers — either or both
-// at once — lease jobs through Lease and finish them through Complete.
+// published result: every job of a sweep opens the queue job for its
+// digest or joins the one already open, and the in-process pool and
+// remote workers — either or both at once — lease jobs through Lease and
+// finish them through Complete.
 // A fresh result is recorded in the store before the job's outcome is
 // published, and the job stays open while it is recorded, so a digest is
 // simulated at most once however many sweeps ask for it. Completion is

@@ -2,9 +2,12 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -248,4 +251,70 @@ func TestRecoveryTerminalSweep(t *testing.T) {
 	}
 	srv2.Shutdown()
 	srv2.Drain()
+}
+
+// TestRecoverySkipsRepeatedKeySpec: a WAL sweep whose spec repeats a job
+// key, as servers accepting such specs wrote them, no longer expands.
+// Recovery skips it with a warning instead of replaying one completion
+// for two jobs.
+func TestRecoverySkipsRepeatedKeySpec(t *testing.T) {
+	dir := t.TempDir()
+	store, err := resultstore.Open(dir, resultstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	wal1, err := OpenWAL(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{Modes: []string{"secddr+ctr", "secddr+ctr"}, Workloads: []string{"mcf"}, InstrPerCore: 5_000, WarmupInstr: 1_000}
+	raw, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := SweepID("twice", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := fixtureJob(t, "mcf/secddr+ctr").Opt
+	res, _ := fakeSim(opt)
+	if err := store.Record(opt.Digest(), res); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []walRecord{
+		{Type: walSweepRec, Sweep: id, Key: "twice", Spec: raw},
+		{Type: walDoneRec, Sweep: id, Seq: 1, JobKey: "mcf/secddr+ctr", Digest: opt.Digest()},
+		{Type: walDoneRec, Sweep: id, Seq: 2, JobKey: "mcf/secddr+ctr", Digest: opt.Digest(), Cached: true},
+	} {
+		if err := wal1.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := wal1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	wal2, err := OpenWAL(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal2.Close()
+	var logs bytes.Buffer
+	srv := NewServer(store, ServerOptions{Workers: 1, WAL: wal2, runSim: fakeSim, Log: slog.New(slog.NewTextHandler(&logs, nil))})
+	defer srv.Drain()
+	defer srv.Shutdown()
+	resumed, err := srv.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed != 0 {
+		t.Errorf("Recover() resumed %d sweeps, want 0", resumed)
+	}
+	if _, ok := srv.lookupSweep(id); ok {
+		t.Errorf("sweep %s with a repeated job key was registered", id)
+	}
+	if !strings.Contains(logs.String(), "no longer expands") {
+		t.Errorf("no skip warning logged:\n%s", logs.String())
+	}
 }

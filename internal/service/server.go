@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"net/http"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -82,7 +84,7 @@ type Server struct {
 	// Cumulative counters served by /metrics.
 	simsExecuted    int64 // simulations actually run
 	jobsCached      int64 // jobs served straight from the store
-	jobsDeduped     int64 // jobs that joined an in-flight or in-batch digest
+	jobsDeduped     int64 // jobs that joined an in-flight digest
 	sweepsTotal     int64
 	sweepsRecovered int64 // sweeps resumed from the WAL at boot
 	walReplayed     int64 // WAL records replayed at boot
@@ -296,64 +298,7 @@ func (s *Server) SubmitKeyed(key string, spec Spec) (*sweep, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	grid, err := spec.Grid()
-	if err != nil {
-		return nil, false, err
-	}
-	jobs := grid.Jobs()
-	if len(jobs) == 0 {
-		return nil, false, fmt.Errorf("service: sweep expands to zero jobs")
-	}
-
-	s.mu.Lock()
-	if sw, ok := s.sweeps[id]; ok {
-		s.mu.Unlock()
-		s.log.Info("sweep re-submitted, attaching", "sweep", id, "key", key)
-		return sw, true, nil
-	}
-	if s.maxPerClient > 0 {
-		outstanding := 0
-		for _, other := range s.sweeps { //lint:detrange-ok summation under a lock is order-insensitive
-			if other.client != spec.Client {
-				continue
-			}
-			other.mu.Lock()
-			if other.state == stateRunning {
-				outstanding += other.total - len(other.results)
-			}
-			other.mu.Unlock()
-		}
-		if outstanding+len(jobs) > s.maxPerClient {
-			s.quotaRejected++
-			s.mu.Unlock()
-			return nil, false, fmt.Errorf("%w: client %q has %d jobs outstanding, sweep adds %d, quota is %d",
-				ErrQuotaExceeded, spec.Client, outstanding, len(jobs), s.maxPerClient)
-		}
-	}
-	sw := newSweep(id, key, spec.Client, spec.Priority, len(jobs))
-	s.sweeps[id] = sw
-	s.sweepsTotal++
-	s.running.Add(1)
-	s.mu.Unlock()
-
-	if s.wal != nil {
-		raw, err := json.Marshal(spec)
-		if err == nil {
-			err = s.wal.Append(walRecord{Type: walSweepRec, Sweep: id, Key: key, Spec: raw})
-		}
-		if err != nil {
-			// Durability degrades, the live sweep still runs.
-			s.log.Error("WAL sweep record failed", "sweep", id, "err", err)
-		}
-	}
-
-	s.log.Info("sweep submitted", "sweep", id, "key", key, "client", spec.Client,
-		"priority", spec.Priority, "jobs", len(jobs))
-	go func() {
-		defer s.running.Done()
-		s.runSweep(sw, jobs)
-	}()
-	return sw, false, nil
+	return s.admit(id, key, spec, nil)
 }
 
 // Recover replays every WAL file in the store directory (except this
@@ -376,19 +321,10 @@ func (s *Server) Recover() (int, error) {
 	s.mu.Lock()
 	s.walReplayed = int64(nrec)
 	s.mu.Unlock()
-	if len(replayed) == 0 {
-		return 0, nil
-	}
 
 	// Deterministic recovery order (the replay map is keyed by sweep id).
-	ids := make([]string, 0, len(replayed))
-	for id := range replayed {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-
 	resumed := 0
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(replayed)) {
 		ws := replayed[id]
 		if ws.Spec == nil {
 			// The sweep record itself was in a torn tail: nothing to
@@ -402,90 +338,149 @@ func (s *Server) Recover() (int, error) {
 			s.log.Warn("WAL spec does not decode; skipping", "sweep", id, "err", err)
 			continue
 		}
-		grid, err := spec.Grid()
-		if err != nil {
+		if _, _, err := s.admit(id, ws.Key, spec, ws); err != nil {
 			s.log.Warn("WAL spec no longer expands; skipping", "sweep", id, "err", err)
 			continue
 		}
-		jobs := grid.Jobs()
-		sw := newSweep(id, ws.Key, spec.Client, spec.Priority, len(jobs))
-		sw.nextSeq = ws.maxSeq() + 1 // never reuse a seq a client may have consumed
-
-		jobByKey := make(map[string]harness.Job, len(jobs))
-		for _, j := range jobs {
-			jobByKey[j.Key] = j
+		if ws.EndState == "" {
+			resumed++
 		}
-		seqs := make([]int, 0, len(ws.Done))
-		for seq := range ws.Done {
-			seqs = append(seqs, seq)
-		}
-		sort.Ints(seqs)
-		replayedKeys := make(map[string]bool, len(seqs))
-		for _, seq := range seqs {
-			rec := ws.Done[seq]
-			j, ok := jobByKey[rec.JobKey]
-			if !ok || replayedKeys[rec.JobKey] {
-				continue
-			}
-			res, ok := s.store.Lookup(rec.Digest)
-			if !ok {
-				// The WAL promised a completion the store cannot back
-				// (its segment lost the record's tail): drop the claim,
-				// the job re-runs and re-completes under a fresh seq.
-				s.log.Warn("WAL completion without stored result; job re-runs",
-					"sweep", id, "key", rec.JobKey, "digest", rec.Digest)
-				continue
-			}
-			sw.results = append(sw.results, StreamItem{
-				Seq: rec.Seq,
-				Outcome: harness.Outcome{
-					Key:      rec.JobKey,
-					Workload: j.Opt.WorkloadName(),
-					Mode:     j.Opt.Config.Security.Mode.String(),
-					Digest:   rec.Digest,
-					Cached:   rec.Cached,
-					Result:   res,
-				},
-			})
-			replayedKeys[rec.JobKey] = true
-			sw.stats.Recovered++
-			if rec.Cached {
-				sw.stats.Cached++
-			} else {
-				sw.stats.Executed++
-			}
-		}
-
-		if ws.EndState != "" {
-			sw.state, sw.errMsg = sweepState(ws.EndState), ws.EndError
-			s.mu.Lock()
-			s.sweeps[id] = sw
-			s.sweepsTotal++
-			s.mu.Unlock()
-			continue
-		}
-
-		remaining := make([]harness.Job, 0, len(jobs)-len(replayedKeys))
-		for _, j := range jobs {
-			if !replayedKeys[j.Key] {
-				remaining = append(remaining, j)
-			}
-		}
-		s.mu.Lock()
-		s.sweeps[id] = sw
-		s.sweepsTotal++
-		s.sweepsRecovered++
-		s.running.Add(1)
-		s.mu.Unlock()
-		resumed++
-		s.log.Info("sweep recovered", "sweep", id, "key", ws.Key,
-			"replayed", len(replayedKeys), "remaining", len(remaining))
-		go func(sw *sweep, remaining []harness.Job) {
-			defer s.running.Done()
-			s.runSweep(sw, remaining)
-		}(sw, remaining)
 	}
 	return resumed, nil
+}
+
+// admit is the one way a sweep enters the server: it expands spec,
+// registers the sweep under id, and starts the jobs it still has to run.
+// prior is the sweep's replayed WAL state, nil for a fresh submission:
+// its completions are re-published under their original seqs, and its
+// end state, if any, registers the sweep read-only. A fresh submission
+// of an id already registered attaches to it (attached=true); otherwise
+// it must fit the client's quota and is logged to the WAL before it
+// runs.
+func (s *Server) admit(id, key string, spec Spec, prior *walSweep) (*sweep, bool, error) {
+	grid, err := spec.Grid()
+	if err != nil {
+		return nil, false, err
+	}
+	jobs := grid.Jobs()
+	if len(jobs) == 0 {
+		return nil, false, fmt.Errorf("service: sweep expands to zero jobs")
+	}
+	sw := newSweep(id, key, spec.Client, spec.Priority, len(jobs))
+	if prior != nil {
+		jobs = s.replay(sw, jobs, prior)
+	}
+	terminal := sw.state != stateRunning
+
+	s.mu.Lock()
+	if old, ok := s.sweeps[id]; ok {
+		s.mu.Unlock()
+		s.log.Info("sweep re-submitted, attaching", "sweep", id, "key", key)
+		return old, true, nil
+	}
+	if prior == nil {
+		if err := s.checkQuotaLocked(spec.Client, len(jobs)); err != nil {
+			s.mu.Unlock()
+			return nil, false, err
+		}
+	}
+	s.sweeps[id] = sw
+	s.sweepsTotal++
+	if !terminal {
+		if prior != nil {
+			s.sweepsRecovered++
+		}
+		s.running.Add(1)
+	}
+	s.mu.Unlock()
+	if terminal {
+		return sw, false, nil
+	}
+
+	if prior == nil && s.wal != nil {
+		raw, err := json.Marshal(spec)
+		if err == nil {
+			err = s.wal.Append(walRecord{Type: walSweepRec, Sweep: id, Key: key, Spec: raw})
+		}
+		if err != nil {
+			// Durability degrades, the live sweep still runs.
+			s.log.Error("WAL sweep record failed", "sweep", id, "err", err)
+		}
+	}
+	s.log.Info("sweep admitted", "sweep", id, "key", key, "client", spec.Client,
+		"priority", spec.Priority, "jobs", sw.total, "replayed", len(sw.results), "remaining", len(jobs))
+	go func() {
+		defer s.running.Done()
+		s.runSweep(sw, jobs)
+	}()
+	return sw, false, nil
+}
+
+// checkQuotaLocked fails with ErrQuotaExceeded when adding jobs to
+// client's outstanding (not yet completed) jobs would exceed the quota.
+func (s *Server) checkQuotaLocked(client string, jobs int) error {
+	if s.maxPerClient <= 0 {
+		return nil
+	}
+	outstanding := 0
+	for _, other := range s.sweeps { //lint:detrange-ok summation under a lock is order-insensitive
+		if other.client != client {
+			continue
+		}
+		other.mu.Lock()
+		if other.state == stateRunning {
+			outstanding += other.total - len(other.results)
+		}
+		other.mu.Unlock()
+	}
+	if outstanding+jobs > s.maxPerClient {
+		s.quotaRejected++
+		return fmt.Errorf("%w: client %q has %d jobs outstanding, sweep adds %d, quota is %d",
+			ErrQuotaExceeded, client, outstanding, jobs, s.maxPerClient)
+	}
+	return nil
+}
+
+// replay re-publishes prior's recorded completions into sw under their
+// original seqs, applies prior's end state, and returns the jobs still to
+// run. A completion the store cannot back is dropped, and its job runs
+// again under a fresh seq.
+func (s *Server) replay(sw *sweep, jobs []harness.Job, prior *walSweep) []harness.Job {
+	sw.nextSeq = prior.maxSeq() + 1 // never reuse a seq a client may have consumed
+	open := make(map[string]harness.Job, len(jobs))
+	for _, j := range jobs {
+		open[j.Key] = j
+	}
+	for _, seq := range slices.Sorted(maps.Keys(prior.Done)) {
+		rec := prior.Done[seq]
+		j, ok := open[rec.JobKey]
+		if !ok {
+			continue
+		}
+		res, ok := s.store.Lookup(rec.Digest)
+		if !ok {
+			// The WAL promised a completion the store cannot back (its
+			// segment lost the record's tail): drop the claim.
+			s.log.Warn("WAL completion without stored result; job re-runs",
+				"sweep", sw.id, "key", rec.JobKey, "digest", rec.Digest)
+			continue
+		}
+		delete(open, rec.JobKey)
+		sw.results = append(sw.results, StreamItem{Seq: rec.Seq, Outcome: j.Outcome(rec.Digest, rec.Cached, res)})
+		sw.stats.Recovered++
+		if rec.Cached {
+			sw.stats.Cached++
+		} else {
+			sw.stats.Executed++
+		}
+	}
+	if prior.EndState != "" {
+		sw.state, sw.errMsg = sweepState(prior.EndState), prior.EndError
+	}
+	return slices.DeleteFunc(jobs, func(j harness.Job) bool {
+		_, ok := open[j.Key]
+		return !ok
+	})
 }
 
 // Drain blocks until every submitted sweep has finished executing. Call
@@ -502,80 +497,42 @@ func resumableFailure(err error) bool {
 	return errors.Is(err, ErrShuttingDown) || errors.Is(err, ErrNotLeader)
 }
 
-// runSweep executes a sweep's jobs: store hits complete immediately, the
-// rest go through the shared queue with one job per distinct digest.
+// runSweep executes a sweep's jobs, each completing on its own: store
+// hits complete immediately, and the rest go through the shared queue,
+// which joins a digest another sweep already has open.
 func (s *Server) runSweep(sw *sweep, jobs []harness.Job) {
-	// Group jobs by digest, preserving first-seen order.
-	type group struct {
-		opt  sim.Options
-		jobs []harness.Job
-	}
-	groups := make(map[string]*group)
-	var order []string
+	// Every job the store cannot answer is submitted to the queue in one
+	// call, so it holds the sweep's jobs in grid order and a drain's lease
+	// batch takes neighbours, which share warmups.
+	var subs []Submission
 	for _, j := range jobs {
 		d := j.Opt.Digest()
-		g, ok := groups[d]
-		if !ok {
-			g = &group{opt: j.Opt}
-			groups[d] = g
-			order = append(order, d)
-		}
-		g.jobs = append(g.jobs, j)
-	}
-
-	// Store hits complete right now; every other digest is submitted to
-	// the queue in one call, so it holds the sweep's jobs in grid order
-	// and a drain's lease batch takes neighbours, which share warmups.
-	var subs []Submission
-	for _, d := range order {
-		g := groups[d]
 		if res, ok := s.store.Lookup(d); ok {
-			s.completeGroup(sw, d, g.jobs, res, true, len(g.jobs))
+			s.complete(sw, j, d, res, viaStored)
 			continue
 		}
-		subs = append(subs, Submission{Digest: d, Key: g.jobs[0].Key, Opt: g.opt})
+		subs = append(subs, Submission{Digest: d, Key: j.Key, Opt: j.Opt})
 	}
 	queued, joinedAt := s.queue.Enqueue(sw.client, sw.priority, subs...)
 
 	var wg sync.WaitGroup
 	for i, sub := range subs {
-		d, g, j, joined := sub.Digest, groups[sub.Digest], queued[i], joinedAt[i]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, how, err := j.outcome(joined)
+			res, how, err := queued[i].outcome(joinedAt[i])
 			if err != nil {
-				s.log.Error("job failed", "sweep", sw.id, "digest", d, "key", g.jobs[0].Key, "err", err)
+				s.log.Error("job failed", "sweep", sw.id, "digest", sub.Digest, "key", sub.Key, "err", err)
 				sw.mu.Lock()
 				if sw.failErr == nil {
 					sw.failErr = err
-					sw.errMsg = fmt.Sprintf("%s: %v", g.jobs[0].Key, err)
+					sw.errMsg = fmt.Sprintf("%s: %v", sub.Key, err)
 				}
 				sw.notifyLocked()
 				sw.mu.Unlock()
 				return
 			}
-			// The job's opener counts one execution (or a late store
-			// hit); every extra job — in-batch duplicates and joined
-			// jobs alike — is a dedup.
-			cachedJobs := 0
-			switch how {
-			case viaRan:
-				deduped := len(g.jobs) - 1
-				s.addCounts(1, 0, int64(deduped))
-				sw.mu.Lock()
-				sw.stats.Executed++
-				sw.stats.Deduped += deduped
-				sw.mu.Unlock()
-			case viaJoined:
-				s.addCounts(0, 0, int64(len(g.jobs)))
-				sw.mu.Lock()
-				sw.stats.Deduped += len(g.jobs)
-				sw.mu.Unlock()
-			case viaStored:
-				cachedJobs = len(g.jobs)
-			}
-			s.completeGroup(sw, d, g.jobs, res, how != viaRan, cachedJobs)
+			s.complete(sw, harness.Job{Key: sub.Key, Opt: sub.Opt}, sub.Digest, res, how)
 		}()
 	}
 	wg.Wait()
@@ -602,58 +559,44 @@ func (s *Server) runSweep(sw *sweep, jobs []harness.Job) {
 		"elapsed", time.Since(sw.started).Round(time.Millisecond))
 }
 
-// completeGroup appends one outcome per job of a finished digest,
-// assigning each its stream sequence number and logging the completions
-// to the WAL before publication — so any line a client has seen is
-// backed by both a stored result and a WAL record.
-// cachedJobs is the store-hit accounting (executed/joined digests were
-// already folded into the stats by the caller and pass 0).
-func (s *Server) completeGroup(sw *sweep, digest string, jobs []harness.Job, res sim.Result, cached bool, cachedJobs int) {
-	if cachedJobs > 0 {
-		s.addCounts(0, int64(cachedJobs), 0)
+// complete publishes one job's outcome, counted by how its result came:
+// simulated for it (viaRan), joined from a job another sweep opened
+// (viaJoined), or found in the store (viaStored). It assigns the job's
+// stream seq and logs the completion to the WAL before publication, so
+// any line a client has seen is backed by both a stored result and a
+// WAL record.
+func (s *Server) complete(sw *sweep, j harness.Job, digest string, res sim.Result, how string) {
+	counter, stat := &s.jobsCached, &sw.stats.Cached
+	switch how {
+	case viaRan:
+		counter, stat = &s.simsExecuted, &sw.stats.Executed
+	case viaJoined:
+		counter, stat = &s.jobsDeduped, &sw.stats.Deduped
 	}
+	s.mu.Lock()
+	*counter++
+	s.mu.Unlock()
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	sw.stats.Cached += cachedJobs
-	for _, j := range jobs {
-		seq := sw.nextSeq
-		sw.nextSeq++
-		item := StreamItem{
-			Seq: seq,
-			Outcome: harness.Outcome{
-				Key:      j.Key,
-				Workload: j.Opt.WorkloadName(),
-				Mode:     j.Opt.Config.Security.Mode.String(),
-				Digest:   digest,
-				Cached:   cached,
-				Result:   res,
-			},
+	*stat++
+	seq := sw.nextSeq
+	sw.nextSeq++
+	if s.wal != nil {
+		// Held under sw.mu so the sweep's done records land in the file
+		// in seq order (replay sorts anyway; the order makes the log
+		// greppable). The result itself is already in the store —
+		// Queue.Complete records before publishing — so a crash between
+		// store append and this line just re-completes the job as a store
+		// hit on recovery.
+		if err := s.wal.Append(walRecord{
+			Type: walDoneRec, Sweep: sw.id, Seq: seq,
+			JobKey: j.Key, Digest: digest, Cached: how != viaRan,
+		}); err != nil {
+			s.log.Error("WAL done record failed", "sweep", sw.id, "key", j.Key, "err", err)
 		}
-		if s.wal != nil {
-			// Held under sw.mu so the sweep's done records land in the
-			// file in seq order (replay sorts anyway; the order makes
-			// the log greppable). The result itself is already in the
-			// store — Queue.Complete records before publishing — so a crash
-			// between store append and this line just re-completes the
-			// job as a store hit on recovery.
-			if err := s.wal.Append(walRecord{
-				Type: walDoneRec, Sweep: sw.id, Seq: seq,
-				JobKey: j.Key, Digest: digest, Cached: cached,
-			}); err != nil {
-				s.log.Error("WAL done record failed", "sweep", sw.id, "key", j.Key, "err", err)
-			}
-		}
-		sw.results = append(sw.results, item)
 	}
+	sw.results = append(sw.results, StreamItem{Seq: seq, Outcome: j.Outcome(digest, how != viaRan, res)})
 	sw.notifyLocked()
-}
-
-func (s *Server) addCounts(executed, cached, deduped int64) {
-	s.mu.Lock()
-	s.simsExecuted += executed
-	s.jobsCached += cached
-	s.jobsDeduped += deduped
-	s.mu.Unlock()
 }
 
 // Handler returns the HTTP API:
@@ -829,9 +772,9 @@ func httpTypedError(w http.ResponseWriter, status int, err error) {
 // this build cannot honor, surfaced by FidelitySpec.UnmarshalJSON through
 // the decoder) pass through so httpTypedError can attach their wire code;
 // everything else gets the generic invalid-spec wrapper.
-func decodeSpec(r *http.Request) (Spec, error) {
+func decodeSpec(body io.Reader) (Spec, error) {
 	var spec Spec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		if errors.Is(err, ErrUnsupportedFidelity) {
@@ -854,7 +797,7 @@ func submitStatus(err error) int {
 }
 
 func (s *Server) handleSubmitKeyed(w http.ResponseWriter, r *http.Request) {
-	spec, err := decodeSpec(r)
+	spec, err := decodeSpec(r.Body)
 	if err != nil {
 		httpTypedError(w, http.StatusBadRequest, err)
 		return
@@ -1057,7 +1000,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	buildInfo(&e)
 	e.Counter("secddr_sims_executed_total", "Simulations actually run (local pool or remote workers).", simsExecuted)
 	e.Counter("secddr_jobs_cached_total", "Jobs answered straight from the result store.", jobsCached)
-	e.Counter("secddr_jobs_deduped_total", "Jobs that joined an in-flight or in-batch digest.", jobsDeduped)
+	e.Counter("secddr_jobs_deduped_total", "Jobs that joined an in-flight digest.", jobsDeduped)
 	e.Counter("secddr_sweeps_total", "Sweeps ever submitted or recovered.", sweepsTotal)
 	e.Counter("secddr_sweeps_recovered_total", "Unfinished sweeps resumed from the WAL at boot.", sweepsRecovered)
 	e.Counter("secddr_wal_records_total", "Sweep WAL records: replayed at boot plus appended since.", walRecords)

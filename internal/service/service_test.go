@@ -84,6 +84,14 @@ func TestSpecValidation(t *testing.T) {
 		"unknown mode":     {Modes: []string{"no-such-mode"}},
 		"unknown workload": {Workloads: []string{"no-such-workload"}},
 		"bad channels":     {Modes: []string{"unprotected"}, Channels: 3},
+		// No two jobs may share a key or a digest.
+		"repeated mode":     {Modes: []string{"secddr+ctr", "secddr+ctr"}, Workloads: []string{"mcf"}},
+		"repeated workload": {Modes: []string{"secddr+ctr"}, Workloads: []string{"mcf", "lbm", "mcf"}},
+		"fig6 and its mode": {Modes: []string{"fig6", "secddr+xts"}, Workloads: []string{"mcf"}},
+		"fig6 mode alias":   {Modes: []string{"fig6", "integrity-tree"}, Workloads: []string{"mcf"}},
+		"all and a mode":    {Modes: []string{"all", "unprotected"}, Workloads: []string{"mcf"}},
+		"repeated fidelity": {Modes: []string{"secddr+ctr"}, Workloads: []string{"mcf"},
+			Fidelity: &FidelitySpec{Modes: []string{"exact", "exact"}}},
 	} {
 		if _, err := sp.Grid(); err == nil {
 			t.Errorf("%s: accepted", name)

@@ -12,6 +12,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 
 	"secddr/internal/config"
@@ -196,8 +197,9 @@ func validateSweepKey(key string) error {
 
 // Grid validates the spec against internal/config and internal/trace and
 // expands it to the harness grid. Every named mode must parse, every
-// workload must exist, and every resulting configuration must pass
-// config.Validate, so a malformed request fails before any simulation.
+// workload must exist, every resulting configuration must pass
+// config.Validate, and no two jobs may share a key or a digest, so a
+// malformed request fails before any simulation.
 func (sp Spec) Grid() (harness.Grid, error) {
 	configs, err := sp.configs()
 	if err != nil {
@@ -254,6 +256,9 @@ func (sp Spec) Grid() (harness.Grid, error) {
 		seed = *sp.Seed
 	}
 
+	if err := sp.checkDistinct(profiles, scenarios, configs, fids); err != nil {
+		return harness.Grid{}, err
+	}
 	return harness.Grid{
 		Workloads:    profiles,
 		Scenarios:    scenarios,
@@ -264,6 +269,45 @@ func (sp Spec) Grid() (harness.Grid, error) {
 		SeedPerJob:   sp.SeedPerJob,
 		Fidelities:   fids,
 	}, nil
+}
+
+// checkDistinct rejects a grid two of whose jobs would share a key or a
+// digest. A job key is name/label[/fidelity] with no '/' inside a part,
+// so keys repeat exactly when a workload or scenario name, a mode label
+// or a fidelity repeats; the check runs on those few names because
+// expanding the jobs would cost more than the rest of Grid. One
+// configuration under two labels ("fig6"'s tree-64ary next to
+// "integrity-tree") repeats a digest instead, unless per-job seeds tell
+// its jobs apart.
+func (sp Spec) checkDistinct(profiles []trace.Profile, scenarios []scenario.Scenario, configs []harness.NamedConfig, fids []sim.Fidelity) error {
+	names := make([]string, 0, len(profiles)+len(scenarios))
+	labels := make([]string, 0, len(configs))
+	fidLabels := make([]string, 0, len(fids))
+	for _, p := range profiles {
+		names = append(names, p.Name)
+	}
+	for _, s := range scenarios {
+		names = append(names, s.Name)
+	}
+	for i, nc := range configs {
+		for _, prev := range configs[:i] {
+			if nc.Config == prev.Config && nc.Label != prev.Label && !sp.SeedPerJob {
+				return fmt.Errorf("service: mode %q requested twice (as %q)", prev.Label, nc.Label)
+			}
+		}
+		labels = append(labels, nc.Label)
+	}
+	for _, f := range fids {
+		fidLabels = append(fidLabels, f.Label())
+	}
+	for _, axis := range [][]string{names, labels, fidLabels} {
+		for i, name := range axis {
+			if slices.Contains(axis[:i], name) {
+				return fmt.Errorf("service: %q requested twice", name)
+			}
+		}
+	}
+	return nil
 }
 
 // configs expands Modes into labelled configurations.
@@ -291,8 +335,7 @@ func (sp Spec) configs() ([]harness.NamedConfig, error) {
 	return out, nil
 }
 
-// scenarios expands Scenarios and ScenarioDefs, rejecting duplicate
-// names (two scenarios sharing a name would collide in result keys).
+// scenarios expands Scenarios and ScenarioDefs.
 func (sp Spec) scenarios() ([]scenario.Scenario, error) {
 	var out []scenario.Scenario
 	for _, name := range sp.Scenarios {
@@ -308,15 +351,10 @@ func (sp Spec) scenarios() ([]scenario.Scenario, error) {
 		out = append(out, s)
 	}
 	out = append(out, sp.ScenarioDefs...)
-	seen := make(map[string]bool, len(out))
 	for _, s := range out {
 		if err := s.Validate(0); err != nil {
 			return nil, fmt.Errorf("service: %w", err)
 		}
-		if seen[s.Name] {
-			return nil, fmt.Errorf("service: scenario %q requested twice", s.Name)
-		}
-		seen[s.Name] = true
 	}
 	return out, nil
 }
