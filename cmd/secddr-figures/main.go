@@ -42,8 +42,8 @@ func run() error {
 		warmup    = flag.Uint64("warmup", 0, "override warmup instructions per core")
 		workloads = flag.String("workloads", "", "comma-separated workload subset")
 		workers   = flag.Int("workers", 0, "parallel simulations (default NumCPU-1)")
-		fidelity  = flag.String("fidelity", "exact", `execution fidelity: "exact" (cycle-accurate, figure-quality) or "sampled" (interval sampling; normalized values print with ±95% CI)`)
-		ciTarget  = flag.Float64("ci-target", 0, "sampled fidelity: stop each point early once IPC and bandwidth 95% CIs shrink below this fraction of their means")
+		fidelity  = flag.String("fidelity", "", `execution fidelity: "exact" (cycle-accurate, figure-quality; the default) or "sampled" (interval sampling; normalized values print with ±95% CI)`)
+		ciTarget  = flag.Float64("ci-target", 0, "sampled fidelity: stop each point early once IPC and bandwidth 95% CIs shrink below this fraction of their means; alone it selects -fidelity sampled")
 		storeDir  = flag.String("store", "", "result store directory shared across figures and with secddr-sweep (empty disables caching)")
 		version   = flag.Bool("version", false, "print build version and exit")
 	)
@@ -67,11 +67,11 @@ func run() error {
 	if *workloads != "" {
 		scale.Workloads = strings.Split(*workloads, ",")
 	}
-	fidMode, err := sim.ParseFidelityMode(*fidelity)
+	fid, err := sim.ParseFidelity(*fidelity, *ciTarget)
 	if err != nil {
 		return err
 	}
-	scale.Fidelity = sim.Fidelity{Mode: fidMode, TargetCI: *ciTarget}
+	scale.Fidelity = fid
 	scale.Workers = *workers
 	if *storeDir != "" {
 		store, err := resultstore.Open(*storeDir, resultstore.Options{})

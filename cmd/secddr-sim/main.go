@@ -50,8 +50,8 @@ func run() error {
 		instr       = flag.Uint64("instr", 500_000, "measured instructions per core")
 		warmup      = flag.Uint64("warmup", 200_000, "warmup instructions per core")
 		seed        = flag.Uint64("seed", 42, "workload seed")
-		fidelity    = flag.String("fidelity", "exact", `execution fidelity: "exact" (cycle-accurate throughout) or "sampled" (interval sampling; metrics come back as mean ±95% CI)`)
-		ciTarget    = flag.Float64("ci-target", 0, "sampled mode: stop early once IPC and bandwidth 95% CIs shrink below this fraction of their means (0 = run the full region)")
+		fidelity    = flag.String("fidelity", "", `execution fidelity: "exact" (cycle-accurate throughout; the default) or "sampled" (interval sampling; metrics come back as mean ±95% CI)`)
+		ciTarget    = flag.Float64("ci-target", 0, "sampled mode: stop early once IPC and bandwidth 95% CIs shrink below this fraction of their means (0 = run the full region); alone it selects -fidelity sampled")
 		realistic   = flag.Bool("invisimem-realistic", false, "derate InvisiMem to 2400MT/s")
 		list        = flag.Bool("list", false, "list workloads and modes")
 		printConfig = flag.Bool("print-config", false, "print the Table I configuration")
@@ -106,7 +106,7 @@ func run() error {
 		return nil
 	}
 
-	fidMode, err := sim.ParseFidelityMode(*fidelity)
+	fid, err := sim.ParseFidelity(*fidelity, *ciTarget)
 	if err != nil {
 		return err
 	}
@@ -115,7 +115,7 @@ func run() error {
 		InstrPerCore: *instr,
 		WarmupInstr:  *warmup,
 		Seed:         *seed,
-		Fidelity:     sim.Fidelity{Mode: fidMode, TargetCI: *ciTarget},
+		Fidelity:     fid,
 	}
 	if *scn != "" {
 		s, ok := scenario.ByName(*scn)

@@ -68,7 +68,7 @@ func run() error {
 		channels   = flag.Int("channels", 0, "override DDR channel count on every mode (power of two; default: each mode's Table 1 value)")
 		seed       = flag.Uint64("seed", 42, "base workload seed")
 		fidelity   = flag.String("fidelity", "", `comma-separated execution fidelities crossed into the grid: "exact", "sampled", or both (default: exact only, unchanged digests)`)
-		ciTarget   = flag.Float64("ci-target", 0, "sampled fidelity: stop each point early once IPC and bandwidth 95% CIs shrink below this fraction of their means")
+		ciTarget   = flag.Float64("ci-target", 0, "sampled fidelity: stop each point early once IPC and bandwidth 95% CIs shrink below this fraction of their means; alone it selects -fidelity sampled, and a -fidelity list without sampled rejects it")
 		seedPerJob = flag.Bool("seed-per-job", false, "derive a distinct deterministic seed per grid point")
 		workers    = flag.Int("workers", 0, "parallel simulations (default GOMAXPROCS)")
 		storeDir   = flag.String("store", "secddr-sweep.store", `result store directory (empty string disables caching)`)
@@ -101,7 +101,7 @@ func run() error {
 		Client:       *client,
 		Priority:     *priority,
 	}
-	if *fidelity == "" && *ciTarget > 0 {
+	if *fidelity == "" && *ciTarget != 0 {
 		*fidelity = "sampled" // a CI target only makes sense when sampling
 	}
 	if *fidelity != "" {
@@ -197,13 +197,13 @@ func stderrIsTerminal() bool {
 // status line per second (plus the first and last events) with a
 // linear-rate ETA over the points still executing. The harness reports
 // counts only and stays wall-clock free; the clock lives here.
-func progressPrinter() func(harness.Progress) {
+func progressPrinter() func(harness.Stats) {
 	start := time.Now()
 	var lastPrint time.Time // callback calls are serialized by the harness
-	return func(p harness.Progress) {
-		done := p.CachedJobs + p.Executed
+	return func(p harness.Stats) {
+		done := p.Cached + p.Executed
 		now := time.Now()
-		if done < p.TotalJobs && !lastPrint.IsZero() && now.Sub(lastPrint) < time.Second {
+		if done < p.Total && !lastPrint.IsZero() && now.Sub(lastPrint) < time.Second {
 			return
 		}
 		lastPrint = now
@@ -212,8 +212,8 @@ func progressPrinter() func(harness.Progress) {
 			saved = 0
 		}
 		line := fmt.Sprintf("secddr-sweep: %d/%d done (%d cached, %d executed, %d forked, %d warmups saved)",
-			done, p.TotalJobs, p.CachedJobs, p.Executed, p.Forked, saved)
-		if remaining := p.Pending - p.Executed; p.Executed > 0 && remaining > 0 {
+			done, p.Total, p.Cached, p.Executed, p.Forked, saved)
+		if remaining := p.Total - p.Cached - p.Deduped - p.Executed; p.Executed > 0 && remaining > 0 {
 			eta := time.Since(start) / time.Duration(p.Executed) * time.Duration(remaining)
 			line += fmt.Sprintf(", ETA %v", eta.Round(time.Second))
 		}

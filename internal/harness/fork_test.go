@@ -180,11 +180,11 @@ func TestFig6GroupingByWarmupKey(t *testing.T) {
 func TestProgressReporting(t *testing.T) {
 	var (
 		mu     sync.Mutex
-		events []Progress
+		events []Stats
 	)
 	_, stats, err := Run(Campaign{
 		Jobs: forkGrid().Jobs(),
-		Progress: func(p Progress) {
+		Progress: func(p Stats) {
 			mu.Lock()
 			events = append(events, p)
 			mu.Unlock()
@@ -197,10 +197,10 @@ func TestProgressReporting(t *testing.T) {
 		t.Fatal("no progress events")
 	}
 	first, last := events[0], events[len(events)-1]
-	if first.TotalJobs != 6 || first.Pending != 6 || first.Executed != 0 {
+	if first.Total != 6 || first.Cached+first.Deduped != 0 || first.Executed != 0 {
 		t.Errorf("resolution event = %+v", first)
 	}
-	if last.Executed != stats.Executed || last.Forked != stats.Forked || last.Warmups != stats.Warmups {
+	if last != stats {
 		t.Errorf("final event %+v disagrees with stats %+v", last, stats)
 	}
 	// Two 3-point groups: each warms once and forks all three members.

@@ -40,9 +40,11 @@ import (
 // the in-batch dedup is: equal digests imply byte-identical results
 // (sim.Options.Digest covers everything result-relevant).
 //
-// internal/resultstore's append-only segment log is the on-disk
-// implementation; the fleet worker's implementation uploads each result
-// to its server instead.
+// internal/resultstore's append-only segment log is the one
+// implementation outside tests: secddr-sweep and secddr-figures pass it
+// to campaigns, and a sweep server's queue records each fresh result in
+// it before publishing the result. A fleet worker has no Store; it
+// uploads each point's result to its server, which records it.
 type Store interface {
 	Lookup(digest string) (sim.Result, bool)
 	Record(digest string, res sim.Result) error
@@ -172,67 +174,41 @@ type Campaign struct {
 	// pass sim.Run to force cold runs), and Stats.Forked and Stats.Warmups
 	// stay zero.
 	Sim func(sim.Options) (sim.Result, error)
-	// Progress, when non-nil, observes campaign progress: once after cache
-	// resolution (Pending fixed, Executed zero), then after every timed
-	// warmup and every completed point. Calls are serialized under an
-	// internal lock, in completion order, from worker goroutines — keep
-	// the callback fast and do not call back into the campaign. The
-	// harness reports counts only; wall-clock rates and ETA belong to the
-	// caller (the harness itself is wall-clock free).
-	Progress func(Progress)
+	// Progress, when non-nil, observes the campaign's Stats as they grow:
+	// once after cache resolution (Total, Cached and Deduped final,
+	// Executed zero), then after every timed warmup and every completed
+	// point; the last call carries the Stats Run returns. Calls are
+	// serialized under an internal lock, in completion order, from worker
+	// goroutines — keep the callback fast and do not call back into the
+	// campaign. The harness reports counts only; wall-clock rates and ETA
+	// belong to the caller (the harness itself is wall-clock free).
+	Progress func(Stats)
 }
 
-// Progress is a snapshot of a running campaign's completion state.
-type Progress struct {
-	TotalJobs  int `json:"total_jobs"`  // jobs in the campaign
-	CachedJobs int `json:"cached_jobs"` // jobs satisfied by the store at resolution
-	Pending    int `json:"pending"`     // distinct points scheduled for execution
-	Executed   int `json:"executed"`    // pending points completed so far
-	Forked     int `json:"forked"`      // points satisfied by forking a shared warmed snapshot
-	Warmups    int `json:"warmups"`     // timed warmup phases run so far
-}
-
-// progressTracker accumulates Progress and serializes the callback.
+// progressTracker accumulates a campaign's Stats and serializes the
+// Progress callback.
 type progressTracker struct {
 	mu sync.Mutex
-	fn func(Progress)
-	p  Progress
+	fn func(Stats)
+	st Stats
 }
 
-func (t *progressTracker) emit() {
+// update applies fn to the tracked Stats and reports the result.
+func (t *progressTracker) update(fn func(*Stats)) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	fn(&t.st)
 	if t.fn != nil {
-		t.fn(t.p)
+		t.fn(t.st)
 	}
 }
 
-func (t *progressTracker) resolved(total, cached, pending int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.p.TotalJobs, t.p.CachedJobs, t.p.Pending = total, cached, pending
-	t.emit()
-}
+func (t *progressTracker) warmup() { t.update(func(st *Stats) { st.Warmups++ }) }
 
-func (t *progressTracker) warmup() {
+func (t *progressTracker) snapshot() Stats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.p.Warmups++
-	t.emit()
-}
-
-func (t *progressTracker) executed(forked bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.p.Executed++
-	if forked {
-		t.p.Forked++
-	}
-	t.emit()
-}
-
-func (t *progressTracker) snapshot() Progress {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.p
+	return t.st
 }
 
 func (c Campaign) workers() int {
@@ -340,7 +316,7 @@ func RunContext(ctx context.Context, c Campaign) ([]Outcome, Stats, error) {
 		pending[d] = true
 		pts = append(pts, s.point(j, d))
 	}
-	prog.resolved(stats.Total, stats.Cached, len(pts))
+	prog.update(func(st *Stats) { *st = stats })
 
 	// The first error aborts: no new point starts, in-flight ones finish
 	// and still reach the store.
@@ -368,19 +344,22 @@ func RunContext(ctx context.Context, c Campaign) ([]Outcome, Stats, error) {
 		}
 		mu.Unlock()
 		if err == nil {
-			prog.executed(forked)
+			prog.update(func(st *Stats) {
+				st.Executed++
+				if forked {
+					st.Forked++
+				}
+			})
 		}
 	}
 	s.run(runCtx, pts, nil)
-	stats.Executed = len(executed)
-	p := prog.snapshot()
-	stats.Forked, stats.Warmups = p.Forked, p.Warmups
+	stats = prog.snapshot()
 	if firstErr != nil {
 		return nil, stats, firstErr
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, stats, fmt.Errorf("harness: campaign interrupted (%d/%d points recorded): %w",
-			stats.Cached+len(executed), stats.Total, err)
+			stats.Cached+stats.Executed, stats.Total, err)
 	}
 
 	outs := make([]Outcome, len(c.Jobs))

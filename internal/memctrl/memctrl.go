@@ -106,9 +106,6 @@ func New(cfg config.DRAM) (*Controller, error) {
 // Channel exposes the underlying DRAM channel (stats, tests).
 func (c *Controller) Channel() *dram.Channel { return c.ch }
 
-// Mapper exposes the address mapper.
-func (c *Controller) Mapper() *dram.AddressMapper { return c.mapper }
-
 // ReadQueueLen and WriteQueueLen return current occupancies.
 func (c *Controller) ReadQueueLen() int { return len(c.readQ) }
 

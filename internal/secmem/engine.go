@@ -177,12 +177,6 @@ func NewEngine(cfg config.Config) (*Engine, error) {
 	return e, nil
 }
 
-// Controller exposes channel 0's memory controller; single-channel callers
-// (the common case, and all of the paper's configurations) see exactly the
-// pre-multi-channel behaviour. Aggregating consumers should range over
-// Controllers instead.
-func (e *Engine) Controller() *memctrl.Controller { return e.ctls[0] }
-
 // Controllers exposes every per-channel memory controller in channel order.
 func (e *Engine) Controllers() []*memctrl.Controller { return e.ctls }
 

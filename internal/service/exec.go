@@ -26,8 +26,10 @@ type pointSink interface {
 // long as the process runs. simFn substitutes the simulator (tests); nil
 // runs the built-in one. execute also times each point from the harness
 // start hook to its fate. That span is the one definition of per-point
-// sim wall time: the local pool observes it in secddr_job_sim_wall_us,
-// and a fleet worker reports it as ResultUpload.DurationMS. A warmup
+// sim wall time: the local pool hands it to Queue.Complete, and a fleet
+// worker reports it as ResultUpload.DurationMS, which the server hands to
+// Queue.Complete in turn; Complete observes it in secddr_job_sim_wall_us.
+// A warmup
 // shared by a group is part of no point's time. It returns once feed runs
 // dry or ctx ends and the points it started have finished; points it
 // never started get no finish call.

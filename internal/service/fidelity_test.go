@@ -48,6 +48,8 @@ func TestFidelitySpecExpansion(t *testing.T) {
 		"unknown mode":  {Modes: []string{"sampled-v2"}},
 		"orphan knobs":  {WindowInstr: 500},
 		"orphan target": {CITarget: 0.05},
+		"exact target":  {Modes: []string{"exact"}, CITarget: 0.05},
+		"exact knobs":   {Modes: []string{"exact"}, WindowInstr: 500},
 	} {
 		if _, err := bad.Fidelities(); !errors.Is(err, ErrUnsupportedFidelity) {
 			t.Errorf("%s: err = %v, want ErrUnsupportedFidelity", name, err)

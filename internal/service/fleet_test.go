@@ -203,7 +203,7 @@ func TestLeaseExpiryReclaim(t *testing.T) {
 		t.Fatalf("double ack: accepted=%v err=%v, want ignored", accepted, err)
 	}
 
-	if srv.queue.stats().requeued < 1 {
+	if srv.metrics.snapshot().requeued < 1 {
 		t.Fatal("requeue counter never incremented")
 	}
 }
@@ -368,7 +368,7 @@ func TestShutdownFailsUnstartedLocal(t *testing.T) {
 	if _, _, err := open["given-back"].outcome(false); !errors.Is(err, ErrShuttingDown) {
 		t.Errorf("local job released after Shutdown: err = %v, want ErrShuttingDown", err)
 	}
-	if !q.Complete("ran", localWorkerID, sim.Result{IPC: 1}, nil) {
+	if !q.Complete("ran", localWorkerID, sim.Result{IPC: 1}, nil, 0) {
 		t.Fatal("started local job could not complete after Shutdown")
 	}
 	if res, via, err := open["ran"].outcome(false); err != nil || via != viaRan || res.IPC != 1 {

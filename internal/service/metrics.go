@@ -8,50 +8,62 @@ import (
 	"secddr/internal/stats"
 )
 
-// serverMetrics holds the server's wall-clock latency histograms, all
-// observed in microseconds (the power-of-two buckets of stats.Histogram
-// then span ~1us to minutes with useful resolution). The service layer is
-// the only place these wall-clock observations are made — the simulator
-// and harness stay deterministic and clock-free — and /metrics renders
-// them as Prometheus histogram families.
+// serverMetrics is the sweep server's one counting record: every
+// cumulative counter and latency histogram /metrics serves, under one
+// lock. The Server counts sweeps and per-sweep job outcomes, and its
+// Queue counts leases and finished points; Queue.Complete observes each
+// finished point's lease, store and sim-wall times before it publishes the
+// result, whether the local pool or a remote worker ran it. Histograms
+// observe microseconds (the power-of-two buckets of stats.Histogram then
+// span ~1us to minutes with useful resolution). The service layer is the
+// only place these wall-clock observations are made — the simulator and
+// harness stay deterministic and clock-free.
 type serverMetrics struct {
-	mu         sync.Mutex
-	queueWait  *stats.Histogram // enqueue (or requeue) -> lease
-	leaseDur   *stats.Histogram // lease -> completion
-	simWall    *stats.Histogram // one executed point, start to result (local pool + worker-reported)
-	storeFlush *stats.Histogram // persisting one fresh result
+	mu sync.Mutex
+	metricCounts
 }
 
-func newServerMetrics() *serverMetrics {
-	return &serverMetrics{
-		queueWait:  stats.NewHistogram(),
-		leaseDur:   stats.NewHistogram(),
-		simWall:    stats.NewHistogram(),
-		storeFlush: stats.NewHistogram(),
-	}
+// metricCounts is the content of serverMetrics; snapshot copies it by
+// value (stats.Histogram is all-value: a fixed bucket array plus scalars).
+type metricCounts struct {
+	simsExecuted    int64 // simulations actually run (local pool or remote workers)
+	jobsCached      int64 // jobs served straight from the store
+	jobsDeduped     int64 // jobs that joined an in-flight digest
+	sweepsTotal     int64 // sweeps submitted or recovered
+	sweepsRecovered int64 // unfinished sweeps resumed from the WAL at boot
+	walReplayed     int64 // WAL records replayed at boot
+	quotaRejected   int64 // submissions rejected by the per-client quota
+
+	leasedTotal int64 // jobs ever handed to remote workers
+	requeued    int64 // leases reclaimed from silent workers (Reap)
+	released    int64 // leases given back cooperatively (Release)
+	remoteDone  int64 // jobs finished by a remote result upload
+
+	queueWait  stats.Histogram // enqueue (or requeue) -> lease
+	leaseDur   stats.Histogram // lease -> completion
+	simWall    stats.Histogram // one executed point, start to result
+	storeFlush stats.Histogram // persisting one fresh result
 }
 
-func (m *serverMetrics) observe(h *stats.Histogram, d time.Duration) {
-	us := d.Microseconds()
-	if us < 0 {
-		us = 0
-	}
+// add adds n to c, one of m's counters.
+func (m *serverMetrics) add(c *int64, n int64) {
 	m.mu.Lock()
-	h.Observe(uint64(us))
+	*c += n
 	m.mu.Unlock()
 }
 
-func (m *serverMetrics) observeQueueWait(d time.Duration)  { m.observe(m.queueWait, d) }
-func (m *serverMetrics) observeLeaseDur(d time.Duration)   { m.observe(m.leaseDur, d) }
-func (m *serverMetrics) observeSimWall(d time.Duration)    { m.observe(m.simWall, d) }
-func (m *serverMetrics) observeStoreFlush(d time.Duration) { m.observe(m.storeFlush, d) }
+// observe records d in h, one of m's histograms, in whole microseconds.
+func (m *serverMetrics) observe(h *stats.Histogram, d time.Duration) {
+	m.mu.Lock()
+	h.Observe(uint64(max(d.Microseconds(), 0)))
+	m.mu.Unlock()
+}
 
-// snapshot returns value copies safe to render without the lock held
-// (stats.Histogram is all-value: a fixed bucket array plus scalars).
-func (m *serverMetrics) snapshot() (queueWait, leaseDur, simWall, storeFlush stats.Histogram) {
+// snapshot returns a copy safe to render without the lock held.
+func (m *serverMetrics) snapshot() metricCounts {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return *m.queueWait, *m.leaseDur, *m.simWall, *m.storeFlush
+	return m.metricCounts
 }
 
 // buildInfo adds the build identification family both replica roles

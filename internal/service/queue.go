@@ -133,8 +133,8 @@ type prioBucket struct {
 // reclaimed leases jumping to the front of that client's lane).
 type Queue struct {
 	mu       sync.Mutex
-	store    harness.Store // late store hits at dispatch, fresh results at completion
-	metrics  *serverMetrics
+	store    harness.Store  // late store hits at dispatch, fresh results at completion
+	metrics  *serverMetrics // lease counters and the per-point histograms
 	buckets  map[int]*prioBucket
 	prios    []int                 // bucket keys, sorted descending
 	npending int                   // jobs currently pending across all lanes
@@ -143,18 +143,14 @@ type Queue struct {
 	closed   bool
 	now      func() time.Time // injectable for lease-expiry tests
 
-	lastSeen    map[string]time.Time // remote worker id -> last lease/heartbeat/ack/release
-	requeued    int64                // leases reclaimed from silent workers (Reap)
-	released    int64                // leases given back cooperatively (Release)
-	leasedTotal int64                // jobs ever handed to remote workers
-	remoteDone  int64                // jobs finished by a remote result upload
+	lastSeen map[string]time.Time // remote worker id -> last lease/heartbeat/ack/release
 }
 
 // newQueue builds a queue over a result store.
 func newQueue(store harness.Store) *Queue {
 	return &Queue{
 		store:    store,
-		metrics:  newServerMetrics(),
+		metrics:  new(serverMetrics),
 		buckets:  make(map[int]*prioBucket),
 		jobs:     make(map[string]*QueuedJob),
 		avail:    make(chan struct{}),
@@ -316,9 +312,9 @@ func (q *Queue) takeLocked(worker string, max int, ttl time.Duration) []*QueuedJ
 			j.expires = time.Time{}
 		} else {
 			j.expires = j.leasedAt.Add(ttl)
-			q.leasedTotal++
+			q.metrics.add(&q.metrics.leasedTotal, 1)
 		}
-		q.metrics.observeQueueWait(j.leasedAt.Sub(j.enqueuedAt))
+		q.metrics.observe(&q.metrics.queueWait, j.leasedAt.Sub(j.enqueuedAt))
 		out = append(out, j)
 	}
 	return out
@@ -358,16 +354,19 @@ func (q *Queue) Lease(ctx context.Context, worker string, max int, ttl time.Dura
 	}
 }
 
-// Complete finishes a job with its simulation outcome. Only the current
-// leaseholder may complete: anything else — a second ack for an
-// already-finished job, a straggler upload from a worker whose lease
-// expired (the job is pending again or re-leased to someone else) —
-// reports false with no side effects, which is what makes acks
-// idempotent and reclamation safe against resurrected workers. A
+// Complete finishes a job with its simulation outcome; wall is the
+// point's execution time, from its start to its result (zero: not
+// reported). Only the current leaseholder may complete: anything else — a
+// second ack for an already-finished job, a straggler upload from a
+// worker whose lease expired (the job is pending again or re-leased to
+// someone else) — reports false with no side effects, which is what makes
+// acks idempotent and reclamation safe against resurrected workers. A
 // successful result is recorded in the store before it is published;
 // the job stays open meanwhile, so sweeps arriving during the record
-// join it instead of running the digest again.
-func (q *Queue) Complete(digest, worker string, res sim.Result, err error) bool {
+// join it instead of running the digest again. The point is counted in
+// the metrics before it is published, so a sweep's last result never
+// reaches a client ahead of its sim wall time.
+func (q *Queue) Complete(digest, worker string, res sim.Result, err error, wall time.Duration) bool {
 	q.mu.Lock()
 	q.touchLocked(worker)
 	j, ok := q.jobs[digest]
@@ -376,19 +375,24 @@ func (q *Queue) Complete(digest, worker string, res sim.Result, err error) bool 
 		return false
 	}
 	j.state = stateResolving
-	if worker != localWorkerID {
-		q.remoteDone++
-	}
-	q.metrics.observeLeaseDur(q.now().Sub(j.leasedAt))
+	leaseDur := q.now().Sub(j.leasedAt)
 	q.mu.Unlock()
+	m := q.metrics
+	if worker != localWorkerID {
+		m.add(&m.remoteDone, 1)
+	}
+	m.observe(&m.leaseDur, leaseDur)
 	via := viaFailed
 	if err == nil {
+		if wall > 0 {
+			m.observe(&m.simWall, wall)
+		}
 		// Persist before publishing, so a result a sweep has seen is never
 		// lost to a crash.
 		via = viaRan
 		start := time.Now()
 		err = q.store.Record(digest, res)
-		q.metrics.observeStoreFlush(time.Since(start))
+		m.observe(&m.storeFlush, time.Since(start))
 	}
 	q.mu.Lock()
 	q.publishLocked(j, res, err, via)
@@ -419,7 +423,7 @@ func (q *Queue) Release(digest, worker string) bool {
 	if !ok || j.state != stateLeased || j.worker != worker {
 		return false
 	}
-	q.released++
+	q.metrics.add(&q.metrics.released, 1)
 	q.requeueLocked(j)
 	return true
 }
@@ -489,7 +493,7 @@ func (q *Queue) Reap() int {
 		q.requeueLocked(j)
 		n++
 	}
-	q.requeued += int64(n)
+	q.metrics.add(&q.metrics.requeued, int64(n))
 	return n
 }
 
@@ -549,27 +553,20 @@ func clampTTL(d time.Duration) time.Duration {
 	return d
 }
 
-// queueStats is a point-in-time snapshot for /metrics.
+// queueStats is a point-in-time snapshot of the queue's gauges for
+// /metrics; its counters live in the metrics record.
 type queueStats struct {
-	pending     int
-	leased      int // remote leases only
-	running     int // local leases the in-process pool has started
-	open        int // digests with a job open: pending, leased, or resolving
-	workers     int // remote workers seen within the attach window
-	requeued    int64
-	released    int64
-	leasedTotal int64
-	remoteDone  int64
+	pending int
+	leased  int // remote leases only
+	running int // local leases the in-process pool has started
+	open    int // digests with a job open: pending, leased, or resolving
+	workers int // remote workers seen within the attach window
 }
 
 func (q *Queue) stats() queueStats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	st := queueStats{
-		pending: q.npending, open: len(q.jobs),
-		requeued: q.requeued, released: q.released,
-		leasedTotal: q.leasedTotal, remoteDone: q.remoteDone,
-	}
+	st := queueStats{pending: q.npending, open: len(q.jobs)}
 	for _, j := range q.jobs {
 		if j.state != stateLeased {
 			continue

@@ -35,7 +35,7 @@ func drainOrder(t *testing.T, q *Queue) []string {
 			return order
 		}
 		order = append(order, jobs[0].Digest)
-		q.Complete(jobs[0].Digest, "w", sim.Result{}, nil)
+		q.Complete(jobs[0].Digest, "w", sim.Result{}, nil, 0)
 	}
 }
 
@@ -174,12 +174,46 @@ func TestServerQuota(t *testing.T) {
 	if _, _, err := srv.SubmitKeyed("alice-2", more); err != nil {
 		t.Fatalf("post-completion submit rejected: %v", err)
 	}
-	srv.mu.Lock()
-	rejected := srv.quotaRejected
-	srv.mu.Unlock()
+	rejected := srv.metrics.snapshot().quotaRejected
 	if rejected != 1 {
 		t.Fatalf("quotaRejected = %d, want 1", rejected)
 	}
 	srv.Shutdown()
 	srv.Drain()
+}
+
+// TestCompleteCountsSimWallBeforePublish: Queue.Complete observes a
+// point's sim wall time before it records and publishes the result, for
+// a local-pool lease and a remote lease alike, so a sweep that has seen a
+// result also sees it in secddr_job_sim_wall_us. A straggler's repeat is
+// not counted.
+func TestCompleteCountsSimWallBeforePublish(t *testing.T) {
+	for _, worker := range []string{localWorkerID, "w1"} {
+		store := &recordGate{memStore: newMemStore(), recording: make(chan struct{}, 1), release: make(chan struct{})}
+		q := newQueue(store)
+		simWalls := func() uint64 { m := q.metrics.snapshot(); return m.simWall.Count() }
+		jobs, _ := q.Enqueue("a", 0, Submission{Digest: "d", Key: "d"})
+		if leased, err := q.Lease(expired, worker, 1, time.Minute); err != nil || len(leased) != 1 {
+			t.Fatalf("%s: lease = %v, %v", worker, leased, err)
+		}
+		accepted := make(chan bool)
+		go func() { accepted <- q.Complete("d", worker, sim.Result{IPC: 1}, nil, 5*time.Millisecond) }()
+		<-store.recording // Complete is recording the result: not yet published
+		if got := simWalls(); got != 1 {
+			t.Errorf("%s: sim wall count = %d before the result was published, want 1", worker, got)
+		}
+		close(store.release)
+		if !<-accepted {
+			t.Fatalf("%s: Complete refused the leaseholder", worker)
+		}
+		if _, _, err := jobs[0].outcome(false); err != nil {
+			t.Fatal(err)
+		}
+		if q.Complete("d", worker, sim.Result{IPC: 1}, nil, 5*time.Millisecond) {
+			t.Errorf("%s: a repeated Complete was accepted", worker)
+		}
+		if got := simWalls(); got != 1 {
+			t.Errorf("%s: sim wall count = %d after a repeated Complete, want 1", worker, got)
+		}
+	}
 }

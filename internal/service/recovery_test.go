@@ -318,3 +318,105 @@ func TestRecoverySkipsRepeatedKeySpec(t *testing.T) {
 		t.Errorf("no skip warning logged:\n%s", logs.String())
 	}
 }
+
+// TestRecoveryDropsUnbackedCompletion: the WAL records completions under
+// seqs 1-3, but the store holds only the results of seqs 1 and 3 (seq 2's
+// record was lost from the store's tail). Recovery replays 1 and 3 under
+// their seqs, drops the claim for 2, and re-runs that job under seq 4:
+// the stream skips seq 2 rather than reuse it, and nothing else re-runs.
+func TestRecoveryDropsUnbackedCompletion(t *testing.T) {
+	dir := t.TempDir()
+	store, err := resultstore.Open(dir, resultstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	spec := Spec{Modes: []string{"unprotected", "secddr+ctr", "secddr+xts"}, Workloads: []string{"mcf"}, InstrPerCore: 5_000, WarmupInstr: 1_000}
+	const key = "unbacked"
+	id, err := SweepID(key, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := spec.Grid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := grid.Jobs()
+	wal1, err := OpenWAL(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wal1.Append(walRecord{Type: walSweepRec, Sweep: id, Key: key, Spec: raw}); err != nil {
+		t.Fatal(err)
+	}
+	for i, j := range jobs {
+		d := j.Opt.Digest()
+		if i != 1 {
+			res, _ := fakeSim(j.Opt)
+			if err := store.Record(d, res); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := wal1.Append(walRecord{Type: walDoneRec, Sweep: id, Seq: i + 1, JobKey: j.Key, Digest: d}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := wal1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	var ran []string
+	countingSim := func(o sim.Options) (sim.Result, error) {
+		mu.Lock()
+		ran = append(ran, o.Digest())
+		mu.Unlock()
+		return fakeSim(o)
+	}
+	wal2, err := OpenWAL(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal2.Close()
+	srv := NewServer(store, ServerOptions{Workers: 1, WAL: wal2, runSim: countingSim})
+	defer srv.Drain()
+	defer srv.Shutdown()
+	if resumed, err := srv.Recover(); err != nil || resumed != 1 {
+		t.Fatalf("Recover() = %d, %v; want 1 sweep resumed", resumed, err)
+	}
+	sw, ok := srv.lookupSweep(id)
+	if !ok {
+		t.Fatalf("recovered server does not know sweep %s", id)
+	}
+	st := waitState(t, sw)
+	if st.State != string(stateDone) || st.Stats.Recovered != 2 || st.Stats.Executed != 3 {
+		t.Fatalf("recovered sweep = %+v, want done with 2 recovered and 3 executed", st)
+	}
+	mu.Lock()
+	if len(ran) != 1 || ran[0] != jobs[1].Opt.Digest() {
+		t.Errorf("re-ran %v, want only the unbacked job %s", ran, jobs[1].Opt.Digest())
+	}
+	mu.Unlock()
+
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	want := []struct {
+		seq int
+		key string
+	}{{1, jobs[0].Key}, {3, jobs[2].Key}, {4, jobs[1].Key}}
+	if len(sw.results) != len(want) {
+		t.Fatalf("stream holds %d results, want %d", len(sw.results), len(want))
+	}
+	for i, w := range want {
+		if got := sw.results[i]; got.Seq != w.seq || got.Key != w.key {
+			t.Errorf("result %d = seq %d %s, want seq %d %s", i, got.Seq, got.Key, w.seq, w.key)
+		}
+	}
+	if sw.nextSeq != 5 {
+		t.Errorf("nextSeq = %d, want 5", sw.nextSeq)
+	}
+}

@@ -72,7 +72,7 @@ type Server struct {
 	queue        *Queue
 	localWorkers int                // 0 in fleet-only mode
 	stopExec     context.CancelFunc // stops the local pool and the lease reaper
-	metrics      *serverMetrics     // latency histograms served by /metrics
+	metrics      *serverMetrics     // every counter and histogram /metrics serves, shared with queue
 	log          *slog.Logger       // structured progress; a discard logger when unset
 	wal          *WAL               // nil: ephemeral sweeps
 	maxPerClient int
@@ -80,15 +80,6 @@ type Server struct {
 	mu      sync.Mutex
 	sweeps  map[string]*sweep
 	running sync.WaitGroup // one per background runSweep
-
-	// Cumulative counters served by /metrics.
-	simsExecuted    int64 // simulations actually run
-	jobsCached      int64 // jobs served straight from the store
-	jobsDeduped     int64 // jobs that joined an in-flight digest
-	sweepsTotal     int64
-	sweepsRecovered int64 // sweeps resumed from the WAL at boot
-	walReplayed     int64 // WAL records replayed at boot
-	quotaRejected   int64 // submissions rejected by the per-client quota
 }
 
 // NewServer builds a sweep server over a result store and starts draining
@@ -166,10 +157,7 @@ type localSink struct{ s *Server }
 func (l localSink) start(digest string) { l.s.queue.Start(digest) }
 
 func (l localSink) finish(digest string, res sim.Result, err error, wall time.Duration) {
-	if err == nil {
-		l.s.metrics.observeSimWall(wall)
-	}
-	l.s.queue.Complete(digest, localWorkerID, res, err)
+	l.s.queue.Complete(digest, localWorkerID, res, err, wall)
 }
 
 // Shutdown stops execution for good: remote workers can no longer lease,
@@ -318,9 +306,7 @@ func (s *Server) Recover() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.mu.Lock()
-	s.walReplayed = int64(nrec)
-	s.mu.Unlock()
+	s.metrics.add(&s.metrics.walReplayed, int64(nrec))
 
 	// Deterministic recovery order (the replay map is keyed by sweep id).
 	resumed := 0
@@ -385,10 +371,10 @@ func (s *Server) admit(id, key string, spec Spec, prior *walSweep) (*sweep, bool
 		}
 	}
 	s.sweeps[id] = sw
-	s.sweepsTotal++
+	s.metrics.add(&s.metrics.sweepsTotal, 1)
 	if !terminal {
 		if prior != nil {
-			s.sweepsRecovered++
+			s.metrics.add(&s.metrics.sweepsRecovered, 1)
 		}
 		s.running.Add(1)
 	}
@@ -434,7 +420,7 @@ func (s *Server) checkQuotaLocked(client string, jobs int) error {
 		other.mu.Unlock()
 	}
 	if outstanding+jobs > s.maxPerClient {
-		s.quotaRejected++
+		s.metrics.add(&s.metrics.quotaRejected, 1)
 		return fmt.Errorf("%w: client %q has %d jobs outstanding, sweep adds %d, quota is %d",
 			ErrQuotaExceeded, client, outstanding, jobs, s.maxPerClient)
 	}
@@ -566,16 +552,14 @@ func (s *Server) runSweep(sw *sweep, jobs []harness.Job) {
 // any line a client has seen is backed by both a stored result and a
 // WAL record.
 func (s *Server) complete(sw *sweep, j harness.Job, digest string, res sim.Result, how string) {
-	counter, stat := &s.jobsCached, &sw.stats.Cached
+	counter, stat := &s.metrics.jobsCached, &sw.stats.Cached
 	switch how {
 	case viaRan:
-		counter, stat = &s.simsExecuted, &sw.stats.Executed
+		counter, stat = &s.metrics.simsExecuted, &sw.stats.Executed
 	case viaJoined:
-		counter, stat = &s.jobsDeduped, &sw.stats.Deduped
+		counter, stat = &s.metrics.jobsDeduped, &sw.stats.Deduped
 	}
-	s.mu.Lock()
-	*counter++
-	s.mu.Unlock()
+	s.metrics.add(counter, 1)
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	*stat++
@@ -710,12 +694,9 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "result upload carries neither result nor error")
 		return
 	}
-	accepted := s.queue.Complete(digest, up.WorkerID, res, err)
-	if accepted && err == nil && up.DurationMS > 0 {
-		// A straggler's duration is as stale as its result: fold in only
-		// accepted uploads so the histogram counts each job at most once.
-		s.metrics.observeSimWall(time.Duration(up.DurationMS) * time.Millisecond)
-	}
+	// A straggler's duration is as stale as its result: Complete observes
+	// it only for an accepted upload, so each job counts at most once.
+	accepted := s.queue.Complete(digest, up.WorkerID, res, err, time.Duration(up.DurationMS)*time.Millisecond)
 	s.log.Debug("remote result", "digest", digest, "worker", up.WorkerID,
 		"accepted", accepted, "failed", up.Error != "")
 	writeJSON(w, AckResponse{Accepted: accepted})
@@ -981,16 +962,10 @@ func writeHealth(w http.ResponseWriter, store harness.Store, hs HealthStatus) {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	qs := s.queue.stats()
 	s.mu.Lock()
-	sweepsTotal := s.sweepsTotal
 	sweepsActive := s.countActiveLocked()
-	sweepsRecovered := s.sweepsRecovered
-	walReplayed := s.walReplayed
-	quotaRejected := s.quotaRejected
-	simsExecuted := s.simsExecuted
-	jobsCached := s.jobsCached
-	jobsDeduped := s.jobsDeduped
 	s.mu.Unlock()
-	walRecords, epoch := walReplayed, uint64(0)
+	m := s.metrics.snapshot()
+	walRecords, epoch := m.walReplayed, uint64(0)
 	if s.wal != nil {
 		walRecords += s.wal.Lines()
 		epoch = s.wal.epoch
@@ -998,13 +973,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	var e obs.Exposition
 	buildInfo(&e)
-	e.Counter("secddr_sims_executed_total", "Simulations actually run (local pool or remote workers).", simsExecuted)
-	e.Counter("secddr_jobs_cached_total", "Jobs answered straight from the result store.", jobsCached)
-	e.Counter("secddr_jobs_deduped_total", "Jobs that joined an in-flight digest.", jobsDeduped)
-	e.Counter("secddr_sweeps_total", "Sweeps ever submitted or recovered.", sweepsTotal)
-	e.Counter("secddr_sweeps_recovered_total", "Unfinished sweeps resumed from the WAL at boot.", sweepsRecovered)
+	e.Counter("secddr_sims_executed_total", "Simulations actually run (local pool or remote workers).", m.simsExecuted)
+	e.Counter("secddr_jobs_cached_total", "Jobs answered straight from the result store.", m.jobsCached)
+	e.Counter("secddr_jobs_deduped_total", "Jobs that joined an in-flight digest.", m.jobsDeduped)
+	e.Counter("secddr_sweeps_total", "Sweeps ever submitted or recovered.", m.sweepsTotal)
+	e.Counter("secddr_sweeps_recovered_total", "Unfinished sweeps resumed from the WAL at boot.", m.sweepsRecovered)
 	e.Counter("secddr_wal_records_total", "Sweep WAL records: replayed at boot plus appended since.", walRecords)
-	e.Counter("secddr_quota_rejections_total", "Submissions rejected by the per-client quota.", quotaRejected)
+	e.Counter("secddr_quota_rejections_total", "Submissions rejected by the per-client quota.", m.quotaRejected)
 	leadership(&e, true, epoch)
 	e.Gauge("secddr_sweeps_active", "Sweeps currently running.", float64(sweepsActive))
 	e.Gauge("secddr_sims_running", "Points the local pool is executing right now (started, not just leased).", float64(qs.running))
@@ -1012,10 +987,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	e.Gauge("secddr_pool_capacity", "Size of the in-process execution pool (0 in fleet-only mode).", float64(s.localWorkers))
 	e.Gauge("secddr_queue_depth", "Jobs queued and not yet leased.", float64(qs.pending))
 	e.Gauge("secddr_jobs_leased", "Jobs currently leased to remote workers.", float64(qs.leased))
-	e.Counter("secddr_jobs_requeued_total", "Leases reclaimed from silent workers.", qs.requeued)
-	e.Counter("secddr_jobs_released_total", "Leases returned cooperatively by workers.", qs.released)
-	e.Counter("secddr_jobs_leased_total", "Jobs ever handed to remote workers.", qs.leasedTotal)
-	e.Counter("secddr_jobs_remote_done_total", "Jobs finished by a remote result upload.", qs.remoteDone)
+	e.Counter("secddr_jobs_requeued_total", "Leases reclaimed from silent workers.", m.requeued)
+	e.Counter("secddr_jobs_released_total", "Leases returned cooperatively by workers.", m.released)
+	e.Counter("secddr_jobs_leased_total", "Jobs ever handed to remote workers.", m.leasedTotal)
+	e.Counter("secddr_jobs_remote_done_total", "Jobs finished by a remote result upload.", m.remoteDone)
 	e.Gauge("secddr_fleet_workers", "Remote workers seen within the attach window.", float64(qs.workers))
 	if st, ok := s.store.(*resultstore.Store); ok {
 		stats := st.Stats()
@@ -1024,11 +999,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		e.Gauge("secddr_store_disk_bytes", "Total store bytes on disk.", float64(stats.DiskBytes))
 		e.Gauge("secddr_store_garbage_bytes", "Store bytes owed to duplicate records.", float64(stats.GarbageBytes))
 	}
-	queueWait, leaseDur, simWall, storeFlush := s.metrics.snapshot()
-	e.Histogram("secddr_queue_wait_us", "Microseconds jobs spent pending before being leased.", &queueWait)
-	e.Histogram("secddr_lease_duration_us", "Microseconds from lease to completion.", &leaseDur)
-	e.Histogram("secddr_job_sim_wall_us", "Wall-clock microseconds per executed point, from its start to its result (local pool, plus worker-reported uploads).", &simWall)
-	e.Histogram("secddr_store_flush_us", "Microseconds persisting one fresh result to the store.", &storeFlush)
+	e.Histogram("secddr_queue_wait_us", "Microseconds jobs spent pending before being leased.", &m.queueWait)
+	e.Histogram("secddr_lease_duration_us", "Microseconds from lease to completion.", &m.leaseDur)
+	e.Histogram("secddr_job_sim_wall_us", "Wall-clock microseconds per executed point, from its start to its result (local pool, plus worker-reported uploads).", &m.simWall)
+	e.Histogram("secddr_store_flush_us", "Microseconds persisting one fresh result to the store.", &m.storeFlush)
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	io.WriteString(w, e.String())

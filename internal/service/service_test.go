@@ -290,9 +290,7 @@ func TestSingleflightAcrossSweeps(t *testing.T) {
 			t.Errorf("digest %s simulated %d times, want 1", d, n)
 		}
 	}
-	srv.mu.Lock()
-	deduped := srv.jobsDeduped
-	srv.mu.Unlock()
+	deduped := srv.metrics.snapshot().jobsDeduped
 	if deduped < 1 {
 		t.Errorf("jobsDeduped = %d, want >= 1 (the joined shared digest)", deduped)
 	}

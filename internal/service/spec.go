@@ -123,7 +123,10 @@ func (f *FidelitySpec) Fidelities() ([]sim.Fidelity, error) {
 	if f == nil {
 		return nil, nil
 	}
-	var out []sim.Fidelity
+	var (
+		out     []sim.Fidelity
+		sampled bool
+	)
 	for _, name := range f.Modes {
 		mode, err := sim.ParseFidelityMode(strings.TrimSpace(name))
 		if err != nil {
@@ -131,6 +134,7 @@ func (f *FidelitySpec) Fidelities() ([]sim.Fidelity, error) {
 		}
 		fid := sim.Fidelity{Mode: mode}
 		if mode == sim.FidelitySampled {
+			sampled = true
 			fid.WindowInstr = f.WindowInstr
 			fid.PeriodInstr = f.PeriodInstr
 			fid.WarmrunInstr = f.WarmrunInstr
@@ -138,9 +142,9 @@ func (f *FidelitySpec) Fidelities() ([]sim.Fidelity, error) {
 		}
 		out = append(out, fid)
 	}
-	if len(out) == 0 && (f.WindowInstr != 0 || f.PeriodInstr != 0 || f.WarmrunInstr != 0 || f.CITarget != 0) {
+	if !sampled && (f.WindowInstr != 0 || f.PeriodInstr != 0 || f.WarmrunInstr != 0 || f.CITarget != 0) {
 		// Knobs without a sampled mode would be silently inert.
-		return nil, fmt.Errorf("%w: fidelity knobs set but no modes named", ErrUnsupportedFidelity)
+		return nil, fmt.Errorf("%w: fidelity knobs set but no sampled mode named", ErrUnsupportedFidelity)
 	}
 	return out, nil
 }
@@ -238,7 +242,7 @@ func (sp Spec) Grid() (harness.Grid, error) {
 	}
 	fids, err := sp.Fidelity.Fidelities()
 	if err != nil {
-		return harness.Grid{}, fmt.Errorf("service: %w", err)
+		return harness.Grid{}, err // ErrUnsupportedFidelity already names the package
 	}
 
 	scale := experiments.DefaultScale()

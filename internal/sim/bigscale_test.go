@@ -64,7 +64,7 @@ func snapOf(s *system) cycSnap {
 		}
 		sn.retired[i] += c.Retired
 	}
-	ctl := s.engine.Controller()
+	ctl := s.engine.Controllers()[0]
 	ch := ctl.Channel()
 	sn.rdEnq, sn.wrEnq, sn.rdC, sn.wrC = ctl.ReadsEnqueued, ctl.WritesEnqueued, ctl.ReadsCompleted, ctl.WritesCompleted
 	sn.act, sn.pre, sn.rd, sn.wr, sn.ref = ch.NumACT, ch.NumPRE, ch.NumRD, ch.NumWR, ch.NumREF

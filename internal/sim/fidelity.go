@@ -50,6 +50,25 @@ func ParseFidelityMode(s string) (FidelityMode, error) {
 	return 0, fmt.Errorf("unknown fidelity mode %q (want exact or sampled)", s)
 }
 
+// ParseFidelity builds the fidelity a command line asks for: mode as
+// ParseFidelityMode reads it, "" when no mode was named, and ciTarget its
+// early-stop target. A CI target with no mode named selects sampled; a CI
+// target with an exact mode is an error, since an exact run has no
+// confidence interval to stop on and would drop the target silently.
+func ParseFidelity(mode string, ciTarget float64) (Fidelity, error) {
+	if mode == "" && ciTarget != 0 {
+		mode = FidelitySampled.String()
+	}
+	m, err := ParseFidelityMode(mode)
+	if err != nil {
+		return Fidelity{}, err
+	}
+	if ciTarget != 0 && m != FidelitySampled {
+		return Fidelity{}, fmt.Errorf("a CI target (%g) needs sampled fidelity, not %v", ciTarget, m)
+	}
+	return Fidelity{Mode: m, TargetCI: ciTarget}, nil
+}
+
 // Fidelity configures the execution fidelity of the measured region. The
 // zero value means exact. For sampled mode the knobs shape the interval
 // schedule; zero knobs take the withDefaults values, so equivalent sampled

@@ -6,7 +6,6 @@ import (
 	"secddr/internal/dram"
 	"secddr/internal/obs"
 	"secddr/internal/scenario"
-	"secddr/internal/stats"
 )
 
 // Cycle-attribution profiler and run timelines. The profiler is always on:
@@ -199,22 +198,21 @@ func (s *system) pollTimeline() {
 	s.tl.Counter("mem", "mshr_occupancy", s.cpuNow, float64(total))
 }
 
-// profile builds Result.Profile from the measured-region counter deltas,
-// accumulated through a stats.Set so the key space stays flat and
-// mergeable. Returns nil when the profiler was never armed (a system that
-// never passed through resume).
+// profile builds Result.Profile, a flat map of the measured-region
+// counter deltas. Returns nil when the profiler was never armed (a system
+// that never passed through resume).
 func (s *system) profile() map[string]uint64 {
 	base := s.prof
 	if base == nil || len(base.baseMemStall) != len(s.cores) {
 		return nil
 	}
-	p := stats.NewSet()
+	p := make(map[string]uint64)
 	for i, c := range s.cores {
 		mem := c.MemStallCycles - base.baseMemStall[i]
 		st := c.StoreStallCycles - base.baseStoreStall[i]
-		p.Add(fmt.Sprintf("core%d/mem_stall_cycles", i), mem)
-		p.Add(fmt.Sprintf("core%d/store_stall_cycles", i), st)
-		p.Add(fmt.Sprintf("core%d/mshr_full_rejects", i), s.mshrRejects[i]-base.baseMshrRej[i])
+		p[fmt.Sprintf("core%d/mem_stall_cycles", i)] = mem
+		p[fmt.Sprintf("core%d/store_stall_cycles", i)] = st
+		p[fmt.Sprintf("core%d/mshr_full_rejects", i)] = s.mshrRejects[i] - base.baseMshrRej[i]
 		// Residual window time is frontend/compute. Saturating: an entry
 		// that was already at the ROB head when the window opened carries
 		// its pre-window head occupancy into the stall counters, which can
@@ -227,27 +225,27 @@ func (s *system) profile() map[string]uint64 {
 		if window > mem+st {
 			front = window - mem - st
 		}
-		p.Add(fmt.Sprintf("core%d/frontend_cycles", i), front)
+		p[fmt.Sprintf("core%d/frontend_cycles", i)] = front
 	}
 	for ci, ctl := range s.engine.Controllers() {
 		d := ctl.Channel().Counters().Sub(base.baseChan[ci])
 		pre := fmt.Sprintf("ch%d/", ci)
-		p.Add(pre+"activates", d.ACT)
-		p.Add(pre+"precharges", d.PRE)
-		p.Add(pre+"reads", d.RD)
-		p.Add(pre+"writes", d.WR)
-		p.Add(pre+"refreshes", d.REF)
-		p.Add(pre+"row_hits", d.RowHits)
-		p.Add(pre+"row_misses", d.RowMisses)
-		p.Add(pre+"row_conflicts", d.RowConflicts)
-		p.Add(pre+"bus_busy_cycles", d.BusBusyCycles)
-		p.Add(pre+"refresh_shadow_cycles", d.RefreshShadowCycles)
+		p[pre+"activates"] = d.ACT
+		p[pre+"precharges"] = d.PRE
+		p[pre+"reads"] = d.RD
+		p[pre+"writes"] = d.WR
+		p[pre+"refreshes"] = d.REF
+		p[pre+"row_hits"] = d.RowHits
+		p[pre+"row_misses"] = d.RowMisses
+		p[pre+"row_conflicts"] = d.RowConflicts
+		p[pre+"bus_busy_cycles"] = d.BusBusyCycles
+		p[pre+"refresh_shadow_cycles"] = d.RefreshShadowCycles
 		for b, v := range d.BankCols {
-			p.Add(fmt.Sprintf("ch%d/bank%d/col_cmds", ci, b), v)
+			p[fmt.Sprintf("ch%d/bank%d/col_cmds", ci, b)] = v
 		}
 	}
 	// The engine is built fresh at resume, so its counters need no baseline.
-	p.Add("engine/crypto_busy_cycles", s.engine.CryptoBusyCycles)
+	p["engine/crypto_busy_cycles"] = s.engine.CryptoBusyCycles
 	for i := range base.phaseCycles {
 		if base.phaseCycles[i] == nil {
 			continue
@@ -258,8 +256,8 @@ func (s *system) profile() map[string]uint64 {
 			if ph == base.curPhase[i] && s.finishCycle[i] > base.phaseStart[i] {
 				v += uint64(s.finishCycle[i] - base.phaseStart[i])
 			}
-			p.Add(fmt.Sprintf("core%d/phase%d/cycles", i, ph), v)
+			p[fmt.Sprintf("core%d/phase%d/cycles", i, ph)] = v
 		}
 	}
-	return p.Counters()
+	return p
 }

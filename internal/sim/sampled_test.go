@@ -247,3 +247,28 @@ func TestExactRunHasNoEstimates(t *testing.T) {
 		t.Errorf("exact run produced estimates: %+v", res.Estimates)
 	}
 }
+
+// TestParseFidelity pins the command-line rule for a CI target: alone it
+// selects sampled fidelity, with sampled it is kept, and with exact it is
+// an error rather than a target the run silently ignores.
+func TestParseFidelity(t *testing.T) {
+	for _, tc := range []struct {
+		mode string
+		ci   float64
+		want Fidelity
+		ok   bool
+	}{
+		{"", 0, Fidelity{}, true},
+		{"exact", 0, Fidelity{}, true},
+		{"sampled", 0, Fidelity{Mode: FidelitySampled}, true},
+		{"", 0.05, Fidelity{Mode: FidelitySampled, TargetCI: 0.05}, true},
+		{"sampled", 0.05, Fidelity{Mode: FidelitySampled, TargetCI: 0.05}, true},
+		{"exact", 0.05, Fidelity{}, false},
+		{"sampled-v2", 0, Fidelity{}, false},
+	} {
+		got, err := ParseFidelity(tc.mode, tc.ci)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParseFidelity(%q, %g) = %+v, %v; want %+v, ok=%v", tc.mode, tc.ci, got, err, tc.want, tc.ok)
+		}
+	}
+}

@@ -836,7 +836,7 @@ func TestForkPerCycleIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if firstBad >= 0 {
-		ctl := w.sys.engine.Controller()
+		ctl := w.sys.engine.Controllers()[0]
 		t.Errorf("first divergence at iteration %d (cpu cycle %d):\nfork: %+v\ncold: %+v\nwarmed controller: %s",
 			firstBad, forkBad.cpu, forkBad, coldBad, ctl.DebugState())
 	}

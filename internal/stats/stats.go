@@ -1,140 +1,17 @@
-// Package stats provides lightweight statistics collection for the
-// simulator: named counters, scalar gauges, rate pairs, and latency
-// histograms, plus helpers for the normalized-IPC reporting used by the
-// paper's figures.
+// Package stats holds the value-level statistics the other layers share:
+// the power-of-two histogram behind the sweep server's wall-clock latency
+// families, the online mean and 95% confidence-interval estimator behind
+// sampled fidelity, and the geometric mean the paper's figures report. It
+// keeps no named counters: each layer counts in its own record (a
+// simulator Result's Profile is a plain map, and the sweep server's
+// counters and histograms share one metrics record).
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-	"strings"
-)
-
-// Set is a named collection of simulation statistics. The zero value is not
-// usable; construct with NewSet. Set is not safe for concurrent use: the
-// simulator is single-threaded by design (deterministic cycle loop).
-type Set struct {
-	counters map[string]uint64
-	scalars  map[string]float64
-	hists    map[string]*Histogram
-}
-
-// NewSet returns an empty statistics set.
-func NewSet() *Set {
-	return &Set{
-		counters: make(map[string]uint64),
-		scalars:  make(map[string]float64),
-		hists:    make(map[string]*Histogram),
-	}
-}
-
-// Add increments the named counter by n.
-func (s *Set) Add(name string, n uint64) { s.counters[name] += n }
-
-// Inc increments the named counter by one.
-func (s *Set) Inc(name string) { s.counters[name]++ }
-
-// Counter returns the current value of a counter (zero if never touched).
-func (s *Set) Counter(name string) uint64 { return s.counters[name] }
-
-// SetScalar records a scalar gauge value.
-func (s *Set) SetScalar(name string, v float64) { s.scalars[name] = v }
-
-// Scalar returns a gauge value (zero if never set).
-func (s *Set) Scalar(name string) float64 { return s.scalars[name] }
-
-// Observe records v into the named histogram, creating it on first use.
-func (s *Set) Observe(name string, v uint64) {
-	h, ok := s.hists[name]
-	if !ok {
-		h = NewHistogram()
-		s.hists[name] = h
-	}
-	h.Observe(v)
-}
-
-// Histogram returns the named histogram, or nil if nothing was observed.
-func (s *Set) Hist(name string) *Histogram { return s.hists[name] }
-
-// Ratio returns counter(num)/counter(den), or 0 when the denominator is zero.
-func (s *Set) Ratio(num, den string) float64 {
-	d := s.counters[den]
-	if d == 0 {
-		return 0
-	}
-	return float64(s.counters[num]) / float64(d)
-}
-
-// Merge adds every statistic in other into s (counters sum, scalars are
-// overwritten, histograms merge).
-func (s *Set) Merge(other *Set) {
-	for k, v := range other.counters {
-		s.counters[k] += v
-	}
-	for k, v := range other.scalars {
-		s.scalars[k] = v
-	}
-	for k, h := range other.hists {
-		dst, ok := s.hists[k]
-		if !ok {
-			dst = NewHistogram()
-			s.hists[k] = dst
-		}
-		dst.Merge(h)
-	}
-}
-
-// Names returns all counter names in sorted order.
-func (s *Set) Names() []string {
-	names := make([]string, 0, len(s.counters))
-	for k := range s.counters {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Counters returns a copy of every counter, so exporters (the profiler's
-// Result.Profile section, the /metrics renderer) can walk the set without
-// reaching into its internals.
-func (s *Set) Counters() map[string]uint64 {
-	out := make(map[string]uint64, len(s.counters))
-	for k, v := range s.counters {
-		out[k] = v
-	}
-	return out
-}
-
-// HistNames returns all histogram names in sorted order.
-func (s *Set) HistNames() []string {
-	names := make([]string, 0, len(s.hists))
-	for k := range s.hists {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// String renders the set as "name=value" lines, sorted, for debugging.
-func (s *Set) String() string {
-	var b strings.Builder
-	for _, k := range s.Names() {
-		fmt.Fprintf(&b, "%s=%d\n", k, s.counters[k])
-	}
-	keys := make([]string, 0, len(s.scalars))
-	for k := range s.scalars {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%s=%.6g\n", k, s.scalars[k])
-	}
-	return b.String()
-}
+import "math"
 
 // Histogram is a power-of-two bucketed latency histogram. Bucket i counts
-// observations v with 2^(i-1) < v <= 2^i (bucket 0 counts v <= 1).
+// observations v with 2^(i-1) < v <= 2^i (bucket 0 counts v <= 1). The
+// zero value is an empty histogram, ready for use.
 type Histogram struct {
 	buckets [64]uint64
 	count   uint64
@@ -144,15 +21,15 @@ type Histogram struct {
 }
 
 // NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram { return &Histogram{min: math.MaxUint64} }
+func NewHistogram() *Histogram { return &Histogram{} }
 
 // Observe records one value.
 func (h *Histogram) Observe(v uint64) {
-	h.count++
-	h.sum += v
-	if v < h.min {
+	if h.count == 0 || v < h.min {
 		h.min = v
 	}
+	h.count++
+	h.sum += v
 	if v > h.max {
 		h.max = v
 	}
@@ -228,14 +105,14 @@ func (h *Histogram) Merge(other *Histogram) {
 	if other.count == 0 {
 		return
 	}
+	if h.count == 0 || other.min < h.min {
+		h.min = other.min
+	}
 	for i, c := range other.buckets {
 		h.buckets[i] += c
 	}
 	h.count += other.count
 	h.sum += other.sum
-	if other.min < h.min {
-		h.min = other.min
-	}
 	if other.max > h.max {
 		h.max = other.max
 	}
