@@ -12,20 +12,20 @@ import (
 	"secddr/internal/config"
 )
 
-// line is one cache way.
-type line struct {
-	tag     uint64
-	valid   bool
-	dirty   bool
-	lastUse uint64
-}
-
 // Cache is a write-back, write-allocate set-associative cache with LRU
 // replacement. The zero value is not usable; construct with New.
+//
+// Way state lives in three flat arrays indexed set*ways + way, so a set
+// is one dense run of each and a copy is three flat copies. A stored tag
+// is the line's tag plus one: 0 marks an invalid way. LRU is by
+// timestamp: each hit or fill stamps its way with the cache's tick.
 type Cache struct {
 	geom     config.CacheGeom
-	sets     [][]line
+	tags     []uint64
+	lastUse  []uint64
+	dirty    []bool
 	setMask  uint64
+	setBits  uint
 	lineBits uint
 	tick     uint64
 
@@ -43,25 +43,32 @@ func New(geom config.CacheGeom) (*Cache, error) {
 		return nil, fmt.Errorf("cache: %w", err)
 	}
 	sets := geom.Sets()
-	c := &Cache{
+	n := sets * geom.Ways
+	return &Cache{
 		geom:     geom,
-		sets:     make([][]line, sets),
+		tags:     make([]uint64, n),
+		lastUse:  make([]uint64, n),
+		dirty:    make([]bool, n),
 		setMask:  uint64(sets - 1),
+		setBits:  uint(bits.Len(uint(sets - 1))),
 		lineBits: uint(bits.Len(uint(geom.LineBytes)) - 1),
-	}
-	ways := make([]line, sets*geom.Ways)
-	for i := range c.sets {
-		c.sets[i] = ways[i*geom.Ways : (i+1)*geom.Ways : (i+1)*geom.Ways]
-	}
-	return c, nil
+	}, nil
 }
 
 // Geom returns the cache geometry.
 func (c *Cache) Geom() config.CacheGeom { return c.geom }
 
-func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
+// index returns addr's set and the tag stored for it (its line tag plus
+// one). The set's ways sit at flat indices set*ways onward.
+func (c *Cache) index(addr uint64) (set int, tag uint64) {
 	l := addr >> c.lineBits
-	return l & c.setMask, l >> uint(bits.Len64(c.setMask))
+	return int(l & c.setMask), l>>c.setBits + 1
+}
+
+// reconstruct rebuilds the line-aligned address held in set under the
+// stored tag tag.
+func (c *Cache) reconstruct(set int, tag uint64) uint64 {
+	return ((tag-1)<<c.setBits | uint64(set)) << c.lineBits
 }
 
 // Access looks up addr, updating LRU and (for writes) the dirty bit on a
@@ -70,13 +77,13 @@ func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
 func (c *Cache) Access(addr uint64, write bool) bool {
 	c.Accesses++
 	set, tag := c.index(addr)
+	base := set * c.geom.Ways
 	c.tick++
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if ln.valid && ln.tag == tag {
-			ln.lastUse = c.tick
+	for i, t := range c.tags[base : base+c.geom.Ways] {
+		if t == tag {
+			c.lastUse[base+i] = c.tick
 			if write {
-				ln.dirty = true
+				c.dirty[base+i] = true
 			}
 			c.Hits++
 			return true
@@ -89,9 +96,9 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 // Probe reports whether addr is present without perturbing LRU or stats.
 func (c *Cache) Probe(addr uint64) bool {
 	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if ln.valid && ln.tag == tag {
+	base := set * c.geom.Ways
+	for _, t := range c.tags[base : base+c.geom.Ways] {
+		if t == tag {
 			return true
 		}
 	}
@@ -105,76 +112,44 @@ type Victim struct {
 }
 
 // Fill installs addr (allocating on write if dirty is set) and returns the
-// evicted victim, if any. Filling an already-present line just refreshes it.
+// evicted victim, if any. Filling an already-present line just refreshes it
+// (e.g. a prefetch raced a demand fill). Otherwise the line takes the
+// first invalid way, or else evicts the least recently used one, the
+// lowest way among equals.
 func (c *Cache) Fill(addr uint64, dirty bool) (Victim, bool) {
 	set, tag := c.index(addr)
+	base := set * c.geom.Ways
 	c.tick++
-	// Already present (e.g. prefetch raced a demand fill): refresh.
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if ln.valid && ln.tag == tag {
-			ln.lastUse = c.tick
+	way := -1
+	for i, t := range c.tags[base : base+c.geom.Ways] {
+		if t == tag {
+			c.lastUse[base+i] = c.tick
 			if dirty {
-				ln.dirty = true
+				c.dirty[base+i] = true
 			}
 			return Victim{}, false
 		}
-	}
-	// Prefer an invalid way.
-	victimIdx := -1
-	for i := range c.sets[set] {
-		if !c.sets[set][i].valid {
-			victimIdx = i
-			break
+		if t == 0 && way < 0 {
+			way = i
 		}
 	}
 	var victim Victim
-	hasVictim := false
-	if victimIdx < 0 {
-		// LRU eviction.
-		victimIdx = 0
-		for i := 1; i < len(c.sets[set]); i++ {
-			if c.sets[set][i].lastUse < c.sets[set][victimIdx].lastUse {
-				victimIdx = i
+	hasVictim := way < 0
+	if hasVictim {
+		lru := c.lastUse[base : base+c.geom.Ways]
+		way = 0
+		for i, u := range lru {
+			if u < lru[way] {
+				way = i
 			}
 		}
-		v := c.sets[set][victimIdx]
+		victim = Victim{Addr: c.reconstruct(set, c.tags[base+way]), Dirty: c.dirty[base+way]}
 		c.Evictions++
-		victim = Victim{Addr: c.reconstruct(set, v.tag), Dirty: v.dirty}
-		hasVictim = true
-		if v.dirty {
+		if victim.Dirty {
 			c.Writebacks++
 		}
 	}
-	c.sets[set][victimIdx] = line{tag: tag, valid: true, dirty: dirty, lastUse: c.tick}
+	w := base + way
+	c.tags[w], c.lastUse[w], c.dirty[w] = tag, c.tick, dirty
 	return victim, hasVictim
-}
-
-// reconstruct rebuilds a line-aligned address from set and tag.
-func (c *Cache) reconstruct(set, tag uint64) uint64 {
-	setBits := uint(bits.Len64(c.setMask))
-	return (tag<<setBits | set) << c.lineBits
-}
-
-// Invalidate removes addr from the cache (without writeback), returning
-// whether it was present and dirty.
-func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if ln.valid && ln.tag == tag {
-			d := ln.dirty
-			*ln = line{}
-			return true, d
-		}
-	}
-	return false, false
-}
-
-// MissRate returns Misses/Accesses (0 when idle).
-func (c *Cache) MissRate() float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(c.Accesses)
 }

@@ -1,20 +1,15 @@
 package cache
 
+import "slices"
+
 // Clone returns a deep copy of the cache: identical geometry, content,
 // recency state, and statistics, sharing no storage with the original.
-// The copy reproduces New's single-backing-array layout (one allocation,
-// capacity-capped per-set subslices), so a clone behaves and allocates
-// exactly like a freshly built cache that replayed the same accesses.
 func (c *Cache) Clone() *Cache {
 	n := new(Cache)
 	*n = *c
-	sets := len(c.sets)
-	n.sets = make([][]line, sets)
-	ways := make([]line, sets*c.geom.Ways)
-	for i := range n.sets {
-		n.sets[i] = ways[i*c.geom.Ways : (i+1)*c.geom.Ways : (i+1)*c.geom.Ways]
-		copy(n.sets[i], c.sets[i])
-	}
+	n.tags = slices.Clone(c.tags)
+	n.lastUse = slices.Clone(c.lastUse)
+	n.dirty = slices.Clone(c.dirty)
 	return n
 }
 
@@ -23,11 +18,12 @@ func (c *Cache) Clone() *Cache {
 // order. It reads only: no statistics or recency state change, so it is
 // safe to call between measurement phases.
 func (c *Cache) VisitResident(fn func(addr uint64, dirty bool)) {
-	for set := range c.sets {
-		for i := range c.sets[set] {
-			ln := &c.sets[set][i]
-			if ln.valid {
-				fn(c.reconstruct(uint64(set), ln.tag), ln.dirty)
+	ways := c.geom.Ways
+	for set := range len(c.tags) / ways {
+		base := set * ways
+		for w, tag := range c.tags[base : base+ways] {
+			if tag != 0 {
+				fn(c.reconstruct(set, tag), c.dirty[base+w])
 			}
 		}
 	}

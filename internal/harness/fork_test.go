@@ -557,3 +557,41 @@ func (s *startCheckStore) Record(d string, res sim.Result) error {
 	}
 	return s.memStore.Record(d, res)
 }
+
+// TestForksStartInGridOrder: a group's forks are claimed oldest-first, so
+// with one slot its points start in the order they arrived. The figure
+// grids put each group's slowest point first; started last, it would run
+// alone at the sweep's tail.
+func TestForksStartInGridOrder(t *testing.T) {
+	jobs := forkGrid().Jobs()[:3] // mcf x3: one group
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var mu sync.Mutex
+	var started []string
+	finished := 0
+	Serve(ctx, ServeOptions{
+		Workers: 1,
+		OnStart: func(d string) {
+			mu.Lock()
+			started = append(started, d)
+			mu.Unlock()
+		},
+		Finish: func(d string, _ sim.Result, err error) {
+			if err != nil {
+				t.Errorf("%s: %v", d, err)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if finished++; finished == len(jobs) {
+				cancel()
+			}
+		},
+	}, batchFeed(jobs))
+	want := make([]string, len(jobs))
+	for i, j := range jobs {
+		want[i] = j.Opt.Digest()
+	}
+	if !reflect.DeepEqual(started, want) {
+		t.Errorf("start order %v, want grid order %v", started, want)
+	}
+}

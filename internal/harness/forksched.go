@@ -53,11 +53,15 @@ type forkTask struct {
 
 // sched is the dispatch loop behind RunContext and Serve. Slots claim
 // fork tasks in preference to warmups, so snapshots retire (and free
-// their memory) before new ones are created. Groups are formed in
-// arrival order, never map order: map iteration would randomize group and
-// store-append order between identical runs (the emitted JSON stays
-// byte-identical either way, but determinism everywhere is what keeps
-// that property easy to trust).
+// their memory) before new ones are created. Fork tasks are claimed
+// oldest-first, so a group's points start in arrival (grid) order: the
+// figure grids list their slowest mode, the 64-ary tree, first in every
+// group, and claimed last it would run alone at the sweep's tail while
+// the other slots idle. Groups are formed in arrival order, never map
+// order: map iteration would randomize group and store-append order
+// between identical runs (the emitted JSON stays byte-identical either
+// way, but determinism everywhere is what keeps that property easy to
+// trust).
 //
 // With a feed, a feeder goroutine tops up whenever a slot would
 // otherwise wait (no fork is ready and no group is left to warm) and the
@@ -209,9 +213,9 @@ func (s *sched) slot(ctx context.Context) {
 	for ctx.Err() == nil {
 		switch {
 		case len(s.forks) > 0:
-			t := s.forks[len(s.forks)-1]
-			s.forks[len(s.forks)-1] = forkTask{}
-			s.forks = s.forks[:len(s.forks)-1]
+			t := s.forks[0]
+			s.forks[0] = forkTask{}
+			s.forks = s.forks[1:]
 			s.unstarted--
 			s.active++
 			s.mu.Unlock()

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -264,11 +265,26 @@ func TestAttackerProfilesResolve(t *testing.T) {
 	}
 }
 
-func TestParseManifestSpellings(t *testing.T) {
+// manifestSpellings is one scenario "solo" in each accepted manifest
+// spelling: a bare object, a bare array, and the wrapper.
+func manifestSpellings() []string {
 	object := `{"name":"solo","cores":[{"phases":[{"profile":"mcf"}]}]}`
 	array := `[` + object + `]`
 	wrapped := `{"scenarios":` + array + `}`
-	for _, src := range []string{object, array, wrapped} {
+	return []string{object, array, wrapped}
+}
+
+// manifestRejections are manifests ParseManifest must refuse, by reason.
+var manifestRejections = map[string]string{
+	"unknown field":  `{"name":"x","coresz":[]}`,
+	"bad profile":    `{"name":"x","cores":[{"phases":[{"profile":"nope"}]}]}`,
+	"empty manifest": `{"scenarios":[]}`,
+	"duplicate name": `[{"name":"x","cores":[{"phases":[{"profile":"mcf"}]}]},{"name":"x","cores":[{"phases":[{"profile":"gcc"}]}]}]`,
+	"trailing data":  `{"scenarios":[{"name":"x","cores":[{"phases":[{"profile":"mcf"}]}]}]} extra`,
+}
+
+func TestParseManifestSpellings(t *testing.T) {
+	for _, src := range manifestSpellings() {
 		scns, err := ParseManifest([]byte(src))
 		if err != nil {
 			t.Fatalf("parse %s: %v", src, err)
@@ -280,14 +296,7 @@ func TestParseManifestSpellings(t *testing.T) {
 }
 
 func TestParseManifestRejections(t *testing.T) {
-	cases := map[string]string{
-		"unknown field":  `{"name":"x","coresz":[]}`,
-		"bad profile":    `{"name":"x","cores":[{"phases":[{"profile":"nope"}]}]}`,
-		"empty manifest": `{"scenarios":[]}`,
-		"duplicate name": `[{"name":"x","cores":[{"phases":[{"profile":"mcf"}]}]},{"name":"x","cores":[{"phases":[{"profile":"gcc"}]}]}]`,
-		"trailing data":  `{"scenarios":[{"name":"x","cores":[{"phases":[{"profile":"mcf"}]}]}]} extra`,
-	}
-	for name, src := range cases {
+	for name, src := range manifestRejections {
 		if _, err := ParseManifest([]byte(src)); err == nil {
 			t.Errorf("%s: parsed unexpectedly", name)
 		}
@@ -410,4 +419,49 @@ func TestParseManifestErrorNamesTheTypo(t *testing.T) {
 	if !strings.Contains(err.Error(), "phasez") {
 		t.Fatalf("wrapper error blames the wrong field: %v", err)
 	}
+}
+
+// FuzzParseManifest: ParseManifest never panics, and a manifest it
+// accepts, re-marshalled with encoding/json, parses again to scenarios
+// with identical canonical strings, the form the digest is taken over.
+func FuzzParseManifest(f *testing.F) {
+	paths, err := filepath.Glob("../../examples/scenarios/*.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, src := range manifestSpellings() {
+		f.Add([]byte(src))
+	}
+	for _, src := range manifestRejections {
+		f.Add([]byte(src))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		scns, err := ParseManifest(data)
+		if err != nil {
+			return
+		}
+		raw, err := json.Marshal(scns)
+		if err != nil {
+			t.Fatalf("accepted manifest does not marshal: %v", err)
+		}
+		back, err := ParseManifest(raw)
+		if err != nil {
+			t.Fatalf("re-marshalled manifest rejected: %v\n%s", err, raw)
+		}
+		if len(back) != len(scns) {
+			t.Fatalf("re-marshalled manifest has %d scenarios, want %d", len(back), len(scns))
+		}
+		for i := range scns {
+			if got, want := back[i].String(), scns[i].String(); got != want {
+				t.Errorf("scenario %d: round trip changed canonical string:\n  %s\n  %s", i, want, got)
+			}
+		}
+	})
 }
