@@ -144,6 +144,9 @@ func (c CacheGeom) Validate() error {
 	if c.SizeBytes <= 0 || c.LineBytes <= 0 || c.Ways <= 0 {
 		return errors.New("config: cache dimensions must be positive")
 	}
+	if c.LineBytes&(c.LineBytes-1) != 0 {
+		return fmt.Errorf("config: cache line size %d not a power of two", c.LineBytes)
+	}
 	if c.SizeBytes%(c.LineBytes*c.Ways) != 0 {
 		return fmt.Errorf("config: cache size %d not divisible by way*line %d",
 			c.SizeBytes, c.LineBytes*c.Ways)
@@ -250,10 +253,18 @@ func (d DRAM) Validate() error {
 		return fmt.Errorf("config: %d ranks per channel exceeds the maximum of %d", d.Ranks, maxRanks)
 	case d.Banks%d.BankGroups != 0:
 		return fmt.Errorf("config: %d banks not divisible by %d bank groups", d.Banks, d.BankGroups)
+	case d.LineBytes <= 0 || d.LineBytes&(d.LineBytes-1) != 0:
+		// The controller masks addresses to lines with LineBytes-1.
+		return fmt.Errorf("config: line size %d must be a positive power of two", d.LineBytes)
 	case d.RowBytes <= 0 || d.RowBytes%d.LineBytes != 0:
 		return fmt.Errorf("config: row size %d must be a positive multiple of line size %d", d.RowBytes, d.LineBytes)
 	case d.Rows() <= 0:
 		return errors.New("config: capacity too small for organization")
+	case d.Timing.TCCDL < d.Timing.TCCDS || d.Timing.TWTRL < d.Timing.TWTRS:
+		// The channel's shared column horizons rely on the same-group
+		// spacing never being the shorter one.
+		return fmt.Errorf("config: same-bank-group timing below different-group timing (tCCD_L %d, tCCD_S %d, tWTR_L %d, tWTR_S %d)",
+			d.Timing.TCCDL, d.Timing.TCCDS, d.Timing.TWTRL, d.Timing.TWTRS)
 	}
 	return nil
 }

@@ -131,6 +131,50 @@ func TestCacheGeomSets(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("invalid geometry accepted")
 	}
+	// 48-byte lines divide the size into a power-of-two set count, but the
+	// cache's offset width assumes a power-of-two line.
+	odd := CacheGeom{SizeBytes: 48 * 4 * 64, LineBytes: 48, Ways: 4}
+	if err := odd.Validate(); err == nil || !strings.Contains(err.Error(), "not a power of two") {
+		t.Errorf("48-byte lines: err = %v, want the line-size error", err)
+	}
+}
+
+func TestDRAMValidateLineSize(t *testing.T) {
+	for _, line := range []int{0, -64, 48, 96} {
+		d := Table1(ModeUnprotected).DRAM
+		d.LineBytes = line
+		d.RowBytes = 8 * 48 * 64 // a multiple of every line size tried
+		err := d.Validate()
+		if err == nil || !strings.Contains(err.Error(), "power of two") {
+			t.Errorf("%d-byte lines: err = %v, want the line-size error", line, err)
+		}
+	}
+}
+
+func TestDRAMValidateTimingOrder(t *testing.T) {
+	presets := map[string]DRAM{
+		"ddr4": Table1(ModeUnprotected).DRAM,
+		"ddr5": Table1DDR5(ModeUnprotected).DRAM,
+	}
+	want := map[string][4]int{"ddr4": {10, 4, 12, 4}, "ddr5": {16, 8, 30, 13}}
+	for name, d := range presets {
+		tm := d.Timing
+		if got := [4]int{tm.TCCDL, tm.TCCDS, tm.TWTRL, tm.TWTRS}; got != want[name] {
+			t.Errorf("%s tCCD_L/S, tWTR_L/S = %v, want %v", name, got, want[name])
+		}
+		if err := d.Validate(); err != nil {
+			t.Errorf("%s rejected: %v", name, err)
+		}
+		ccd := d
+		ccd.Timing.TCCDL = ccd.Timing.TCCDS - 1
+		wtr := d
+		wtr.Timing.TWTRL = wtr.Timing.TWTRS - 1
+		for _, bad := range []DRAM{ccd, wtr} {
+			if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "same-bank-group") {
+				t.Errorf("%s with %+v: err = %v, want the timing-order error", name, bad.Timing, err)
+			}
+		}
+	}
 }
 
 func TestDRAMGeometry(t *testing.T) {

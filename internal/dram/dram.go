@@ -57,23 +57,37 @@ type Loc struct {
 	Col       uint32 // column in units of cache lines
 }
 
-// bankState tracks one bank's open row and earliest-issue cycles.
+// bankState tracks one bank's open row and earliest-issue cycles. nextRD
+// and nextWR hold only the bank's own constraint (tRCD after ACT); the
+// column-to-column and bus-turnaround constraints every column command
+// places on other banks live in the shared horizons of Channel, rankState
+// and groupState.
 type bankState struct {
 	openRow int64 // -1 when closed
 	nextACT int64
 	nextPRE int64
 	nextRD  int64
 	nextWR  int64
-	rank    int // owning rank, fixed at construction
+	rank    int32 // owning rank, fixed at construction
+	group   int32 // channel-wide bank group index (rank*BankGroups + bankGroup)
 }
 
-// rankState tracks rank-wide constraints (tFAW, refresh).
+// rankState tracks rank-wide constraints (tFAW, refresh, tWTR_S).
 type rankState struct {
 	actWindow  [4]int64 // cycle times of the last four ACTs (tFAW)
 	actIdx     int
 	nextREF    int64 // next refresh deadline
 	refBusy    int64 // rank unusable until this cycle due to refresh
 	pendingREF bool
+	wtr        int64 // earliest RD after this rank's last write (tWTR_S)
+}
+
+// groupState holds one bank group's column horizons: the earliest RD or
+// WR after the group's last column command (tCCD_L) and the earliest RD
+// after its last write (tWTR_L).
+type groupState struct {
+	col int64
+	wtr int64
 }
 
 // Channel is one DDR channel: ranks sharing a command bus and a data bus.
@@ -86,6 +100,18 @@ type Channel struct {
 	// banks are the contiguous sub-slice rankBanks(r), and within it a bank
 	// group's banks are contiguous too.
 	banks []bankState
+	// groups holds every bank group of the channel, indexed by
+	// bankState.group.
+	groups []groupState
+
+	// Shared column horizons, absolute cycles: a column command raises the
+	// horizon of every bank at once, so Issue updates one value instead of
+	// one per bank. EarliestIssueAt takes the maximum of the channel-wide,
+	// rank-wide and group-wide terms, which is each bank's exact constraint
+	// because tCCD_L >= tCCD_S and tWTR_L >= tWTR_S (config.DRAM.Validate):
+	// the wider term never exceeds what a bank's own group imposes.
+	colAny    int64 // earliest RD or WR after the last column command (tCCD_S)
+	wrAfterRD int64 // earliest WR after the last read burst (read-to-write turnaround)
 
 	banksPerGroup int
 	readBL        int64 // data-bus beats/2 (memory-clock cycles) per read burst
@@ -127,8 +153,10 @@ func NewChannel(cfg config.DRAM) (*Channel, error) {
 	ch.banks = make([]bankState, cfg.Ranks*cfg.Banks)
 	for b := range ch.banks {
 		ch.banks[b].openRow = -1
-		ch.banks[b].rank = b / cfg.Banks
+		ch.banks[b].rank = int32(b / cfg.Banks)
+		ch.banks[b].group = int32(b / ch.banksPerGroup)
 	}
+	ch.groups = make([]groupState, cfg.Ranks*cfg.BankGroups)
 	ch.rank = make([]rankState, cfg.Ranks)
 	for r := range ch.rank {
 		for i := range ch.rank[r].actWindow {
@@ -248,18 +276,15 @@ func (c *Channel) EarliestIssueAt(cmd Command, bi int, now int64) int64 {
 			earliest = b.nextPRE
 		}
 	case CmdRD:
-		if b.nextRD > earliest {
-			earliest = b.nextRD
-		}
-		earliest = c.busConstrained(earliest, b.rank, int64(c.t.TCL), c.readBL)
+		g := &c.groups[b.group]
+		earliest = max(earliest, b.nextRD, c.colAny, g.col, rk.wtr, g.wtr)
+		earliest = c.busConstrained(earliest, int(b.rank), int64(c.t.TCL), c.readBL)
 	case CmdWR:
-		if b.nextWR > earliest {
-			earliest = b.nextWR
-		}
-		earliest = c.busConstrained(earliest, b.rank, int64(c.t.TCWL), c.writeBL)
+		earliest = max(earliest, b.nextWR, c.colAny, c.groups[b.group].col, c.wrAfterRD)
+		earliest = c.busConstrained(earliest, int(b.rank), int64(c.t.TCWL), c.writeBL)
 	case CmdREF:
 		// All banks must be precharged and past their ACT->PRE windows.
-		for _, ob := range c.rankBanks(b.rank) {
+		for _, ob := range c.rankBanks(int(b.rank)) {
 			if ob.openRow >= 0 {
 				return -1 // caller must precharge first
 			}
@@ -347,13 +372,10 @@ func (c *Channel) Issue(cmd Command, loc Loc, now int64) int64 {
 		dataEnd := dataStart + c.readBL
 		c.occupyBus(dataStart, dataEnd, loc.Rank)
 		b.nextPRE = max64(b.nextPRE, now+int64(c.t.TRTP))
-		c.applyColToCol(loc, now)
+		c.applyColToCol(b.group, now)
 		// Read-to-write turnaround (bus direction change): WR command must
 		// wait so its data follows the read burst plus 2-cycle gap.
-		rdToWr := now + int64(c.t.TCL) + c.readBL + 2 - int64(c.t.TCWL)
-		for i := range c.banks {
-			c.banks[i].nextWR = max64(c.banks[i].nextWR, rdToWr)
-		}
+		c.wrAfterRD = max64(c.wrAfterRD, now+int64(c.t.TCL)+c.readBL+2-int64(c.t.TCWL))
 		return dataEnd
 
 	case CmdWR:
@@ -363,18 +385,12 @@ func (c *Channel) Issue(cmd Command, loc Loc, now int64) int64 {
 		dataEnd := dataStart + c.writeBL
 		c.occupyBus(dataStart, dataEnd, loc.Rank)
 		b.nextPRE = max64(b.nextPRE, dataEnd+int64(c.t.TWR))
-		c.applyColToCol(loc, now)
+		c.applyColToCol(b.group, now)
 		// Write-to-read turnaround: same-rank reads wait tWTR after the
 		// write data completes; the _L/_S distinction is by bank group.
-		rb := c.rankBanks(loc.Rank)
-		for i := range rb {
-			ob := &rb[i]
-			if i/c.banksPerGroup == loc.BankGroup {
-				ob.nextRD = max64(ob.nextRD, dataEnd+int64(c.t.TWTRL))
-			} else {
-				ob.nextRD = max64(ob.nextRD, dataEnd+int64(c.t.TWTRS))
-			}
-		}
+		rk.wtr = max64(rk.wtr, dataEnd+int64(c.t.TWTRS))
+		g := &c.groups[b.group]
+		g.wtr = max64(g.wtr, dataEnd+int64(c.t.TWTRL))
 		return dataEnd
 
 	case CmdREF:
@@ -395,21 +411,13 @@ func (c *Channel) Issue(cmd Command, loc Loc, now int64) int64 {
 }
 
 // applyColToCol enforces tCCD_S/tCCD_L between successive column commands
-// within the channel (same vs different bank group of the issuing rank).
-func (c *Channel) applyColToCol(loc Loc, now int64) {
-	// Channel-wide, i/banksPerGroup numbers (rank, bank group) pairs.
-	group := c.BankIndex(loc) / c.banksPerGroup
-	for i := range c.banks {
-		ob := &c.banks[i]
-		var gap int64
-		if i/c.banksPerGroup == group {
-			gap = int64(c.t.TCCDL)
-		} else {
-			gap = int64(c.t.TCCDS)
-		}
-		ob.nextRD = max64(ob.nextRD, now+gap)
-		ob.nextWR = max64(ob.nextWR, now+gap)
-	}
+// within the channel: a column command at now holds every bank's next one
+// off by tCCD_S and its own bank group's (channel-wide index group) by
+// tCCD_L.
+func (c *Channel) applyColToCol(group int32, now int64) {
+	c.colAny = max64(c.colAny, now+int64(c.t.TCCDS))
+	g := &c.groups[group]
+	g.col = max64(g.col, now+int64(c.t.TCCDL))
 }
 
 func (c *Channel) occupyBus(start, end int64, rank int) {
@@ -481,14 +489,16 @@ func max64(a, b int64) int64 {
 	return b
 }
 
-// DebugState renders per-bank timing state. Opt-in debugging aid for
-// divergence localization (see memctrl.Controller.DebugState).
+// DebugState renders per-bank timing state and the shared column
+// horizons. Opt-in debugging aid for divergence localization (see
+// memctrl.Controller.DebugState).
 func (c *Channel) DebugState() string {
 	var s strings.Builder
-	fmt.Fprintf(&s, "bus=%d lastRank=%d lastCmd=%d ", c.dataBusFreeAt, c.lastBurstRank, c.lastCmdCycle)
+	fmt.Fprintf(&s, "bus=%d lastRank=%d lastCmd=%d col=%d wrAfterRD=%d groups=%v ",
+		c.dataBusFreeAt, c.lastBurstRank, c.lastCmdCycle, c.colAny, c.wrAfterRD, c.groups)
 	for r := range c.rank {
 		rk := &c.rank[r]
-		fmt.Fprintf(&s, "r%d(ref=%d,busy=%d)[", r, rk.nextREF, rk.refBusy)
+		fmt.Fprintf(&s, "r%d(ref=%d,busy=%d,wtr=%d)[", r, rk.nextREF, rk.refBusy, rk.wtr)
 		for b, bk := range c.rankBanks(r) {
 			fmt.Fprintf(&s, "%d:%d/%d,%d,%d,%d ", b, bk.openRow, bk.nextACT, bk.nextPRE, bk.nextRD, bk.nextWR)
 		}

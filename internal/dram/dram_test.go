@@ -2,6 +2,7 @@ package dram
 
 import (
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"secddr/internal/config"
@@ -398,6 +399,57 @@ func BenchmarkChannelEarliestIssue(b *testing.B) {
 			benchSink += ch.EarliestIssueAt(q.cmd, q.bank, now)
 		}
 	})
+}
+
+// BenchmarkChannelIssue times one EarliestIssueAt plus Issue of one command
+// kind on the Table I channel, walking its banks round robin. rd and wr
+// keep every bank's row open and time only column commands; act and pre
+// alternate whole-channel sweeps of ACTs and PREs and time only the named
+// sweep, the other one running with the timer stopped.
+func BenchmarkChannelIssue(b *testing.B) {
+	for _, cmd := range []Command{CmdACT, CmdPRE, CmdRD, CmdWR} {
+		b.Run(strings.ToLower(cmd.String()), func(b *testing.B) {
+			ch, err := NewChannel(testDRAM(false))
+			if err != nil {
+				b.Fatal(err)
+			}
+			locs := make([]Loc, len(ch.banks))
+			for bi := range locs {
+				locs[bi] = Loc{Rank: bi / ch.cfg.Banks, BankGroup: bi % ch.cfg.Banks / ch.banksPerGroup,
+					Bank: bi % ch.banksPerGroup, Row: 1}
+			}
+			var now int64
+			sweep := func(c Command) {
+				for bi, loc := range locs {
+					now = ch.EarliestIssueAt(c, bi, now)
+					ch.Issue(c, loc, now)
+				}
+			}
+			other := Command(0) // the untimed sweep between timed ones
+			switch cmd {
+			case CmdACT:
+				other = CmdPRE
+			case CmdPRE:
+				sweep(CmdACT)
+				other = CmdACT
+			default:
+				sweep(CmdACT)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; {
+				for bi := 0; bi < len(locs) && i < b.N; bi, i = bi+1, i+1 {
+					now = ch.EarliestIssueAt(cmd, bi, now)
+					ch.Issue(cmd, locs[bi], now)
+				}
+				if other != 0 && i < b.N {
+					b.StopTimer()
+					sweep(other)
+					b.StartTimer()
+				}
+			}
+		})
+	}
 }
 
 // benchSink keeps benchmarked results live.

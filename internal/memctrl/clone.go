@@ -1,7 +1,7 @@
 package memctrl
 
-// Clone returns a deep copy of the controller: queued requests, in-flight
-// completions, drain/quiescence state, the channel timing model, and all
+// Clone returns a deep copy of the controller: queued requests and their
+// per-bank summaries, in-flight completions, drain/quiescence state, the channel timing model, and all
 // statistics. Ticking the copy reproduces exactly the command stream the
 // original would have issued.
 func (c *Controller) Clone() *Controller {
@@ -13,7 +13,9 @@ func (c *Controller) Clone() *Controller {
 	n.writeQ = append([]Request(nil), c.writeQ...)
 	n.pending = append(completionHeap(nil), c.pending...)
 	n.doneBuf = append([]Completion(nil), c.doneBuf...)
-	n.scanFlags = append([]bankFlags(nil), c.scanFlags...)
-	n.boundMemo = append([]int64(nil), c.boundMemo...)
+	for i := range c.sum {
+		n.sum[i] = c.sum[i].clone()
+	}
+	n.ready = append([]uint64(nil), c.ready...)
 	return n
 }

@@ -8,6 +8,7 @@ package memctrl
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"secddr/internal/config"
@@ -44,6 +45,10 @@ type Controller struct {
 
 	readQ  []Request
 	writeQ []Request
+	// sum summarizes each queue per bank: sum[0] the read queue, sum[1]
+	// the write queue (index writeIdx). The scheduler and issueBound walk
+	// these instead of the queued requests.
+	sum [2]queueSummary
 
 	draining  bool
 	drainHigh int // write-drain high watermark, in queue entries
@@ -52,10 +57,10 @@ type Controller struct {
 	nextID    uint64
 	doneBuf   []Completion // reused backing array for Tick's return value
 
-	// Per-scan scratch, indexed by channel-wide bank index and cleared at
-	// the start of every use: what it holds between scans is never read.
-	scanFlags []bankFlags // one scheduleFrom pass
-	boundMemo []int64     // one issueBound: memoIssuable, per (bank, command)
+	// ready is pass-1 scratch, a bitmask over channel-wide bank indices
+	// rewritten by every scheduleFrom: banks whose column command can
+	// issue this cycle. What it holds between scans is never read.
+	ready []uint64
 
 	// quietUntil memoizes the issue-side bound Tick computes after a no-op
 	// scheduler scan: no command can issue before it, so scans are skipped
@@ -90,11 +95,11 @@ func New(cfg config.DRAM) (*Controller, error) {
 	}
 	nbanks := cfg.Ranks * cfg.Banks
 	return &Controller{
-		cfg:       cfg,
-		ch:        ch,
-		mapper:    mapper,
-		scanFlags: make([]bankFlags, nbanks),
-		boundMemo: make([]int64, nbanks*boundCmds),
+		cfg:    cfg,
+		ch:     ch,
+		mapper: mapper,
+		sum:    [2]queueSummary{newQueueSummary(cfg), newQueueSummary(cfg)},
+		ready:  make([]uint64, maskWords(nbanks)),
 		// The hysteresis thresholds are derived once: the quiet-span
 		// machinery and the scheduler must agree on them exactly, or
 		// event-driven runs would diverge from the reference loop.
@@ -103,7 +108,131 @@ func New(cfg config.DRAM) (*Controller, error) {
 	}, nil
 }
 
-// Channel exposes the underlying DRAM channel (stats, tests).
+// writeIdx is the index of the write queue's summary in Controller.sum;
+// the read queue's is 0.
+const writeIdx = 1
+
+// bankQueue summarizes one queue's requests to one bank.
+type bankQueue struct {
+	n       int32  // queued requests to the bank
+	hits    int32  // of them, those targeting the bank's open row
+	headRow uint32 // row of the oldest queued request to the bank
+	rank    int32  // the bank's rank, fixed at construction
+	headID  uint64 // ID of the oldest queued request to the bank
+}
+
+// queueSummary is one queue seen per channel-wide bank (BankIndex). Queue
+// order is ID order, so each bank's head is its oldest request. An enqueue
+// and a column issue update it in O(1) — a head leaving costs one queue
+// walk to find its successor — and an ACT or PRE recounts only that bank's
+// hits. The bitmasks let scans visit only the banks that matter.
+type queueSummary struct {
+	banks    []bankQueue
+	headLoc  []dram.Loc // each bank's head location, read only to issue ACT/PRE
+	occupied []uint64   // bit b set iff banks[b].n > 0
+	hasHits  []uint64   // bit b set iff banks[b].hits > 0
+}
+
+func newQueueSummary(cfg config.DRAM) queueSummary {
+	nbanks := cfg.Ranks * cfg.Banks
+	s := queueSummary{
+		banks:    make([]bankQueue, nbanks),
+		headLoc:  make([]dram.Loc, nbanks),
+		occupied: make([]uint64, maskWords(nbanks)),
+		hasHits:  make([]uint64, maskWords(nbanks)),
+	}
+	for b := range s.banks {
+		s.banks[b].rank = int32(b / cfg.Banks)
+	}
+	return s
+}
+
+// clone returns a deep copy of the summary.
+func (s *queueSummary) clone() queueSummary {
+	return queueSummary{
+		banks:    append([]bankQueue(nil), s.banks...),
+		headLoc:  append([]dram.Loc(nil), s.headLoc...),
+		occupied: append([]uint64(nil), s.occupied...),
+		hasHits:  append([]uint64(nil), s.hasHits...),
+	}
+}
+
+// add folds a request appended to the queue into the summary; hit says
+// whether it targets its bank's open row.
+func (s *queueSummary) add(req *Request, hit bool) {
+	b := int(req.bank)
+	bq := &s.banks[b]
+	if bq.n == 0 {
+		bq.headID, bq.headRow = req.ID, req.loc.Row
+		s.headLoc[b] = req.loc
+		setBit(s.occupied, b)
+	}
+	bq.n++
+	if hit {
+		bq.hits++
+		setBit(s.hasHits, b)
+	}
+}
+
+// removeHit takes out req, a row hit that was at index idx of q before
+// its removal. If req was its bank's head, the successor is the first
+// request to the bank at or after idx.
+func (s *queueSummary) removeHit(q []Request, idx int, req *Request) {
+	b := int(req.bank)
+	bq := &s.banks[b]
+	bq.n--
+	if bq.hits--; bq.hits == 0 {
+		clearBit(s.hasHits, b)
+	}
+	if bq.n == 0 {
+		clearBit(s.occupied, b)
+		return
+	}
+	if bq.headID != req.ID {
+		return
+	}
+	for i := idx; ; i++ {
+		if h := &q[i]; h.bank == req.bank {
+			bq.headID, bq.headRow = h.ID, h.loc.Row
+			s.headLoc[b] = h.loc
+			return
+		}
+	}
+}
+
+// recount recomputes bank b's hits against its open row (row, open).
+func (s *queueSummary) recount(q []Request, b int, row uint32, open bool) {
+	bq := &s.banks[b]
+	bq.hits = 0
+	if open && bq.n > 0 {
+		for i := range q {
+			if int(q[i].bank) == b && q[i].loc.Row == row {
+				bq.hits++
+			}
+		}
+	}
+	if bq.hits > 0 {
+		setBit(s.hasHits, b)
+	} else {
+		clearBit(s.hasHits, b)
+	}
+}
+
+// rowChanged refreshes both queues' hit counts for bank b after an ACT or
+// PRE changed its open row.
+func (c *Controller) rowChanged(b int) {
+	row, open := c.ch.OpenRowAt(b)
+	c.sum[0].recount(c.readQ, b, row, open)
+	c.sum[writeIdx].recount(c.writeQ, b, row, open)
+}
+
+func maskWords(n int) int        { return (n + 63) / 64 }
+func setBit(m []uint64, b int)   { m[b>>6] |= 1 << uint(b&63) }
+func clearBit(m []uint64, b int) { m[b>>6] &^= 1 << uint(b&63) }
+
+// Channel exposes the underlying DRAM channel (stats, tests). Callers may
+// change its open rows (AdoptState) only while both queues are empty: the
+// controller counts queued row hits against them.
 func (c *Controller) Channel() *dram.Channel { return c.ch }
 
 // ReadQueueLen and WriteQueueLen return current occupancies.
@@ -158,7 +287,7 @@ func (c *Controller) EnqueueRead(addr uint64, now int64) (id uint64, forwarded b
 	c.nextID++
 	c.readQ = append(c.readQ, c.newRequest(lineAddr, false, now))
 	c.ReadsEnqueued++
-	c.noteEnqueued(&c.readQ[len(c.readQ)-1], dram.CmdRD, now)
+	c.noteEnqueued(&c.readQ[len(c.readQ)-1], &c.sum[0], dram.CmdRD, now)
 	return c.nextID, false, nil
 }
 
@@ -174,8 +303,11 @@ func (c *Controller) newRequest(lineAddr uint64, write bool, now int64) Request 
 // min-ing its own earliest issue into a still-valid bound stays sound at
 // O(1) instead of invalidating the span. Crossing the write-drain high
 // watermark must still invalidate: the pending drain toggle is next-cycle
-// scheduler work no per-request term covers.
-func (c *Controller) noteEnqueued(req *Request, col dram.Command, now int64) {
+// scheduler work no per-request term covers. The request also joins its
+// queue's summary s.
+func (c *Controller) noteEnqueued(req *Request, s *queueSummary, col dram.Command, now int64) {
+	row, open := c.ch.OpenRowAt(int(req.bank))
+	s.add(req, open && row == req.loc.Row)
 	if !c.eventDriven || c.quietDirty {
 		c.quietDirty = true
 		return
@@ -209,7 +341,7 @@ func (c *Controller) EnqueueWrite(addr uint64, now int64) error {
 	c.nextID++
 	c.writeQ = append(c.writeQ, c.newRequest(lineAddr, true, now))
 	c.WritesEnqueued++
-	c.noteEnqueued(&c.writeQ[len(c.writeQ)-1], dram.CmdWR, now)
+	c.noteEnqueued(&c.writeQ[len(c.writeQ)-1], &c.sum[writeIdx], dram.CmdWR, now)
 	return nil
 }
 
@@ -327,23 +459,32 @@ func (c *Controller) issueBound(now int64) int64 {
 			next = nr
 		}
 	}
-	clear(c.boundMemo)
-	for i := range c.readQ {
-		t := c.memoIssuable(&c.readQ[i], dram.CmdRD, now)
-		if t <= now+1 {
-			return now + 1
-		}
-		if t < next {
-			next = t
-		}
-	}
-	for i := range c.writeQ {
-		t := c.memoIssuable(&c.writeQ[i], dram.CmdWR, now)
-		if t <= now+1 {
-			return now + 1
-		}
-		if t < next {
-			next = t
+	// Each occupied bank contributes the commands its queued requests need
+	// next: ACT when closed; PRE when some request misses the open row, and
+	// each queue's column command when it has hits there. The earliest
+	// issue cycle depends only on the bank and the command, so this is the
+	// per-request minimum without visiting requests.
+	rs, ws := &c.sum[0], &c.sum[writeIdx]
+	for w := range rs.occupied {
+		for word := rs.occupied[w] | ws.occupied[w]; word != 0; word &= word - 1 {
+			b := w<<6 | bits.TrailingZeros64(word)
+			if _, open := c.ch.OpenRowAt(b); !open {
+				next = c.foldBound(dram.CmdACT, b, now, next)
+			} else {
+				rb, wb := &rs.banks[b], &ws.banks[b]
+				if rb.hits < rb.n || wb.hits < wb.n {
+					next = c.foldBound(dram.CmdPRE, b, now, next)
+				}
+				if rb.hits > 0 {
+					next = c.foldBound(dram.CmdRD, b, now, next)
+				}
+				if wb.hits > 0 {
+					next = c.foldBound(dram.CmdWR, b, now, next)
+				}
+			}
+			if next <= now+1 {
+				return now + 1
+			}
 		}
 	}
 	if next <= now {
@@ -352,22 +493,10 @@ func (c *Controller) issueBound(now int64) int64 {
 	return next
 }
 
-// boundCmds is the number of distinct commands a queued request can need
-// next (ACT, PRE, RD, WR): the per-bank stride of boundMemo.
-const boundCmds = 4
-
-// memoIssuable is nextIssuable memoized in boundMemo per (bank, command).
-// The earliest issue cycle of a command depends only on its bank and on
-// rank and bus state, never on the request's row or column, so requests
-// sharing a bank and a next command share the answer. Entries hold the
-// bound minus now, which is at least 1, so zero means not yet computed.
-func (c *Controller) memoIssuable(req *Request, col dram.Command, now int64) int64 {
-	cmd := c.nextCmd(req, col)
-	m := &c.boundMemo[int(req.bank)*boundCmds+int(cmd-dram.CmdACT)]
-	if *m == 0 {
-		*m = c.ch.EarliestIssueAt(cmd, int(req.bank), now+1) - now
-	}
-	return now + *m
+// foldBound returns the minimum of next and the earliest cycle after now
+// at which cmd could issue to bank b.
+func (c *Controller) foldBound(cmd dram.Command, b int, now, next int64) int64 {
+	return min(next, c.ch.EarliestIssueAt(cmd, b, now+1))
 }
 
 // nextRefreshStep lower-bounds the cycle at which tryRefresh could issue
@@ -449,16 +578,11 @@ func (c *Controller) issueOne(now int64) bool {
 		c.touch()
 	}
 
-	primary, secondary := c.readQ, c.writeQ
-	primaryIsWrite := false
-	if c.draining || len(c.readQ) == 0 {
-		primary, secondary = c.writeQ, c.readQ
-		primaryIsWrite = true
-	}
-	if c.scheduleFrom(primary, primaryIsWrite, blocked, now) {
+	primaryIsWrite := c.draining || len(c.readQ) == 0
+	if c.scheduleFrom(primaryIsWrite, blocked, now) {
 		return true
 	}
-	return c.scheduleFrom(secondary, !primaryIsWrite, blocked, now)
+	return c.scheduleFrom(!primaryIsWrite, blocked, now)
 }
 
 // tryRefresh makes progress toward refreshing rank r; returns true if a
@@ -472,6 +596,7 @@ func (c *Controller) tryRefresh(r int, now int64) bool {
 				anyOpen = true
 				if c.ch.CanIssue(dram.CmdPRE, loc, now) {
 					c.ch.Issue(dram.CmdPRE, loc, now)
+					c.rowChanged(c.ch.BankIndex(loc))
 					c.touch()
 					return true
 				}
@@ -490,98 +615,97 @@ func (c *Controller) tryRefresh(r int, now int64) bool {
 	return false
 }
 
-// bankFlags records what one scheduleFrom pass has learned about a bank.
-// Whether RD, WR, PRE or ACT may issue depends only on bank, rank, data-bus
-// and command-bus state — never on a request's row or column — and no
-// state changes until the pass issues a command and returns. So a bank
-// found not ready stays not ready for the rest of the pass: later requests
-// to it skip the timing check, and each pass does its per-bank work once
-// per bank rather than once per queued request.
-type bankFlags uint8
-
-const (
-	noColumn   bankFlags = 1 << iota // pass 1: closed, or the queue's column command cannot issue
-	rowCmdBusy                       // pass 2: the bank's PRE or ACT cannot issue
-	rowWanted                        // pass 2: an older request targets the open row
-)
-
 // scheduleFrom applies FR-FCFS to one queue. Pass 1 issues the first
 // (oldest) row-hit column command that is ready; pass 2 lets the oldest
 // request make any progress (PRE on conflict, ACT on closed bank). Bit r
 // of blocked marks rank r refresh-due; its requests are skipped.
-func (c *Controller) scheduleFrom(q []Request, isWrite bool, blocked uint64, now int64) bool {
-	col := dram.CmdRD
+//
+// Both passes work per bank. Whether RD, WR, PRE or ACT may issue depends
+// only on bank, rank, data-bus and command-bus state, never on a request's
+// row or column, and nothing changes until the pass issues. So pass 1
+// checks the column command once per bank with hits and walks the queue
+// only when some bank is ready. In pass 2 only each bank's head (its
+// oldest request) can act: when the head targets the open row, no younger
+// request may close that row (two conflicting requests would livelock,
+// each re-closing the other's row); otherwise every younger request needs
+// the head's own PRE or ACT, or a column command pass 1 found not ready.
+// Queue order is ID order, so the oldest head is the lowest head ID.
+func (c *Controller) scheduleFrom(isWrite bool, blocked uint64, now int64) bool {
+	col, q, s := dram.CmdRD, c.readQ, &c.sum[0]
 	if isWrite {
-		col = dram.CmdWR
+		col, q, s = dram.CmdWR, c.writeQ, &c.sum[writeIdx]
 	}
-	flags := c.scanFlags
-	clear(flags)
 	// Pass 1: row hits, oldest first.
-	for i := range q {
-		req := &q[i]
-		b := int(req.bank)
-		if flags[b]&noColumn != 0 || blocked>>uint(req.loc.Rank)&1 != 0 {
-			continue
+	anyReady := false
+	for w, word := range s.hasHits {
+		var ready uint64
+		for ; word != 0; word &= word - 1 {
+			i := bits.TrailingZeros64(word)
+			b := w<<6 | i
+			if blocked>>uint(s.banks[b].rank)&1 == 0 && c.ch.CanIssueAt(col, b, now) {
+				ready |= 1 << uint(i)
+			}
 		}
-		row, open := c.ch.OpenRowAt(b)
-		if open && row != req.loc.Row {
-			continue
-		}
-		if open && c.ch.CanIssueAt(col, b, now) {
-			c.issueColumn(col, i, isWrite, now)
-			return true
-		}
-		flags[b] |= noColumn
+		c.ready[w] = ready
+		anyReady = anyReady || ready != 0
 	}
-	// Pass 2: progress for the oldest schedulable request. A blocked
-	// rank's requests leave no rowWanted mark, but only requests of the
-	// same, equally blocked rank could read it. Once a bank is marked
-	// rowWanted or rowCmdBusy, no later request to it can issue anything.
-	for i := range q {
-		req := &q[i]
-		b := int(req.bank)
-		if flags[b]&(rowWanted|rowCmdBusy) != 0 || blocked>>uint(req.loc.Rank)&1 != 0 {
-			continue
+	if anyReady {
+		for i := range q {
+			b := int(q[i].bank)
+			if c.ready[b>>6]>>uint(b&63)&1 == 0 {
+				continue
+			}
+			if row, _ := c.ch.OpenRowAt(b); row == q[i].loc.Row {
+				c.issueColumn(col, i, isWrite, now)
+				return true
+			}
 		}
-		row, open := c.ch.OpenRowAt(b)
-		cmd := dram.CmdACT
-		switch {
-		case open && row == req.loc.Row:
-			// Column timing not ready; nothing to issue for this request,
-			// but younger requests may still proceed.
-			flags[b] |= rowWanted
-			continue
-		case open:
-			// An older request still needing this row would have set
-			// rowWanted: closing the row here would livelock two
-			// conflicting requests against each other (each re-closing
-			// the other's row).
-			cmd = dram.CmdPRE
-		}
-		if !c.ch.CanIssueAt(cmd, b, now) {
-			flags[b] |= rowCmdBusy
-			continue
-		}
-		c.ch.Issue(cmd, req.loc, now)
-		c.ch.RecordRowOutcome(false, cmd == dram.CmdPRE)
-		c.touch()
-		return true
+		panic("memctrl: a ready bank has no queued row hit")
 	}
-	return false
+	// Pass 2: the oldest bank head whose PRE or ACT can issue.
+	best, bestID, bestCmd := -1, uint64(0), dram.Command(0)
+	for w, word := range s.occupied {
+		for ; word != 0; word &= word - 1 {
+			b := w<<6 | bits.TrailingZeros64(word)
+			bq := &s.banks[b]
+			if (best >= 0 && bq.headID > bestID) || blocked>>uint(bq.rank)&1 != 0 {
+				continue
+			}
+			cmd := dram.CmdACT
+			if row, open := c.ch.OpenRowAt(b); open {
+				if row == bq.headRow {
+					continue // column timing not ready yet
+				}
+				cmd = dram.CmdPRE
+			}
+			if c.ch.CanIssueAt(cmd, b, now) {
+				best, bestID, bestCmd = b, bq.headID, cmd
+			}
+		}
+	}
+	if best < 0 {
+		return false
+	}
+	c.ch.Issue(bestCmd, s.headLoc[best], now)
+	c.ch.RecordRowOutcome(false, bestCmd == dram.CmdPRE)
+	c.rowChanged(best)
+	c.touch()
+	return true
 }
 
 // issueColumn issues the row-hit column command of queue entry idx and
 // retires the entry; a read's completion joins the pending heap.
 func (c *Controller) issueColumn(col dram.Command, idx int, isWrite bool, now int64) {
 	c.touch()
-	q := &c.readQ
+	q, s := &c.readQ, &c.sum[0]
 	if isWrite {
-		q = &c.writeQ
+		q, s = &c.writeQ, &c.sum[writeIdx]
 	}
 	req := (*q)[idx]
 	done := c.ch.Issue(col, req.loc, now)
 	c.ch.RecordRowOutcome(true, false)
 	*q = append((*q)[:idx], (*q)[idx+1:]...)
+	s.removeHit(*q, idx, &req)
 	if isWrite {
 		c.WritesCompleted++
 		return

@@ -561,27 +561,132 @@ func statsOf(c *Controller) ctlStats {
 // costs far more than the rest of a differential cycle.
 const stateEvery = 16
 
-func diffRun(t *testing.T, cfg config.DRAM, p pattern, event bool, seed uint64, cycles int64) {
-	got, ref := newCtl(t, cfg), newCtl(t, cfg)
+// differ runs the controller beside the reference scheduler: each
+// operation is applied to both, the outcomes are compared, and the
+// controller's per-bank summaries are checked against a recount.
+type differ struct {
+	t        testing.TB
+	got, ref *Controller
+	// Recount scratch, one entry per bank, reused by every check.
+	n, hits []int32
+	head    []*Request
+}
+
+func newDiffer(t testing.TB, cfg config.DRAM, event bool) *differ {
+	got, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, _ := New(cfg)
 	got.SetEventDriven(event)
 	ref.SetEventDriven(event)
+	nbanks := cfg.Ranks * cfg.Banks
+	return &differ{t: t, got: got, ref: ref,
+		n: make([]int32, nbanks), hits: make([]int32, nbanks), head: make([]*Request, nbanks)}
+}
+
+// enqueue offers one request to both controllers and compares the
+// outcomes.
+func (d *differ) enqueue(addr uint64, write bool, now int64) {
+	t, got, ref := d.t, d.got, d.ref
+	if write {
+		e1, e2 := got.EnqueueWrite(addr, now), ref.EnqueueWrite(addr, now)
+		if e1 != e2 {
+			t.Fatalf("cycle %d: EnqueueWrite(%#x) = %v, reference %v", now, addr, e1, e2)
+		}
+	} else {
+		id1, f1, e1 := got.EnqueueRead(addr, now)
+		id2, f2, e2 := ref.EnqueueRead(addr, now)
+		if id1 != id2 || f1 != f2 || e1 != e2 {
+			t.Fatalf("cycle %d: EnqueueRead(%#x) = (%d,%v,%v), reference (%d,%v,%v)",
+				now, addr, id1, f1, e1, id2, f2, e2)
+		}
+	}
+	d.checkSummaries(now)
+}
+
+// tick ticks both controllers at now, compares completions, channel
+// counters, statistics and NextEvent, and returns the controller's
+// NextEvent.
+func (d *differ) tick(now int64) int64 {
+	t, got, ref := d.t, d.got, d.ref
+	c1 := append([]Completion(nil), got.Tick(now)...)
+	c2 := append([]Completion(nil), ref.refTick(now)...)
+	if !reflect.DeepEqual(c1, c2) {
+		t.Fatalf("cycle %d: completions %v, reference %v", now, c1, c2)
+	}
+	if k1, k2 := got.Channel().Counters(), ref.Channel().Counters(); !reflect.DeepEqual(k1, k2) {
+		t.Fatalf("cycle %d: counters %+v, reference %+v", now, k1, k2)
+	}
+	if s1, s2 := statsOf(got), statsOf(ref); s1 != s2 {
+		t.Fatalf("cycle %d: stats %+v, reference %+v", now, s1, s2)
+	}
+	n1, n2 := got.NextEvent(now), ref.NextEvent(now)
+	if n1 != n2 {
+		t.Fatalf("cycle %d: NextEvent %d, reference %d", now, n1, n2)
+	}
+	d.checkSummaries(now)
+	return n1
+}
+
+// checkState compares DebugState — the queues and every bank's timing
+// state — whose rendering costs more than the rest of an operation.
+func (d *differ) checkState(now int64) {
+	if d1, d2 := d.got.DebugState(), d.ref.DebugState(); d1 != d2 {
+		d.t.Fatalf("cycle %d: state diverged\n got: %s\n ref: %s", now, d1, d2)
+	}
+}
+
+// checkSummaries recounts both queues' per-bank summaries from the queued
+// requests and the channel's open rows — request count, row hits, the
+// oldest request's ID, row, rank and location, and both bitmasks — and
+// fails on any difference. A bank with no queued request has no head to
+// compare.
+func (d *differ) checkSummaries(now int64) {
+	c := d.got
+	for qi, q := range [2][]Request{c.readQ, c.writeQ} {
+		s := &c.sum[qi]
+		n, hits, head := d.n, d.hits, d.head
+		clear(n)
+		clear(hits)
+		clear(head)
+		for i := range q {
+			b := q[i].bank
+			if head[b] == nil {
+				head[b] = &q[i]
+			}
+			n[b]++
+			if row, open := c.ch.OpenRowAt(int(b)); open && q[i].loc.Row == row {
+				hits[b]++
+			}
+		}
+		for b, bq := range s.banks {
+			if bq.n != n[b] || bq.hits != hits[b] {
+				d.t.Fatalf("cycle %d: queue %d bank %d: n=%d hits=%d, recount n=%d hits=%d",
+					now, qi, b, bq.n, bq.hits, n[b], hits[b])
+			}
+			if h := head[b]; h != nil && (bq.headID != h.ID || bq.headRow != h.loc.Row ||
+				int(bq.rank) != h.loc.Rank || s.headLoc[b] != h.loc) {
+				d.t.Fatalf("cycle %d: queue %d bank %d: head %d row %d rank %d loc %+v, recount %d loc %+v",
+					now, qi, b, bq.headID, bq.headRow, bq.rank, s.headLoc[b], h.ID, h.loc)
+			}
+			occ, hit := s.occupied[b>>6]>>uint(b&63)&1 != 0, s.hasHits[b>>6]>>uint(b&63)&1 != 0
+			if occ != (n[b] > 0) || hit != (hits[b] > 0) {
+				d.t.Fatalf("cycle %d: queue %d bank %d: occupied=%v hasHits=%v, recount n=%d hits=%d",
+					now, qi, b, occ, hit, n[b], hits[b])
+			}
+		}
+	}
+}
+
+func diffRun(t *testing.T, cfg config.DRAM, p pattern, event bool, seed uint64, cycles int64) {
+	d := newDiffer(t, cfg, event)
+	got := d.got
 	s := newStream(t, cfg, p, seed)
 	enqueue := func(now int64) {
 		for n := s.arrivals(); n > 0; n-- {
 			addr, write := s.next()
-			if write {
-				e1, e2 := got.EnqueueWrite(addr, now), ref.EnqueueWrite(addr, now)
-				if e1 != e2 {
-					t.Fatalf("cycle %d: EnqueueWrite(%#x) = %v, reference %v", now, addr, e1, e2)
-				}
-				continue
-			}
-			id1, f1, e1 := got.EnqueueRead(addr, now)
-			id2, f2, e2 := ref.EnqueueRead(addr, now)
-			if id1 != id2 || f1 != f2 || e1 != e2 {
-				t.Fatalf("cycle %d: EnqueueRead(%#x) = (%d,%v,%v), reference (%d,%v,%v)",
-					now, addr, id1, f1, e1, id2, f2, e2)
-			}
+			d.enqueue(addr, write, now)
 		}
 	}
 	for now := int64(0); now < cycles; {
@@ -591,23 +696,9 @@ func diffRun(t *testing.T, cfg config.DRAM, p pattern, event bool, seed uint64, 
 		if before {
 			enqueue(now)
 		}
-		c1 := append([]Completion(nil), got.Tick(now)...)
-		c2 := append([]Completion(nil), ref.refTick(now)...)
+		n1 := d.tick(now)
 		if !before {
 			enqueue(now)
-		}
-		if !reflect.DeepEqual(c1, c2) {
-			t.Fatalf("cycle %d: completions %v, reference %v", now, c1, c2)
-		}
-		if k1, k2 := got.Channel().Counters(), ref.Channel().Counters(); !reflect.DeepEqual(k1, k2) {
-			t.Fatalf("cycle %d: counters %+v, reference %+v", now, k1, k2)
-		}
-		if s1, s2 := statsOf(got), statsOf(ref); s1 != s2 {
-			t.Fatalf("cycle %d: stats %+v, reference %+v", now, s1, s2)
-		}
-		n1, n2 := got.NextEvent(now), ref.NextEvent(now)
-		if n1 != n2 {
-			t.Fatalf("cycle %d: NextEvent %d, reference %d", now, n1, n2)
 		}
 		next := now + 1
 		if event && s.rng.IntN(2) == 0 {
@@ -617,9 +708,7 @@ func diffRun(t *testing.T, cfg config.DRAM, p pattern, event bool, seed uint64, 
 			next = min(n1, now+1+int64(s.rng.IntN(64)))
 		}
 		if now/stateEvery != next/stateEvery || next >= cycles {
-			if d1, d2 := got.DebugState(), ref.DebugState(); d1 != d2 {
-				t.Fatalf("cycle %d: state diverged\n got: %s\n ref: %s", now, d1, d2)
-			}
+			d.checkState(now)
 		}
 		now = next
 	}
@@ -633,6 +722,84 @@ func diffRun(t *testing.T, cfg config.DRAM, p pattern, event bool, seed uint64, 
 	if p.writeFrac >= 0.5 && got.DrainEpisodes == 0 {
 		t.Fatalf("write-heavy stream never crossed the drain watermark")
 	}
+}
+
+// FuzzSchedulerMatchesReference decodes the input into enqueue and tick
+// operations and runs the controller and the reference scheduler side by
+// side, with the same per-operation comparisons and summary checks as
+// TestSchedulerMatchesReference. The first byte picks the geometry (DDR4
+// or DDR5, 1, 2 or 4 ranks), event-driven mode and refresh (shortened to
+// recur within an input). After that,
+// a byte below 0x80 enqueues a request: bit 0 picks a write, bits 1-6 a
+// bank, and the next byte a row (bits 0-2) and a column (bits 3-7). A
+// byte from 0x80 up ticks through its low seven bits plus one cycles; in
+// event-driven mode the clock jumps to NextEvent within that span. An
+// input runs for at most fuzzCycles cycles, so each execution stays short
+// enough for the fuzzer to minimize inputs; DebugState, whose rendering
+// costs more than the rest, is compared once at the end.
+func FuzzSchedulerMatchesReference(f *testing.F) {
+	const fuzzCycles = 500
+	rng := rand.New(rand.NewPCG(5, 5))
+	for seed := 0; seed < 8; seed++ {
+		in := []byte{byte(seed * 5)}
+		for len(in) < 100 {
+			if rng.IntN(3) == 0 {
+				in = append(in, 0x80|byte(rng.IntN(32)))
+			} else {
+				in = append(in, byte(rng.IntN(0x80)), byte(rng.IntN(256)))
+			}
+		}
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) == 0 {
+			return
+		}
+		sel := in[0]
+		cfg := config.Table1(config.ModeUnprotected).DRAM
+		if sel&1 != 0 {
+			cfg = config.Table1DDR5(config.ModeUnprotected).DRAM
+		}
+		cfg = diffConfig(cfg, []int{1, 2, 4, 2}[sel>>1&3], sel&8 != 0)
+		// Refresh every few hundred cycles, so short inputs still reach
+		// refresh sequences.
+		cfg.Timing.TREFI, cfg.Timing.TRFC = 300, 60
+		event := sel&16 != 0
+		d := newDiffer(t, cfg, event)
+		m, err := dram.NewAddressMapper(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var now int64
+		for i := 1; i < len(in) && now < fuzzCycles; i++ {
+			x := in[i]
+			if x >= 0x80 {
+				for end := now + int64(x&0x7f) + 1; now < end; {
+					next := d.tick(now)
+					if !event {
+						next = now + 1
+					}
+					now = min(next, end)
+				}
+				continue
+			}
+			var rc byte
+			if i+1 < len(in) {
+				i++
+				rc = in[i]
+			}
+			k := int(x >> 1 & 63)
+			loc := dram.Loc{
+				Rank:      k % cfg.Ranks,
+				BankGroup: k / cfg.Ranks % cfg.BankGroups,
+				Bank:      k / cfg.Ranks / cfg.BankGroups % cfg.BanksPerGroup(),
+				Row:       uint32(rc & 7),
+				Col:       uint32(rc>>3) % uint32(m.LinesPerRow()),
+			}
+			d.enqueue(m.Unmap(0, loc), x&1 != 0, now)
+		}
+		d.checkState(now)
+	})
 }
 
 // TestCompletionHeapMatchesContainerHeap pushes and pops completions with
@@ -690,10 +857,25 @@ func saturatedCtl(t testing.TB, warm int64) (*Controller, *stream, int64) {
 	return c, s, now
 }
 
+// fillTo offers stream requests until the two queues hold depth requests
+// between them, at most eight per call.
+func fillTo(c *Controller, s *stream, now int64, depth int) {
+	for tries := 0; tries < 8 && c.ReadQueueLen()+c.WriteQueueLen() < depth; tries++ {
+		addr, write := s.next()
+		if write {
+			c.EnqueueWrite(addr, now)
+		} else {
+			c.EnqueueRead(addr, now)
+		}
+	}
+}
+
 // BenchmarkControllerTick times one Controller.Tick. saturated keeps both
 // queues full, so every Tick runs the FR-FCFS scan over 64-entry queues;
-// quiet offers a request every few hundred cycles and jumps the clock to
-// NextEvent, the event-driven loop's quiet-span path.
+// table1 keeps 24 requests queued between the two queues, the depth the
+// Fig. 6 grid's points run at (16-32); quiet offers a request every few
+// hundred cycles and jumps the clock to NextEvent, the event-driven loop's
+// quiet-span path.
 func BenchmarkControllerTick(b *testing.B) {
 	b.Run("saturated", func(b *testing.B) {
 		c, s, now := saturatedCtl(b, 20000)
@@ -701,6 +883,28 @@ func BenchmarkControllerTick(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			saturate(c, s, now)
+			c.Tick(now)
+			now++
+		}
+	})
+	b.Run("table1", func(b *testing.B) {
+		const depth = 24
+		cfg := config.Table1(config.ModeUnprotected).DRAM
+		c, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c.SetEventDriven(true)
+		s := newStream(b, cfg, patterns[3], 42) // mixed
+		var now int64
+		for ; now < 20000; now++ {
+			fillTo(c, s, now, depth)
+			c.Tick(now)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			fillTo(c, s, now, depth)
 			c.Tick(now)
 			now++
 		}
