@@ -34,11 +34,12 @@ func NewStreamPrefetcher(cfg config.Prefetcher) *StreamPrefetcher {
 }
 
 // Observe feeds one demand line address (already line-aligned >> is fine;
-// any byte address is accepted and treated at 64B granularity) and returns
-// the byte addresses to prefetch.
-func (p *StreamPrefetcher) Observe(addr uint64) []uint64 {
+// any byte address is accepted and treated at 64B granularity) and appends
+// the byte addresses to prefetch to dst, returning the extended slice.
+// Callers that pass dst[:0] of a kept buffer observe without allocating.
+func (p *StreamPrefetcher) Observe(dst []uint64, addr uint64) []uint64 {
 	if !p.cfg.Enabled {
-		return nil
+		return dst
 	}
 	p.clock++
 	lineAddr := addr >> 6
@@ -55,7 +56,7 @@ func (p *StreamPrefetcher) Observe(addr uint64) []uint64 {
 		delta := int64(lineAddr) - int64(s.lastLine)
 		if delta == 0 {
 			s.lastUse = p.clock
-			return nil // same line again
+			return dst // same line again
 		}
 		if delta > -window && delta < window {
 			bestIdx = i
@@ -76,7 +77,7 @@ func (p *StreamPrefetcher) Observe(addr uint64) []uint64 {
 			}
 		}
 		p.streams[victim] = stream{valid: true, lastLine: lineAddr, lastUse: p.clock}
-		return nil
+		return dst
 	}
 
 	s := &p.streams[bestIdx]
@@ -93,24 +94,24 @@ func (p *StreamPrefetcher) Observe(addr uint64) []uint64 {
 		}
 		s.dir = dir
 		if !s.confirmed {
-			return nil
+			return dst
 		}
 	} else if s.dir != dir {
 		// Direction flip: retrain.
 		s.confirmed = false
 		s.dir = dir
-		return nil
+		return dst
 	}
 
 	p.Triggered++
-	out := make([]uint64, 0, p.cfg.Degree)
+	n := len(dst)
 	for i := 1; i <= p.cfg.Degree; i++ {
 		target := int64(lineAddr) + s.dir*int64(p.cfg.Dist+i-1)
 		if target < 0 {
 			continue
 		}
-		out = append(out, uint64(target)<<6)
+		dst = append(dst, uint64(target)<<6)
 	}
-	p.Issued += uint64(len(out))
-	return out
+	p.Issued += uint64(len(dst) - n)
+	return dst
 }

@@ -1,13 +1,18 @@
 package secmem
 
-import "secddr/internal/memctrl"
+import (
+	"maps"
+
+	"secddr/internal/memctrl"
+)
 
 // Clone returns a deep copy of the engine: controllers (with their DRAM
 // channels), metadata cache, tree layout, the full in-flight transaction
-// graph (pending channel requests, backlog, ready completions), and all
-// statistics. Transactions referenced from both the pending map and the
-// backlog are memoized so the copy preserves the sharing structure —
-// outstanding-count bookkeeping stays correct in the fork.
+// state (transaction slab and free list, pending channel requests, backlog,
+// ready completions), and all statistics. Pending and backlog entries name
+// transactions by slab index, so copying the slab preserves which requests
+// share a transaction — outstanding-count bookkeeping stays correct in the
+// fork.
 func (e *Engine) Clone() *Engine {
 	n := new(Engine)
 	*n = *e
@@ -27,28 +32,10 @@ func (e *Engine) Clone() *Engine {
 	// Priming memo: meaningful only while resume primes a fresh engine;
 	// a clone starts its own pass (or none), so drop it rather than copy.
 	n.primeSeen = nil
-	memo := make(map[*txn]*txn)
-	cloneTxn := func(t *txn) *txn {
-		if t == nil {
-			return nil
-		}
-		if d, ok := memo[t]; ok {
-			return d
-		}
-		d := new(txn)
-		*d = *t
-		memo[t] = d
-		return d
-	}
-	n.pending = make(map[chanReq]pendingRef, len(e.pending))
-	for k, ref := range e.pending {
-		n.pending[k] = pendingRef{t: cloneTxn(ref.t), kind: ref.kind}
-	}
-	n.backlog = make([]backlogEntry, len(e.backlog))
-	for i, b := range e.backlog {
-		b.t = cloneTxn(b.t)
-		n.backlog[i] = b
-	}
+	n.txns = append([]txn(nil), e.txns...)
+	n.freeTxns = append([]int32(nil), e.freeTxns...)
+	n.pending = maps.Clone(e.pending)
+	n.backlog = append([]backlogEntry(nil), e.backlog...)
 	n.ready = append(readyHeap(nil), e.ready...)
 	return n
 }

@@ -16,7 +16,6 @@
 package secmem
 
 import (
-	"container/heap"
 	"fmt"
 
 	"secddr/internal/cache"
@@ -37,32 +36,39 @@ type ReadDone struct {
 	ReadyMem int64 // memory cycle at which the line is usable by the core
 }
 
-type reqKind int
+type reqKind uint8
 
 const (
 	kindData reqKind = iota + 1
 	kindMeta
 )
 
+// txn is one protected read in flight: the data access plus the metadata
+// fetches it waits on. Transactions live in the engine's slab (Engine.txns)
+// and are named by slot index, so the request path allocates nothing once
+// the slab has grown to the workload's peak in-flight count.
 type txn struct {
 	token       uint64
-	outstanding int
 	dataT       int64
 	metaT       int64
+	outstanding int32 // pending and backlog entries naming this slot
 	metaMiss    bool
-	isRead      bool
 	finished    bool
 }
 
+// noTxn is the slot index of a request no transaction waits on:
+// fire-and-forget writes and metadata read-modify-write fetches.
+const noTxn int32 = -1
+
 type backlogEntry struct {
-	t     *txn // nil for fire-and-forget writes
 	addr  uint64
+	t     int32 // txn slot, or noTxn
 	kind  reqKind
 	write bool
 }
 
 type pendingRef struct {
-	t    *txn
+	t    int32 // txn slot, or noTxn
 	kind reqKind
 }
 
@@ -95,6 +101,15 @@ type Engine struct {
 	// it is valid whenever primeSeen is non-nil.
 	primeSeen []uint64
 	leafShift uint8
+
+	// txns is the transaction slab and freeTxns its free slot indexes.
+	// A slot is taken by StartRead and returned by maybeFinish once its
+	// outstanding count reaches zero; starting is the slot StartRead is
+	// still issuing, which a forwarded data arrival may finish but must
+	// not free before the metadata walk goes out.
+	txns     []txn
+	freeTxns []int32
+	starting int32
 
 	pending map[chanReq]pendingRef
 	backlog []backlogEntry
@@ -133,10 +148,11 @@ func NewEngine(cfg config.Config) (*Engine, error) {
 		}
 	}
 	e := &Engine{
-		cfg:     cfg,
-		ctls:    ctls,
-		mapper:  mapper,
-		pending: make(map[chanReq]pendingRef),
+		cfg:      cfg,
+		ctls:     ctls,
+		mapper:   mapper,
+		starting: noTxn,
+		pending:  make(map[chanReq]pendingRef),
 	}
 	// Crypto latency in memory cycles, preserving nanoseconds.
 	c := cfg.Security.CryptoLatency
@@ -212,20 +228,30 @@ func (e *Engine) CryptoMemCycles() int64 { return e.cryptoMem }
 func (e *Engine) StartRead(addr uint64, now int64) uint64 {
 	e.nextTok++
 	e.ReadsStarted++
-	t := &txn{token: e.nextTok, isRead: true, dataT: -1, metaT: -1}
+	var t int32
+	if n := len(e.freeTxns); n > 0 {
+		t = e.freeTxns[n-1]
+		e.freeTxns = e.freeTxns[:n-1]
+	} else {
+		t = int32(len(e.txns))
+		e.txns = append(e.txns, txn{})
+	}
+	e.txns[t] = txn{token: e.nextTok, dataT: -1, metaT: -1}
+	e.starting = t
 	e.issue(t, addr, kindData, false, now)
 	if e.hasWalk {
 		e.walkReads(t, addr, now)
 	}
+	e.starting = noTxn
 	e.maybeFinish(t, now)
-	return t.token
+	return e.nextTok
 }
 
 // StartWrite begins a protected write-back of addr (fire and forget from
 // the core's perspective; the traffic still contends for the channel).
 func (e *Engine) StartWrite(addr uint64, now int64) {
 	e.WritesStarted++
-	e.issue(nil, addr, kindData, true, now)
+	e.issue(noTxn, addr, kindData, true, now)
 	if e.hasWalk {
 		e.walkWrite(addr, now)
 	}
@@ -234,14 +260,14 @@ func (e *Engine) StartWrite(addr uint64, now int64) {
 // walkReads probes the metadata walk for a read: levels are trusted once a
 // cached ancestor is found; everything below is fetched in parallel
 // (the paper allows parallel tree-level verification).
-func (e *Engine) walkReads(t *txn, addr uint64, now int64) {
+func (e *Engine) walkReads(t int32, addr uint64, now int64) {
 	walk := e.walkAddrs(addr)
 	for _, a := range walk {
 		if e.metaCache.Access(a, false) {
 			break // trusted cached ancestor
 		}
 		e.fillMeta(a, false, now)
-		t.metaMiss = true
+		e.txns[t].metaMiss = true
 		e.issue(t, a, kindMeta, false, now)
 	}
 }
@@ -257,7 +283,7 @@ func (e *Engine) walkWrite(addr uint64, now int64) {
 		e.fillMeta(a, true, now)
 		// The fetch itself: fire-and-forget read (RMW latency is off the
 		// core's critical path, but the traffic is real).
-		e.issue(nil, a, kindMeta, false, now)
+		e.issue(noTxn, a, kindMeta, false, now)
 	}
 }
 
@@ -301,32 +327,32 @@ func (e *Engine) fillMeta(a uint64, dirty bool, now int64) {
 	victim, has := e.metaCache.Fill(a, dirty)
 	if has && victim.Dirty {
 		e.MetaWritebacks++
-		e.issue(nil, victim.Addr, kindMeta, true, now)
+		e.issue(noTxn, victim.Addr, kindMeta, true, now)
 	}
 }
 
 // issue sends one memory request, falling back to the backlog on queue-full.
-func (e *Engine) issue(t *txn, addr uint64, kind reqKind, write bool, now int64) {
-	if t != nil {
-		t.outstanding++
+func (e *Engine) issue(t int32, addr uint64, kind reqKind, write bool, now int64) {
+	if t != noTxn {
+		e.txns[t].outstanding++
 	}
 	if kind == kindMeta && !write {
 		e.MetaReads++
 	}
 	if !e.tryIssue(t, addr, kind, write, now) {
-		e.backlog = append(e.backlog, backlogEntry{t: t, addr: addr, kind: kind, write: write})
+		e.backlog = append(e.backlog, backlogEntry{addr: addr, t: t, kind: kind, write: write})
 	}
 }
 
 // tryIssue attempts the controller enqueue; returns false when full.
-func (e *Engine) tryIssue(t *txn, addr uint64, kind reqKind, write bool, now int64) bool {
+func (e *Engine) tryIssue(t int32, addr uint64, kind reqKind, write bool, now int64) bool {
 	ch := e.channelOf(addr)
 	ctl := e.ctls[ch]
 	if write {
 		if err := ctl.EnqueueWrite(addr, now); err != nil {
 			return false
 		}
-		if t != nil {
+		if t != noTxn {
 			e.complete(t, kind, now)
 		}
 		return true
@@ -337,21 +363,18 @@ func (e *Engine) tryIssue(t *txn, addr uint64, kind reqKind, write bool, now int
 	}
 	if forwarded {
 		e.ForwardedArrival++
-		if t != nil {
+		if t != noTxn {
 			e.complete(t, kind, now)
 		}
 		return true
 	}
-	if t != nil {
-		e.pending[chanReq{ch, id}] = pendingRef{t: t, kind: kind}
-	} else {
-		e.pending[chanReq{ch, id}] = pendingRef{}
-	}
+	e.pending[chanReq{ch, id}] = pendingRef{t: t, kind: kind}
 	return true
 }
 
 // complete records one arrival for a transaction.
-func (e *Engine) complete(t *txn, kind reqKind, at int64) {
+func (e *Engine) complete(i int32, kind reqKind, at int64) {
+	t := &e.txns[i]
 	switch kind {
 	case kindData:
 		t.dataT = at
@@ -361,14 +384,28 @@ func (e *Engine) complete(t *txn, kind reqKind, at int64) {
 		}
 	}
 	t.outstanding--
-	e.maybeFinish(t, at)
+	e.maybeFinish(i, at)
 }
 
-// maybeFinish computes the ready time once all arrivals are in.
-func (e *Engine) maybeFinish(t *txn, now int64) {
-	if t.outstanding != 0 || !t.isRead || t.finished {
+// maybeFinish computes the ready time once all arrivals are in and frees
+// the slot: at zero outstanding no pending or backlog entry names it. A
+// read whose data was forwarded finishes before StartRead issues its walk;
+// the walk's fetches then hold the finished slot until they complete.
+func (e *Engine) maybeFinish(i int32, now int64) {
+	t := &e.txns[i]
+	if t.outstanding != 0 {
 		return
 	}
+	if !t.finished {
+		e.finish(t, now)
+	}
+	if i != e.starting {
+		e.freeTxns = append(e.freeTxns, i)
+	}
+}
+
+// finish pushes a read's completion at its crypto-ready time.
+func (e *Engine) finish(t *txn, now int64) {
 	t.finished = true
 	ready := t.dataT + e.readAdder
 	if t.metaMiss {
@@ -384,20 +421,25 @@ func (e *Engine) maybeFinish(t *txn, now int64) {
 	if ready > t.dataT {
 		e.CryptoBusyCycles += uint64(ready - t.dataT)
 	}
-	heap.Push(&e.ready, ReadDone{Token: t.token, ReadyMem: ready})
+	e.ready.push(ReadDone{Token: t.token, ReadyMem: ready})
 }
 
 // Tick advances one memory cycle: drains the backlog, ticks every channel's
 // controller in channel order, routes completions, and returns reads that
 // became usable.
 func (e *Engine) Tick(now int64) []ReadDone {
-	// Drain backlog in order.
-	for len(e.backlog) > 0 {
-		b := e.backlog[0]
-		if !e.tryIssue(b.t, b.addr, b.kind, b.write, now) {
-			break
+	// Drain backlog in order, keeping its backing array.
+	if len(e.backlog) > 0 {
+		k := 0
+		for _, b := range e.backlog {
+			if !e.tryIssue(b.t, b.addr, b.kind, b.write, now) {
+				break
+			}
+			k++
 		}
-		e.backlog = e.backlog[1:]
+		if k > 0 {
+			e.backlog = e.backlog[:copy(e.backlog, e.backlog[k:])]
+		}
 	}
 	for ch, ctl := range e.ctls {
 		for _, comp := range ctl.Tick(now) {
@@ -406,14 +448,14 @@ func (e *Engine) Tick(now int64) []ReadDone {
 				continue
 			}
 			delete(e.pending, chanReq{ch, comp.ID})
-			if ref.t != nil {
+			if ref.t != noTxn {
 				e.complete(ref.t, ref.kind, comp.Done)
 			}
 		}
 	}
 	out := e.outBuf[:0]
-	for e.ready.Len() > 0 && e.ready[0].ReadyMem <= now {
-		out = append(out, heap.Pop(&e.ready).(ReadDone))
+	for len(e.ready) > 0 && e.ready[0].ReadyMem <= now {
+		out = append(out, e.ready.pop())
 	}
 	e.outBuf = out
 	return out
@@ -440,7 +482,7 @@ func (e *Engine) NextEvent(now int64) int64 {
 			next = t
 		}
 	}
-	if e.ready.Len() > 0 && e.ready[0].ReadyMem < next {
+	if len(e.ready) > 0 && e.ready[0].ReadyMem < next {
 		next = e.ready[0].ReadyMem
 	}
 	if next <= now {
@@ -455,7 +497,7 @@ func (e *Engine) BacklogLen() int { return len(e.backlog) }
 
 // Idle reports whether all queues, backlogs, and pending work are drained.
 func (e *Engine) Idle() bool {
-	if len(e.backlog) != 0 || len(e.pending) != 0 || e.ready.Len() != 0 {
+	if len(e.backlog) != 0 || len(e.pending) != 0 || len(e.ready) != 0 {
 		return false
 	}
 	for _, ctl := range e.ctls {
@@ -472,7 +514,7 @@ func (e *Engine) Idle() bool {
 // memctrl.Controller.ReadsIdle for why queued writes may safely persist
 // across a clock jump.
 func (e *Engine) IdleExceptWrites() bool {
-	if len(e.backlog) != 0 || len(e.pending) != 0 || e.ready.Len() != 0 {
+	if len(e.backlog) != 0 || len(e.pending) != 0 || len(e.ready) != 0 {
 		return false
 	}
 	for _, ctl := range e.ctls {
@@ -489,17 +531,42 @@ func (e *Engine) String() string {
 		e.cfg.Security.Mode, len(e.backlog), len(e.pending))
 }
 
-// readyHeap orders completions by ready time.
+// readyHeap is a min-heap of completions on ReadyMem. push and pop sift
+// exactly as container/heap does, so equal ready times pop in the same
+// order, without boxing each ReadDone into an interface.
 type readyHeap []ReadDone
 
-func (h readyHeap) Len() int            { return len(h) }
-func (h readyHeap) Less(i, j int) bool  { return h[i].ReadyMem < h[j].ReadyMem }
-func (h readyHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *readyHeap) Push(x interface{}) { *h = append(*h, x.(ReadDone)) }
-func (h *readyHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func (h *readyHeap) push(x ReadDone) {
+	*h = append(*h, x)
+	s := *h
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if s[j].ReadyMem >= s[i].ReadyMem {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+func (h *readyHeap) pop() ReadDone {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && s[r].ReadyMem < s[j].ReadyMem {
+			j = r
+		}
+		if s[j].ReadyMem >= s[i].ReadyMem {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	*h = s[:n]
+	return s[n]
 }

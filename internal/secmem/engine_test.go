@@ -1,12 +1,14 @@
 package secmem
 
 import (
+	"container/heap"
+	"math/rand/v2"
 	"testing"
 
 	"secddr/internal/config"
 )
 
-func newEngine(t *testing.T, mode config.Mode, mutate func(*config.Config)) *Engine {
+func newEngine(t testing.TB, mode config.Mode, mutate func(*config.Config)) *Engine {
 	t.Helper()
 	cfg := config.Table1(mode)
 	cfg.DRAM.RefreshEnabled = false
@@ -252,5 +254,123 @@ func TestForwardedReadCompletesImmediately(t *testing.T) {
 	done := runUntil(t, e, 1, 100)
 	if done[0].ReadyMem > 10 {
 		t.Errorf("forwarded read ready at %d, want near-immediate", done[0].ReadyMem)
+	}
+}
+
+// checkSlabFree asserts that an idle engine has returned every transaction
+// slot exactly once.
+func checkSlabFree(t *testing.T, e *Engine) {
+	t.Helper()
+	if len(e.freeTxns) != len(e.txns) {
+		t.Fatalf("idle engine holds %d of %d transaction slots", len(e.txns)-len(e.freeTxns), len(e.txns))
+	}
+	seen := make(map[int32]bool)
+	for _, i := range e.freeTxns {
+		if seen[i] {
+			t.Fatalf("slot %d freed twice", i)
+		}
+		seen[i] = true
+	}
+}
+
+// TestForwardedReadHoldsSlotForWalk covers a read whose data arrives by
+// write forwarding while its counter line misses: the read finishes inside
+// StartRead, before the counter fetch is issued, and that fetch's arrival
+// must neither finish the read again nor free its slot a second time.
+func TestForwardedReadHoldsSlotForWalk(t *testing.T) {
+	e := newEngine(t, config.ModeSecDDRCTR, func(c *config.Config) {
+		// Two ways per set: two more counter lines in page 0's set evict it.
+		c.Security.MetadataCache = config.CacheGeom{SizeBytes: 1 << 10, LineBytes: 64, Ways: 2, HitLatency: 2}
+	})
+	e.StartWrite(0, 0)
+	for _, page := range []uint64{8, 16} {
+		e.StartWrite(page*4096, 0)
+	}
+	metaBefore := e.MetaReads
+	e.StartRead(0, 1)
+	// Both arrive by forwarding: the data from the queued write, the
+	// counter line from its dirty eviction's queued writeback.
+	if e.ForwardedArrival != 2 {
+		t.Fatalf("ForwardedArrival = %d, want 2 (data and counter line)", e.ForwardedArrival)
+	}
+	if e.MetaReads != metaBefore+1 {
+		t.Fatalf("read issued %d counter fetches, want 1", e.MetaReads-metaBefore)
+	}
+	done := e.Tick(1)
+	if len(done) != 1 || done[0].ReadyMem != 1 {
+		t.Fatalf("forwarded read completions %+v, want one ready at cycle 1", done)
+	}
+	for cyc := int64(2); cyc < 100_000 && !e.Idle(); cyc++ {
+		e.Tick(cyc)
+	}
+	if !e.Idle() {
+		t.Fatalf("engine never drained: %v", e)
+	}
+	checkSlabFree(t, e)
+}
+
+// TestTxnSlabReuse floods the engine with tree walks, so reads back up
+// behind full queues, and checks that slots are reused rather than the
+// slab growing per read, and that every slot comes back once drained.
+func TestTxnSlabReuse(t *testing.T) {
+	e := newEngine(t, config.ModeIntegrityTree, nil)
+	tokens := make(map[uint64]bool)
+	var cyc int64
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 300; i++ {
+			tokens[e.StartRead(uint64((round*300+i)*7919%4096)*4096, cyc)] = true
+			for _, d := range e.Tick(cyc) {
+				delete(tokens, d.Token)
+			}
+			cyc++
+		}
+		for deadline := cyc + 1_000_000; len(tokens) > 0 || !e.Idle(); cyc++ {
+			if cyc == deadline {
+				t.Fatalf("round %d: %d reads never completed: %v", round, len(tokens), e)
+			}
+			for _, d := range e.Tick(cyc) {
+				delete(tokens, d.Token)
+			}
+		}
+		checkSlabFree(t, e)
+	}
+	if e.ReadsStarted != 900 || len(e.txns) >= 300 {
+		t.Errorf("%d reads used %d transaction slots, want reuse across rounds", e.ReadsStarted, len(e.txns))
+	}
+}
+
+// stdReadyHeap drives a readyHeap through container/heap, the pop order
+// the typed heap must reproduce.
+type stdReadyHeap struct{ h *readyHeap }
+
+func (s stdReadyHeap) Len() int           { return len(*s.h) }
+func (s stdReadyHeap) Less(i, j int) bool { return (*s.h)[i].ReadyMem < (*s.h)[j].ReadyMem }
+func (s stdReadyHeap) Swap(i, j int)      { (*s.h)[i], (*s.h)[j] = (*s.h)[j], (*s.h)[i] }
+func (s stdReadyHeap) Push(x any)         { *s.h = append(*s.h, x.(ReadDone)) }
+func (s stdReadyHeap) Pop() any {
+	old := *s.h
+	n := len(old)
+	x := old[n-1]
+	*s.h = old[:n-1]
+	return x
+}
+
+// TestReadyHeapMatchesContainerHeap pushes and pops completions with many
+// equal ReadyMem values through the typed heap and through container/heap
+// and asserts the same pop order, ties included.
+func TestReadyHeapMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 7))
+	var typed, std readyHeap
+	for i := 0; i < 5000; i++ {
+		if len(typed) == 0 || rng.IntN(3) != 0 {
+			d := ReadDone{Token: uint64(i), ReadyMem: int64(rng.IntN(20))}
+			typed.push(d)
+			heap.Push(stdReadyHeap{&std}, d)
+			continue
+		}
+		a, b := typed.pop(), heap.Pop(stdReadyHeap{&std}).(ReadDone)
+		if a != b {
+			t.Fatalf("pop %d: typed heap %+v, container/heap %+v", i, a, b)
+		}
 	}
 }

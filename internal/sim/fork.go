@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -98,11 +99,12 @@ func (o Options) clone() Options {
 
 // fork deep-copies the whole system: cores with their op-source cursors,
 // LLC and prefetcher, the security engine (controllers, DRAM channels,
-// metadata structures, in-flight transactions), the MSHR maps, and every
-// per-core bookkeeping slice. The copy shares no mutable storage with the
-// parent — the snapshot completeness test walks both state graphs and
-// fails on any aliasing — so resuming the copy cannot perturb the parent,
-// and many forks can resume concurrently from one warmed snapshot.
+// metadata structures, in-flight transactions), the MSHR slab with each
+// slot's waiters, and every per-core bookkeeping slice. The copy shares no
+// mutable storage with the parent — the snapshot completeness test walks
+// both state graphs and fails on any aliasing — so resuming the copy cannot
+// perturb the parent, and many forks can resume concurrently from one
+// warmed snapshot.
 func (s *system) fork() (*system, error) {
 	n := new(system)
 	*n = *s
@@ -118,25 +120,15 @@ func (s *system) fork() (*system, error) {
 		}
 		n.cores[i] = cc
 	}
-	memo := make(map[*mshrEntry]*mshrEntry, len(s.byLine))
-	cloneEntry := func(e *mshrEntry) *mshrEntry {
-		if d, ok := memo[e]; ok {
-			return d
-		}
-		d := new(mshrEntry)
-		*d = *e
-		d.waiters = append([]waiter(nil), e.waiters...)
-		memo[e] = d
-		return d
+	n.mshrs = make([]mshrEntry, len(s.mshrs))
+	for i, e := range s.mshrs {
+		e.waiters = append([]waiter(nil), e.waiters...)
+		n.mshrs[i] = e
 	}
-	n.byLine = make(map[uint64]*mshrEntry, len(s.byLine))
-	for k, e := range s.byLine {
-		n.byLine[k] = cloneEntry(e)
-	}
-	n.byToken = make(map[uint64]*mshrEntry, len(s.byToken))
-	for k, e := range s.byToken {
-		n.byToken[k] = cloneEntry(e)
-	}
+	n.freeMSHRs = append([]int32(nil), s.freeMSHRs...)
+	n.byLine = maps.Clone(s.byLine)
+	n.byToken = maps.Clone(s.byToken)
+	n.pfBuf = append([]uint64(nil), s.pfBuf...)
 	n.mshrInUse = append([]int(nil), s.mshrInUse...)
 	n.coreNextAt = append([]int64(nil), s.coreNextAt...)
 	n.frozen = append([]bool(nil), s.frozen...)

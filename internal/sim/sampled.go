@@ -104,7 +104,8 @@ func (s *system) funcAccess(addr uint64, write bool) {
 	}
 	s.demandMiss++
 	s.funcFill(line, write)
-	for _, target := range s.pf.Observe(line) {
+	s.pfBuf = s.pf.Observe(s.pfBuf[:0], line)
+	for _, target := range s.pfBuf {
 		t := target & _lineMask
 		if s.llc.Probe(t) {
 			continue

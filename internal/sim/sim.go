@@ -191,13 +191,16 @@ type Result struct {
 	Profile map[string]uint64 `json:"profile,omitempty"`
 }
 
-// mshrEntry tracks one outstanding LLC line fill.
+// mshrEntry tracks one outstanding LLC line fill. Entries live in the
+// system's fill slab (system.mshrs); a reused slot keeps its waiters
+// backing array, so merging loads into fills allocates nothing in steady
+// state.
 type mshrEntry struct {
 	lineAddr    uint64
-	dirtyOnFill bool
-	prefetch    bool
 	waiters     []waiter
 	core        int // demanding core (for MSHR accounting)
+	dirtyOnFill bool
+	prefetch    bool
 }
 
 type waiter struct {
@@ -215,8 +218,11 @@ type system struct {
 	memNow     int64
 	cpuNow     int64
 	memAcc     int
-	byLine     map[uint64]*mshrEntry // pending fills by line address
-	byToken    map[uint64]*mshrEntry // engine token -> entry
+	mshrs      []mshrEntry      // fill slab, indexed by byLine and byToken
+	freeMSHRs  []int32          // free mshrs slots
+	byLine     map[uint64]int32 // pending fills by line address
+	byToken    map[uint64]int32 // engine token -> fill slot
+	pfBuf      []uint64         // prefetch targets, reused per Observe
 	mshrInUse  []int
 	nextToken  uint64
 	outstandPf int
@@ -435,8 +441,9 @@ func (p *corePort) Load(addr uint64, now int64) cpu.LoadResult {
 	}
 	s.demandMiss++
 	// Merge into an existing fill.
-	if e, ok := s.byLine[line]; ok {
+	if i, ok := s.byLine[line]; ok {
 		s.nextToken++
+		e := &s.mshrs[i]
 		e.waiters = append(e.waiters, waiter{core: p.id, token: s.nextToken})
 		return cpu.LoadResult{Accepted: true, Async: true, Token: s.nextToken}
 	}
@@ -447,9 +454,8 @@ func (p *corePort) Load(addr uint64, now int64) cpu.LoadResult {
 	s.trainPrefetcher(line)
 	s.nextToken++
 	tok := s.nextToken
-	e := &mshrEntry{lineAddr: line, core: p.id,
-		waiters: []waiter{{core: p.id, token: tok}}}
-	s.startFill(e)
+	e := s.startFill(line, p.id, false, false)
+	e.waiters = append(e.waiters, waiter{core: p.id, token: tok})
 	return cpu.LoadResult{Accepted: true, Async: true, Token: tok}
 }
 
@@ -464,8 +470,8 @@ func (p *corePort) Store(addr uint64, now int64) bool {
 		return true
 	}
 	s.demandMiss++
-	if e, ok := s.byLine[line]; ok {
-		e.dirtyOnFill = true
+	if i, ok := s.byLine[line]; ok {
+		s.mshrs[i].dirtyOnFill = true
 		return true
 	}
 	if s.mshrInUse[p.id] >= s.opt.MSHRsPerCore {
@@ -473,29 +479,43 @@ func (p *corePort) Store(addr uint64, now int64) bool {
 		return false
 	}
 	s.trainPrefetcher(line)
-	e := &mshrEntry{lineAddr: line, core: p.id, dirtyOnFill: true}
-	s.startFill(e)
+	s.startFill(line, p.id, true, false)
 	return true
 }
 
-// startFill issues the engine read backing an LLC fill.
-func (s *system) startFill(e *mshrEntry) {
-	s.byLine[e.lineAddr] = e
-	tok := s.engine.StartRead(e.lineAddr, s.memNow)
+// startFill takes a fill slot for line, issues the engine read backing it,
+// and returns the slot with no waiters. The pointer is valid until the
+// next startFill, which may grow the slab.
+func (s *system) startFill(line uint64, core int, dirty, prefetch bool) *mshrEntry {
+	var i int32
+	if n := len(s.freeMSHRs); n > 0 {
+		i = s.freeMSHRs[n-1]
+		s.freeMSHRs = s.freeMSHRs[:n-1]
+	} else {
+		i = int32(len(s.mshrs))
+		s.mshrs = append(s.mshrs, mshrEntry{})
+	}
+	e := &s.mshrs[i]
+	e.lineAddr, e.core, e.dirtyOnFill, e.prefetch = line, core, dirty, prefetch
+	e.waiters = e.waiters[:0]
+	s.byLine[line] = i
+	tok := s.engine.StartRead(line, s.memNow)
 	s.memEventStale = true
-	s.byToken[tok] = e
-	if e.prefetch {
+	s.byToken[tok] = i
+	if prefetch {
 		s.outstandPf++
 		s.prefetches++
 	} else {
-		s.mshrInUse[e.core]++
+		s.mshrInUse[core]++
 	}
+	return e
 }
 
 // trainPrefetcher observes a demand miss and launches prefetch fills.
 func (s *system) trainPrefetcher(line uint64) {
 	const maxOutstandingPf = 32
-	for _, target := range s.pf.Observe(line) {
+	s.pfBuf = s.pf.Observe(s.pfBuf[:0], line)
+	for _, target := range s.pfBuf {
 		t := target & _lineMask
 		if s.outstandPf >= maxOutstandingPf {
 			break
@@ -506,7 +526,7 @@ func (s *system) trainPrefetcher(line uint64) {
 		if _, pending := s.byLine[t]; pending {
 			continue
 		}
-		s.startFill(&mshrEntry{lineAddr: t, prefetch: true})
+		s.startFill(t, 0, false, true)
 	}
 }
 
@@ -532,11 +552,12 @@ func (s *system) memTick() {
 		return
 	}
 	for _, done := range s.engine.Tick(s.memNow) {
-		e, ok := s.byToken[done.Token]
+		i, ok := s.byToken[done.Token]
 		if !ok {
 			continue
 		}
 		delete(s.byToken, done.Token)
+		e := &s.mshrs[i]
 		delete(s.byLine, e.lineAddr)
 		if e.prefetch {
 			s.outstandPf--
@@ -554,6 +575,7 @@ func (s *system) memTick() {
 				s.coreNextAt[w.core] = 0 // async wake: bound invalid
 			}
 		}
+		s.freeMSHRs = append(s.freeMSHRs, i)
 	}
 	// Re-aggregating the engine bound is O(channels) now that controllers
 	// maintain their own quiet spans, so just mark it stale.
@@ -837,8 +859,8 @@ func warmSystem(opt Options, tickLoop bool) (*system, error) {
 		engine:      engine,
 		llc:         llc,
 		pf:          cache.NewStreamPrefetcher(wopt.Config.Prefetch),
-		byLine:      make(map[uint64]*mshrEntry),
-		byToken:     make(map[uint64]*mshrEntry),
+		byLine:      make(map[uint64]int32),
+		byToken:     make(map[uint64]int32),
 		eventDriven: !tickLoop,
 	}
 	n := wopt.Config.Core.NumCores
