@@ -36,7 +36,7 @@ func main() {
 
 func run() error {
 	var (
-		fig       = flag.String("fig", "all", "figure to regenerate: 6, 7, 8, 10, 12, or all")
+		fig       = flag.String("fig", "all", "figure to regenerate: 6, 7, 8, 10, 12, all, or ablations")
 		quick     = flag.Bool("quick", false, "smoke scale (fast, noisier)")
 		instr     = flag.Uint64("instr", 0, "override measured instructions per core")
 		warmup    = flag.Uint64("warmup", 0, "override warmup instructions per core")
@@ -52,6 +52,11 @@ func run() error {
 	if *version {
 		fmt.Println(obs.Version("secddr-figures"))
 		return nil
+	}
+	switch *fig {
+	case "6", "7", "8", "10", "12", "all", "ablations":
+	default:
+		return fmt.Errorf("unknown -fig %q: want one of 6, 7, 8, 10, 12, all, ablations", *fig)
 	}
 
 	scale := experiments.DefaultScale()

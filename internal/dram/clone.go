@@ -43,10 +43,3 @@ func (c *Channel) AdoptState(src *Channel) {
 	c.RefreshShadowCycles = src.RefreshShadowCycles
 	c.bankCols = append([]uint64(nil), src.bankCols...)
 }
-
-// Clone returns a copy of the mapper. Mappers are pure bit-slicing values;
-// the copy exists so forked controllers share nothing by construction.
-func (m *AddressMapper) Clone() *AddressMapper {
-	n := *m
-	return &n
-}

@@ -147,16 +147,6 @@ func newQueueSummary(cfg config.DRAM) queueSummary {
 	return s
 }
 
-// clone returns a deep copy of the summary.
-func (s *queueSummary) clone() queueSummary {
-	return queueSummary{
-		banks:    append([]bankQueue(nil), s.banks...),
-		headLoc:  append([]dram.Loc(nil), s.headLoc...),
-		occupied: append([]uint64(nil), s.occupied...),
-		hasHits:  append([]uint64(nil), s.hasHits...),
-	}
-}
-
 // add folds a request appended to the queue into the summary; hit says
 // whether it targets its bank's open row.
 func (s *queueSummary) add(req *Request, hit bool) {

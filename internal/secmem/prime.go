@@ -1,45 +1,5 @@
 package secmem
 
-import (
-	"maps"
-
-	"secddr/internal/memctrl"
-)
-
-// Clone returns a deep copy of the engine: controllers (with their DRAM
-// channels), metadata cache, tree layout, the full in-flight transaction
-// state (transaction slab and free list, pending channel requests, backlog,
-// ready completions), and all statistics. Pending and backlog entries name
-// transactions by slab index, so copying the slab preserves which requests
-// share a transaction — outstanding-count bookkeeping stays correct in the
-// fork.
-func (e *Engine) Clone() *Engine {
-	n := new(Engine)
-	*n = *e
-	n.ctls = make([]*memctrl.Controller, len(e.ctls))
-	for i, ctl := range e.ctls {
-		n.ctls[i] = ctl.Clone()
-	}
-	n.mapper = e.mapper.Clone()
-	if e.metaCache != nil {
-		n.metaCache = e.metaCache.Clone()
-	}
-	if e.tree != nil {
-		n.tree = e.tree.Clone()
-	}
-	n.walkBuf = append([]uint64(nil), e.walkBuf...)
-	n.outBuf = append([]ReadDone(nil), e.outBuf...)
-	// Priming memo: meaningful only while resume primes a fresh engine;
-	// a clone starts its own pass (or none), so drop it rather than copy.
-	n.primeSeen = nil
-	n.txns = append([]txn(nil), e.txns...)
-	n.freeTxns = append([]int32(nil), e.freeTxns...)
-	n.pending = maps.Clone(e.pending)
-	n.backlog = append([]backlogEntry(nil), e.backlog...)
-	n.ready = append(readyHeap(nil), e.ready...)
-	return n
-}
-
 // PrimeMeta installs the metadata walk for a data line address into the
 // metadata cache as clean fills, without touching access statistics. A
 // resumed (or forked) run calls it for every LLC-resident line so the

@@ -17,8 +17,11 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 	opt := tinyOpt(config.ModeSecDDRCTR, "mcf")
 	opt.InstrPerCore = 1_000_000 // a cycle cap far beyond the spans below
-	s := warmedSystem(t, opt)
-	if err := s.resume(opt); err != nil {
+	s, err := warmSystem(opt, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.resume(opt, s.engine, nil); err != nil {
 		t.Fatal(err)
 	}
 	goal := make([]uint64, len(s.cores))

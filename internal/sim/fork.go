@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -13,6 +12,7 @@ import (
 	"secddr/internal/config"
 	"secddr/internal/cpu"
 	"secddr/internal/scenario"
+	"secddr/internal/secmem"
 )
 
 // Fork-after-warmup. Grid points in one figure differ only in their
@@ -21,8 +21,8 @@ import (
 // and ends at a drained fixpoint (cores frozen at their warmup target,
 // memory system idle), so the warmed system is a pure deterministic
 // function of a small spec — Options.WarmupKey. A Warmed snapshot can then
-// be deep-copied (forked) once per mode, and each fork resumes under its
-// own measured configuration, producing Results byte-identical to a cold
+// be copied (forked) once per mode, and each fork resumes under its own
+// measured configuration, producing Results byte-identical to a cold
 // run of the same point. See DESIGN.md "Fork-after-warmup".
 
 // warmupConfig returns the canonical configuration the warmup phase runs
@@ -97,19 +97,22 @@ func (o Options) clone() Options {
 	return o
 }
 
-// fork deep-copies the whole system: cores with their op-source cursors,
-// LLC and prefetcher, the security engine (controllers, DRAM channels,
-// metadata structures, in-flight transactions), the MSHR slab with each
-// slot's waiters, and every per-core bookkeeping slice. The copy shares no
-// mutable storage with the parent — the snapshot completeness test walks
-// both state graphs and fails on any aliasing — so resuming the copy cannot
-// perturb the parent, and many forks can resume concurrently from one
-// warmed snapshot.
+// fork copies a warmed template for one measured run: the cores with
+// their op-source cursors, the LLC and prefetcher, the idle MSHR slab, and
+// every per-core bookkeeping slice. A template (Warmed.sys) holds no
+// engine — Warmed keeps the drained warmup engine beside it, and resume
+// builds the measured one — and no fill in flight, so nothing else in it
+// is live; fork refuses any other system. The copy shares no mutable
+// storage with the template (the snapshot completeness tests walk both
+// state graphs and fail on any aliasing), so many forks can resume
+// concurrently from one snapshot.
 func (s *system) fork() (*system, error) {
+	if s.engine != nil || len(s.byToken) != 0 {
+		return nil, errors.New("sim: fork: not a warmed template (engine attached or fills in flight)")
+	}
 	n := new(system)
 	*n = *s
 	n.opt = s.opt.clone()
-	n.engine = s.engine.Clone()
 	n.llc = s.llc.Clone()
 	n.pf = s.pf.Clone()
 	n.cores = make([]*cpu.Core, len(s.cores))
@@ -126,33 +129,17 @@ func (s *system) fork() (*system, error) {
 		n.mshrs[i] = e
 	}
 	n.freeMSHRs = append([]int32(nil), s.freeMSHRs...)
-	n.byLine = maps.Clone(s.byLine)
-	n.byToken = maps.Clone(s.byToken)
+	n.byLine = make(map[uint64]int32)
+	n.byToken = make(map[uint64]int32)
 	n.pfBuf = append([]uint64(nil), s.pfBuf...)
 	n.mshrInUse = append([]int(nil), s.mshrInUse...)
 	n.coreNextAt = append([]int64(nil), s.coreNextAt...)
 	n.frozen = append([]bool(nil), s.frozen...)
 	n.finishCycle = append([]int64(nil), s.finishCycle...)
 	n.warmCycle = append([]int64(nil), s.warmCycle...)
-	// Profiler state. The baselines and phase attribution are rebuilt by
-	// armProfiler when the fork resumes, but the clone keeps the fork free
-	// of aliasing in the window between fork and resume (the completeness
-	// test walks that state). The timeline is per-run instrumentation and
-	// is never inherited.
 	n.mshrRejects = append([]uint64(nil), s.mshrRejects...)
-	if s.prof != nil {
-		n.prof = s.prof.Clone()
-	}
-	// Sampled-loop state: nil at fork time in practice (forks happen from
-	// warmed snapshots, before runSampled arms it), but cloned like the
-	// profiler state so the completeness walk holds for any system.
-	if s.samp != nil {
-		n.samp = s.samp.Clone()
-	}
-	n.tl = nil
-	// Transient resume input, only ever set on a fresh fork by Warmed.Fork
-	// (never on the template being forked): starts clear.
-	n.primedMeta = nil
+	// Per-run state, armed at or after resume: a template has none.
+	n.prof, n.samp, n.tl = nil, nil, nil
 	return n, nil
 }
 
@@ -162,7 +149,12 @@ func (s *system) fork() (*system, error) {
 // number of Fork calls may run concurrently against one Warmed.
 type Warmed struct {
 	key string
-	sys *system
+	// sys is the fork template: the warmed system with its engine
+	// detached. warm is the drained warmup engine, kept beside it: each
+	// fork's resume reads its DRAM channel state and nothing writes it, so
+	// all forks share it.
+	sys  *system
+	warm *secmem.Engine
 
 	// primed memoizes the functionally-primed metadata cache per measured
 	// configuration (canonical Config string). Priming is a pure function
@@ -183,13 +175,15 @@ func Warmup(opt Options) (*Warmed, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Warmed{key: opt.WarmupKey(), sys: s}, nil
+	w := &Warmed{key: opt.WarmupKey(), sys: s, warm: s.engine}
+	s.engine = nil
+	return w, nil
 }
 
 // Key returns the warmup group key this snapshot serves (Options.WarmupKey).
 func (w *Warmed) Key() string { return w.key }
 
-// Fork deep-copies the warmed snapshot and completes the measured region
+// Fork copies the warmed template and completes the measured region
 // under opt, returning exactly the Result a cold Run(opt) returns. opt
 // must belong to this snapshot's warmup group.
 func (w *Warmed) Fork(opt Options) (Result, error) {
@@ -204,12 +198,11 @@ func (w *Warmed) Fork(opt Options) (Result, error) {
 		return Result{}, err
 	}
 	pk := opt.withDefaults().Config.String()
-	s.primedMeta = w.lookupPrimed(pk)
-	first := s.primedMeta == nil
-	if err := s.resume(opt); err != nil {
+	primed := w.lookupPrimed(pk)
+	if err := s.resume(opt, w.warm, primed); err != nil {
 		return Result{}, err
 	}
-	if first {
+	if primed == nil {
 		// resume just primed a fresh metadata cache for this
 		// configuration (or the configuration has none, and there is
 		// nothing to memoize); nothing has run yet, so this is exactly

@@ -70,33 +70,6 @@ type profState struct {
 	tlPollMem int64
 }
 
-// Clone deep-copies the profiler state for a fork. The clonecheck
-// analyzer holds it to the same completeness standard as system.fork.
-func (p *profState) Clone() *profState {
-	n := &profState{
-		baseMemStall:   append([]uint64(nil), p.baseMemStall...),
-		baseStoreStall: append([]uint64(nil), p.baseStoreStall...),
-		baseMshrRej:    append([]uint64(nil), p.baseMshrRej...),
-		curPhase:       append([]int(nil), p.curPhase...),
-		phaseStart:     append([]int64(nil), p.phaseStart...),
-		tlRD:           append([]uint64(nil), p.tlRD...),
-		tlWR:           append([]uint64(nil), p.tlWR...),
-		tlREF:          append([]uint64(nil), p.tlREF...),
-		tlShadow:       append([]uint64(nil), p.tlShadow...),
-		tlPollMem:      p.tlPollMem,
-	}
-	n.baseChan = make([]dram.Counters, len(p.baseChan))
-	for i, c := range p.baseChan {
-		n.baseChan[i] = c
-		n.baseChan[i].BankCols = append([]uint64(nil), c.BankCols...)
-	}
-	n.phaseCycles = make([][]uint64, len(p.phaseCycles))
-	for i, pc := range p.phaseCycles {
-		n.phaseCycles[i] = append([]uint64(nil), pc...)
-	}
-	return n
-}
-
 // armProfiler opens the measured region for the profiler: it captures
 // baselines for every counter that survives resume (core stall attribution,
 // MSHR rejections, the adopted DRAM channel counters), initializes scenario

@@ -49,8 +49,7 @@ type Estimate struct {
 
 // sampState is the sampled loop's cold state. Like the profiler's
 // profState it lives behind one pointer so exact runs pay a single unused
-// word, and it is cloned on fork so the snapshot-completeness walk never
-// sees aliasing.
+// word. It is armed after resume, so a warmed template never holds one.
 type sampState struct {
 	windows bool // at least one full window recorded (gates collectSampled)
 	clamped bool // some window had a zero-cycle per-core span
@@ -67,16 +66,6 @@ type sampState struct {
 	// extrapolated counter fields of Result have measured-window totals to
 	// work from.
 	agg tally
-}
-
-// Clone deep-copies the sampled-loop state for a forked system.
-func (p *sampState) Clone() *sampState {
-	n := new(sampState)
-	*n = *p
-	n.winFin = append([]int64(nil), p.winFin...)
-	n.cpi = append([]float64(nil), p.cpi...)
-	n.perCore = append([]stats.Estimator(nil), p.perCore...)
-	return n
 }
 
 // funcPort adapts the system to cpu.FuncMemory for fast-forward phases:

@@ -285,14 +285,6 @@ type system struct {
 	// tl, when non-nil, records a Perfetto run timeline (RunInstrumented).
 	// Per-run instrumentation: a fork never inherits it.
 	tl *obs.Timeline
-
-	// primedMeta, when set by Warmed.Fork before resume, is the snapshot's
-	// memoized functionally-primed metadata cache for this measured
-	// configuration; resume adopts a clone of it instead of re-running the
-	// priming pass over the resident LLC. Cleared by resume; never set on
-	// cold runs or on the warmed template, so priming behavior (and every
-	// result byte) is identical either way.
-	primedMeta *cache.Cache
 }
 
 // tally is the measurement-relevant counters at one instant, summed over
@@ -786,10 +778,10 @@ func run(opt Options, tickLoop bool, tl *obs.Timeline) (Result, error) {
 // recording into tl (nil: no timeline), and returns the finished system, so
 // tests can inspect internals (e.g. fast-forward statistics) that Result
 // does not carry. A cold run and a forked run execute exactly the same
-// three phases; the only difference is that a fork deep-copies the warmed
-// system between the first two. The timeline attaches between warmup and
-// resume, so it covers the measured region of either fidelity and never
-// reaches a warmed snapshot.
+// three phases; the only difference is that a fork copies the warmed
+// system between the first two and resumes from the snapshot's engine.
+// The timeline attaches between warmup and resume, so it covers the
+// measured region of either fidelity and never reaches a warmed snapshot.
 func runTraced(opt Options, tickLoop bool, tl *obs.Timeline) (*system, error) {
 	s, err := warmSystem(opt, tickLoop)
 	if err != nil {
@@ -797,7 +789,7 @@ func runTraced(opt Options, tickLoop bool, tl *obs.Timeline) (*system, error) {
 	}
 	s.tl = tl
 	s.mark("warmup-done")
-	if err := s.resume(opt); err != nil {
+	if err := s.resume(opt, s.engine, nil); err != nil {
 		return nil, err
 	}
 	s.mark("measured-start")
@@ -917,11 +909,14 @@ func (s *system) drained() bool {
 // resume switches a warmed system to the measured configuration opt and
 // opens the measurement window. The mode-specific security engine is built
 // fresh — its queues are empty at the drained fixpoint by construction —
-// with the DRAM channels' bank/timing/refresh state grafted from the warmed
-// engine, and the metadata cache functionally primed from the resident LLC.
-// Everything here is a deterministic function of the warmed state plus opt,
-// which is what makes a fork identical to a cold run.
-func (s *system) resume(opt Options) error {
+// with the DRAM channels' bank/timing/refresh state grafted from warm, the
+// drained warmup engine: the system's own on a cold run, the snapshot's on
+// a fork, only read either way. The metadata cache is functionally primed
+// from the resident LLC, or, when primed is non-nil, adopted as a clone of
+// that pass's memoized output for this configuration. Everything here is a
+// deterministic function of the warmed state plus opt, which is what makes
+// a fork identical to a cold run.
+func (s *system) resume(opt Options, warm *secmem.Engine, primed *cache.Cache) error {
 	opt = opt.withDefaults()
 	// Re-validated here (not only in warmSystem) because a fork resumes
 	// under options the warmup never saw — fidelity differs freely within
@@ -934,21 +929,20 @@ func (s *system) resume(opt Options) error {
 		return err
 	}
 	engine.SetEventDriven(s.eventDriven)
-	old := s.engine.Controllers()
+	old := warm.Controllers()
 	for i, ctl := range engine.Controllers() {
 		ctl.Channel().AdoptState(old[i].Channel())
 	}
 	s.engine = engine
 	s.opt = opt
 	if engine.MetaCache() != nil {
-		if s.primedMeta != nil {
+		if primed != nil {
 			// The warmed snapshot already served this measured
 			// configuration: the priming pass below is a pure function of
 			// the (immutable) resident LLC and the engine geometry, so its
 			// output was memoized and adopting a clone is byte-identical
 			// to re-running it.
-			engine.AdoptMetaCache(s.primedMeta.Clone())
-			s.primedMeta = nil
+			engine.AdoptMetaCache(primed.Clone())
 		} else {
 			s.llc.VisitResident(func(addr uint64, dirty bool) {
 				engine.PrimeMeta(addr)

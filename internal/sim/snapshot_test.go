@@ -191,13 +191,15 @@ func reportIssues(t *testing.T, issues []walkIssue) {
 	}
 }
 
+// warmedSystem returns the fork template Warmup builds for opt: the
+// system production forks copy, with its warmup engine detached.
 func warmedSystem(t *testing.T, opt Options) *system {
 	t.Helper()
-	s, err := warmSystem(opt, false)
+	w, err := Warmup(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return w.sys
 }
 
 func mustFork(t *testing.T, s *system) *system {
@@ -250,25 +252,35 @@ func TestForkSharesNoStateScenario(t *testing.T) {
 	reportIssues(t, compareGraphs("system", s, mustFork(t, s)))
 }
 
-// TestForkSharesNoStateMidRun forks a system in the middle of the measured
-// region — MSHRs occupied, security-engine transactions in flight — and
-// walks the graphs. This is what exercises the transaction memo and waiter
-// copies: at the drained warmup fixpoint those structures are empty.
-func TestForkSharesNoStateMidRun(t *testing.T) {
-	forked := false
+// TestForkRefusesLiveSystem: fork copies only what a warmed template
+// holds, so it must refuse a system in the middle of a run — engine
+// attached, fills in flight — and a cold run's warmed system, whose
+// engine is still attached, rather than return a copy sharing them.
+func TestForkRefusesLiveSystem(t *testing.T) {
+	opt := tinyOpt(config.ModeIntegrityTree, "mcf")
+	tried := false
 	debugHook = func(s *system) {
-		if forked || len(s.byToken) < 4 {
+		if tried || len(s.byToken) < 4 {
 			return
 		}
-		forked = true
-		reportIssues(t, compareGraphs("system", s, mustFork(t, s)))
+		tried = true
+		if _, err := s.fork(); err == nil {
+			t.Error("fork accepted a system with fills in flight")
+		}
 	}
 	defer func() { debugHook = nil }()
-	if _, err := Run(tinyOpt(config.ModeIntegrityTree, "mcf")); err != nil {
+	if _, err := Run(opt); err != nil {
 		t.Fatal(err)
 	}
-	if !forked {
+	if !tried {
 		t.Fatal("no cycle with several in-flight fills; pick a heavier point")
+	}
+	s, err := warmSystem(opt, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.fork(); err == nil {
+		t.Error("fork accepted a warmed system with its engine attached")
 	}
 }
 
@@ -611,6 +623,48 @@ func TestSharedPageTableUnchangedByForkedRun(t *testing.T) {
 	}
 }
 
+// TestForkLeavesWarmEngineUnchanged: every fork of a snapshot reads the
+// one drained warmup engine it keeps (resume grafts its DRAM channel
+// state), so concurrent forked runs must leave every leaf of it exactly
+// as the warmup left it. secddr+xts uses eWCRC, so its channels adopt the
+// state under a different write burst length.
+func TestForkLeavesWarmEngineUnchanged(t *testing.T) {
+	w, err := Warmup(tinyOpt(config.ModeSecDDRCTR, "mcf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := flattenLeaves("engine", w.warm)
+	modes := []config.Mode{config.ModeSecDDRCTR, config.ModeIntegrityTree, config.ModeSecDDRXTS}
+	errs := make(chan error, len(modes))
+	for _, mode := range modes {
+		go func() {
+			_, err := w.Fork(tinyOpt(mode, "mcf"))
+			errs <- err
+		}()
+	}
+	for range modes {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := flattenLeaves("engine", w.warm)
+	if len(before) != len(after) {
+		t.Errorf("warm engine leaf count changed: %d -> %d", len(before), len(after))
+	}
+	changed := 0
+	for path, was := range before {
+		if now, ok := after[path]; !ok || now != was {
+			changed++
+			if changed <= 10 {
+				t.Errorf("warm engine leaf changed by forked runs: %s (%q -> %q)", path, was, now)
+			}
+		}
+	}
+	if changed > 10 {
+		t.Errorf("... and %d more changed leaves", changed-10)
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Fork-vs-cold identity: the contract Warmed.Fork sells to the harness is
 // that a forked run's Result is byte-identical (as JSON, which is what the
@@ -836,7 +890,7 @@ func TestForkPerCycleIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if firstBad >= 0 {
-		ctl := w.sys.engine.Controllers()[0]
+		ctl := w.warm.Controllers()[0]
 		t.Errorf("first divergence at iteration %d (cpu cycle %d):\nfork: %+v\ncold: %+v\nwarmed controller: %s",
 			firstBad, forkBad.cpu, forkBad, coldBad, ctl.DebugState())
 	}

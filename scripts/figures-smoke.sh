@@ -2,7 +2,8 @@
 # End-to-end smoke for the paper-figure path: secddr-figures at smoke
 # scale on two workloads (mcf, pr), once for every figure (-fig all) and
 # once for every ablation (-fig ablations), diffed byte for byte against
-# scripts/testdata/figures-smoke.golden. Every run is seeded and
+# scripts/testdata/figures-smoke.golden. An unknown figure (-fig 9) must
+# exit non-zero. Every run is seeded and
 # deterministic, so any difference is a change in a printed figure.
 #
 # The golden changes only when simulated results do. Re-record it in the
@@ -18,6 +19,12 @@ trap 'rm -rf "$work"' EXIT
 
 echo "== building"
 go build -o "$work/secddr-figures" ./cmd/secddr-figures
+
+echo "== secddr-figures -fig 9 must fail"
+if "$work/secddr-figures" -fig 9 >/dev/null 2>&1; then
+  echo "FAIL: secddr-figures accepted -fig 9"
+  exit 1
+fi
 
 args=(-quick -workloads mcf,pr -instr 40000 -warmup 20000)
 for fig in all ablations; do
