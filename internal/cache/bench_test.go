@@ -46,7 +46,8 @@ func warmedLLC(b *testing.B, addrs []uint64) *Cache {
 
 // BenchmarkCache times the per-access and per-fork operations of the
 // Table I LLC (4 MiB, 16 ways) on a seeded address stream: one Access,
-// one Fill, one Clone of the whole warmed cache, and one VisitResident
+// one Fill, one Clone of the whole warmed cache into fresh storage and
+// one into a recycled cache of the same geometry, and one VisitResident
 // walk over it.
 func BenchmarkCache(b *testing.B) {
 	const n = 1 << 18 // four passes over the LLC's 65536 lines
@@ -73,7 +74,15 @@ func BenchmarkCache(b *testing.B) {
 		c := warmedLLC(b, addrs)
 		b.ReportAllocs()
 		for b.Loop() {
-			sink.cache = c.Clone()
+			sink.cache = c.Clone(nil)
+		}
+	})
+	b.Run("clone-into", func(b *testing.B) {
+		c := warmedLLC(b, addrs)
+		into := c.Clone(nil)
+		b.ReportAllocs()
+		for b.Loop() {
+			sink.cache = c.Clone(into)
 		}
 	})
 	b.Run("visit", func(b *testing.B) {

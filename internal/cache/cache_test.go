@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -138,5 +139,106 @@ func TestCapacityProperty(t *testing.T) {
 func TestRejectsBadGeometry(t *testing.T) {
 	if _, err := New(config.CacheGeom{SizeBytes: 100, LineBytes: 64, Ways: 3}); err == nil {
 		t.Error("New accepted invalid geometry")
+	}
+}
+
+// churn runs a seeded mix of accesses and fills over twice c's capacity,
+// so c ends with evictions, dirty lines, advanced recency and statistics.
+func churn(c *Cache, seed uint64) {
+	lines := uint64(2 * c.geom.SizeBytes / c.geom.LineBytes)
+	x := seed
+	for i := range 4 * int(lines) {
+		x = x*6364136223846793005 + 1442695040888963407
+		a := (x >> 33) % lines * uint64(c.geom.LineBytes)
+		if !c.Access(a, i%3 == 0) {
+			c.Fill(a, i%5 == 0)
+		}
+	}
+}
+
+// sharesArray reports whether a and b share any way-state backing array.
+func sharesArray(a, b *Cache) bool {
+	return &a.tags[0] == &b.tags[0] || &a.lastUse[0] == &b.lastUse[0] || &a.dirty[0] == &b.dirty[0]
+}
+
+// TestCloneIntoRecycledCache: a clone written into a used cache of the
+// same geometry reuses that cache's arrays, equals a fresh clone in every
+// field, and shares no array with its source; a target of another
+// geometry is left alone and the clone allocates.
+func TestCloneIntoRecycledCache(t *testing.T) {
+	src, used := small(t), small(t)
+	churn(src, 1)
+	churn(used, 2)
+	fresh := src.Clone(nil)
+	if !reflect.DeepEqual(fresh, src) || sharesArray(fresh, src) {
+		t.Fatal("Clone(nil) is not an independent copy of its source")
+	}
+	usedTags := &used.tags[0]
+	got := src.Clone(used)
+	if got != used || &got.tags[0] != usedTags {
+		t.Error("Clone into a cache of the same geometry did not reuse its storage")
+	}
+	if !reflect.DeepEqual(got, fresh) {
+		t.Errorf("Clone into a used cache differs from a fresh clone:\ngot   %+v\nfresh %+v", *got, *fresh)
+	}
+	if sharesArray(got, src) {
+		t.Error("Clone into a used cache shares storage with its source")
+	}
+	got.Fill(0x40, true)
+	if !reflect.DeepEqual(fresh, src) {
+		t.Error("writing the clone changed its source")
+	}
+
+	other, err := New(config.CacheGeom{SizeBytes: 1 << 13, LineBytes: 64, Ways: 4, HitLatency: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	churn(other, 3)
+	before := other.Clone(nil)
+	got = src.Clone(other)
+	if got == other || !reflect.DeepEqual(got, fresh) || sharesArray(got, other) {
+		t.Error("Clone into a cache of another geometry did not make a fresh copy")
+	}
+	if !reflect.DeepEqual(other, before) {
+		t.Error("Clone changed a target of another geometry")
+	}
+}
+
+// TestResetEqualsNew: resetting a used cache of the same geometry reuses
+// its arrays and yields exactly what New builds; a nil cache or one of
+// another geometry yields a fresh New.
+func TestResetEqualsNew(t *testing.T) {
+	geom := small(t).Geom()
+	want, err := New(geom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := small(t)
+	churn(used, 4)
+	got, err := used.Reset(geom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != used {
+		t.Error("Reset of a cache of the same geometry did not reuse it")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Reset differs from New:\ngot  %+v\nwant %+v", *got, *want)
+	}
+	var none *Cache
+	if got, err := none.Reset(geom); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("Reset of a nil cache differs from New (err %v)", err)
+	}
+	wide := geom
+	wide.Ways = 8
+	wantWide, err := New(wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := want.Reset(wide); err != nil || got == want || !reflect.DeepEqual(got, wantWide) {
+		t.Errorf("Reset of a cache of another geometry did not build a fresh one (err %v)", err)
+	}
+	if _, err := none.Reset(config.CacheGeom{SizeBytes: 100, LineBytes: 64, Ways: 3}); err == nil {
+		t.Error("Reset accepted invalid geometry")
 	}
 }

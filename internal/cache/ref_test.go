@@ -209,7 +209,9 @@ func (s *opStream) addr() uint64 {
 // geometry, and asserts after every operation that hit results, victims,
 // statistics and the VisitResident sequence are identical. A Clone
 // continues on the copies after mutating the originals, so a copy that
-// shared storage with its original would diverge.
+// shared storage with its original would diverge; from the second Clone
+// on, the copy is written into the previous, mutated original, so a copy
+// that kept any of its target's old state would diverge too.
 func TestCacheMatchesReference(t *testing.T) {
 	cfg := config.Table1(config.ModeSecDDRCTR)
 	for _, tc := range []struct {
@@ -229,6 +231,9 @@ func TestCacheMatchesReference(t *testing.T) {
 			}
 			r := newRefCache(tc.geom)
 			s := newOpStream(tc.geom, 42)
+			// spare is the cache a clone is copied into: nil at first,
+			// then the mutated original the previous clone replaced.
+			var spare *Cache
 			var gotLines, wantLines []resident
 			var evictions int
 			for op := range tc.ops {
@@ -259,10 +264,10 @@ func TestCacheMatchesReference(t *testing.T) {
 					}
 				default:
 					kind = "clone"
-					nc, nr := c.Clone(), r.Clone()
+					nc, nr := c.Clone(spare), r.Clone()
 					c.Fill(addr, true)
 					r.Fill(addr, true)
-					c, r = nc, nr
+					c, r, spare = nc, nr, c
 				}
 				got := [5]uint64{c.Accesses, c.Hits, c.Misses, c.Evictions, c.Writebacks}
 				want := [5]uint64{r.Accesses, r.Hits, r.Misses, r.Evictions, r.Writebacks}

@@ -92,15 +92,6 @@ type Engine struct {
 	readAdder int64 // fixed addition to the data arrival (XTS, InvisiMem)
 	hasWalk   bool  // counter and/or tree metadata accesses exist
 	walkBuf   []uint64
-	// primeSeen dedupes PrimeMeta by counter-leaf index: one walk per
-	// leaf group per priming pass, tracked as a bitmap over the tree's
-	// leaf level (a map here costs more than the walks it skips). Only
-	// ever populated during resume (PrimeMeta's sole caller), dead
-	// weight afterwards. leafShift caches the tree's leaf shift so the
-	// inlined PrimeMeta fast path indexes the bitmap without a divide;
-	// it is valid whenever primeSeen is non-nil.
-	primeSeen []uint64
-	leafShift uint8
 
 	// txns is the transaction slab and freeTxns its free slot indexes.
 	// A slot is taken by StartRead and returned by maybeFinish once its
@@ -213,12 +204,6 @@ func (e *Engine) channelOf(addr uint64) int {
 
 // MetaCache exposes the metadata cache (nil for XTS-without-tree modes).
 func (e *Engine) MetaCache() *cache.Cache { return e.metaCache }
-
-// AdoptMetaCache replaces the engine's metadata cache with c, which must
-// have the geometry the engine's configuration describes. Resume uses it to
-// install an already-primed cache cloned from a warmed snapshot's memo
-// instead of re-running the priming pass over the resident LLC.
-func (e *Engine) AdoptMetaCache(c *cache.Cache) { e.metaCache = c }
 
 // CryptoMemCycles returns the crypto latency in memory-clock cycles.
 func (e *Engine) CryptoMemCycles() int64 { return e.cryptoMem }

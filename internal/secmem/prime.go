@@ -1,51 +1,70 @@
 package secmem
 
-// PrimeMeta installs the metadata walk for a data line address into the
-// metadata cache as clean fills, without touching access statistics. A
-// resumed (or forked) run calls it for every LLC-resident line so the
-// metadata cache starts consistent with the data the measured region will
-// re-reference — the functional analogue of the LLC warmup.
+import (
+	"sync"
+
+	"secddr/internal/cache"
+)
+
+// leafBitmaps recycles the priming pass's leaf bitmaps (*[]uint64): each
+// pass borrows one and gives it back when it ends, so a sweep that primes
+// once per grid point allocates one bitmap per concurrent pass, not one
+// per point.
+var leafBitmaps sync.Pool
+
+// PrimeResident installs, for every line resident in llc, the metadata
+// walk of that data line into the metadata cache as clean fills, without
+// touching access statistics. A resumed (or forked) run calls it once so
+// the metadata cache starts consistent with the data the measured region
+// will re-reference — the functional analogue of the LLC warmup. Engines
+// without metadata have nothing to prime.
 //
 // The walk is a pure function of the data line's counter-leaf index
 // (integrity.Tree.WalkAddrs derives every level from lineIdx/perLeaf), so
 // all lines sharing a leaf produce the identical address list. Priming is
 // an idempotent ensure-present sweep, so each leaf group is walked once
-// and later lines from the same group are skipped (a leaf-level bitmap;
-// see primeSeen) — on a warmed LLC that is a ~perLeaf-fold cut in
-// probe/fill work, which dominates fork cost in wide sweeps.
-// The split keeps the already-primed path small enough to inline into the
-// resident-line visit loop: for a warmed multi-megabyte LLC that path runs
-// tens of thousands of times per fork, and per-call overhead alone was
-// showing up in fork profiles. The fast path only fires once primeMetaSlow
-// has set up the memo (which caches the tree's leaf shift on the engine).
-func (e *Engine) PrimeMeta(addr uint64) {
-	if e.primeSeen != nil {
-		idx := addr >> e.leafShift
-		if e.primeSeen[idx>>6]&(1<<(idx&63)) != 0 {
-			return
-		}
-	}
-	e.primeMetaSlow(addr)
+// and later lines from the same group are skipped, tracked in a bitmap
+// over the tree's leaf level (a map costs more than the walks it skips)
+// — on a warmed LLC that is a ~perLeaf-fold cut in probe/fill work. The
+// bitmap lives for this one pass: it is borrowed cleared from a pool and
+// returned at the end, so no engine keeps one.
+func (e *Engine) PrimeResident(llc *cache.Cache) {
+	e.primeResident(llc, &leafBitmaps)
 }
 
-// primeMetaSlow covers every non-hot case: no metadata at all, the first
-// call of a priming pass (allocate the memo, or run memo-less if the tree
-// geometry admits no leaf shift), and the first visit of each leaf group
-// (mark it seen and ensure its walk is metadata-resident).
-func (e *Engine) primeMetaSlow(addr uint64) {
+// primeResident is PrimeResident drawing its bitmap from pool.
+func (e *Engine) primeResident(llc *cache.Cache, pool *sync.Pool) {
 	if !e.hasWalk {
 		return
 	}
-	if e.primeSeen == nil {
-		if s, ok := e.tree.LeafShift(); ok {
-			e.leafShift = uint8(s)
-			e.primeSeen = make([]uint64, (e.tree.NodeCount(0)+63)/64)
+	shift, ok := e.tree.LeafShift()
+	if !ok {
+		llc.VisitResident(func(addr uint64, _ bool) { e.primeWalk(addr) })
+		return
+	}
+	words := int((e.tree.NodeCount(0) + 63) / 64)
+	bm, _ := pool.Get().(*[]uint64)
+	if bm == nil || cap(*bm) < words {
+		b := make([]uint64, words)
+		bm = &b
+	} else {
+		*bm = (*bm)[:words]
+		clear(*bm)
+	}
+	seen := *bm
+	llc.VisitResident(func(addr uint64, _ bool) {
+		idx := addr >> shift
+		if seen[idx>>6]&(1<<(idx&63)) != 0 {
+			return
 		}
-	}
-	if e.primeSeen != nil {
-		idx := addr >> e.leafShift
-		e.primeSeen[idx>>6] |= 1 << (idx & 63)
-	}
+		seen[idx>>6] |= 1 << (idx & 63)
+		e.primeWalk(addr)
+	})
+	pool.Put(bm)
+}
+
+// primeWalk ensures addr's metadata walk is resident in the metadata cache.
+func (e *Engine) primeWalk(addr uint64) {
 	for _, a := range e.walkAddrs(addr) {
 		if !e.metaCache.Probe(a) {
 			e.metaCache.Fill(a, false)

@@ -5,6 +5,7 @@ import (
 
 	"secddr/internal/config"
 	"secddr/internal/scenario"
+	"secddr/internal/secmem"
 	"secddr/internal/trace"
 )
 
@@ -126,8 +127,10 @@ func BenchmarkScenarioPhaseSwitch(b *testing.B) {
 
 // BenchmarkWarmedFork measures the per-point fork cost: one deep copy of
 // a warmed Table 1 snapshot on mcf (1.5 GiB footprint), without the
-// measured run. B/op is what each forked point allocates up front; the
-// generators' page tables are shared with the snapshot, not copied.
+// measured run. Each copy's LLC goes back to the pool as Warmed.Fork
+// gives a finished point's back, so B/op is what each forked point
+// allocates up front in a sweep; the generators' page tables are shared
+// with the snapshot, not copied.
 func BenchmarkWarmedFork(b *testing.B) {
 	opt := benchOptions(b)
 	w, err := Warmup(opt)
@@ -136,8 +139,38 @@ func BenchmarkWarmedFork(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, err := w.sys.fork(); err != nil {
+		f, err := w.sys.fork()
+		if err != nil {
 			b.Fatal(err)
 		}
+		llcPool.Put(f.llc)
+	}
+}
+
+// BenchmarkPrimeMeta measures resume's metadata priming pass over a warmed
+// Table 1 mcf LLC, the per-point cost of every fork that finds no memoized
+// primed cache (the first fork of each configuration from a snapshot).
+// Each pass primes the same engine after emptying its metadata cache in
+// place, so B/op is the pass's own allocation.
+func BenchmarkPrimeMeta(b *testing.B) {
+	w, err := Warmup(benchOptions(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, mode := range []config.Mode{config.ModeSecDDRCTR, config.ModeIntegrityTree} {
+		b.Run(mode.String(), func(b *testing.B) {
+			e, err := secmem.NewEngine(config.Table1(mode))
+			if err != nil {
+				b.Fatal(err)
+			}
+			mc := e.MetaCache()
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := mc.Reset(mc.Geom()); err != nil {
+					b.Fatal(err)
+				}
+				e.PrimeResident(w.sys.llc)
+			}
+		})
 	}
 }

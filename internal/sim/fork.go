@@ -97,15 +97,29 @@ func (o Options) clone() Options {
 	return o
 }
 
+// llcPool recycles LLC storage between grid points. Warmed.Fork gives a
+// finished point's LLC back once its Result is collected; fork copies the
+// template into a pooled LLC, and warmSystem resets one for a new warmup,
+// so a sweep allocates LLC arrays once per concurrent point, not once per
+// point. Only caches nothing else references are put here.
+var llcPool sync.Pool
+
+// takeLLC returns a recycled LLC, or nil when the pool is empty; the
+// cache.Cache Clone and Reset methods allocate for a nil or mismatched one.
+func takeLLC() *cache.Cache {
+	c, _ := llcPool.Get().(*cache.Cache)
+	return c
+}
+
 // fork copies a warmed template for one measured run: the cores with
-// their op-source cursors, the LLC and prefetcher, the idle MSHR slab, and
-// every per-core bookkeeping slice. A template (Warmed.sys) holds no
-// engine — Warmed keeps the drained warmup engine beside it, and resume
-// builds the measured one — and no fill in flight, so nothing else in it
-// is live; fork refuses any other system. The copy shares no mutable
-// storage with the template (the snapshot completeness tests walk both
-// state graphs and fail on any aliasing), so many forks can resume
-// concurrently from one snapshot.
+// their op-source cursors, the LLC (into recycled storage) and
+// prefetcher, the idle MSHR slab, and every per-core bookkeeping slice.
+// A template (Warmed.sys) holds no engine — Warmed keeps the drained
+// warmup engine beside it, and resume builds the measured one — and no
+// fill in flight, so nothing else in it is live; fork refuses any other
+// system. The copy shares no mutable storage with the template (the
+// snapshot completeness tests walk both state graphs and fail on any
+// aliasing), so many forks can resume concurrently from one snapshot.
 func (s *system) fork() (*system, error) {
 	if s.engine != nil || len(s.byToken) != 0 {
 		return nil, errors.New("sim: fork: not a warmed template (engine attached or fills in flight)")
@@ -113,7 +127,7 @@ func (s *system) fork() (*system, error) {
 	n := new(system)
 	*n = *s
 	n.opt = s.opt.clone()
-	n.llc = s.llc.Clone()
+	n.llc = s.llc.Clone(takeLLC())
 	n.pf = s.pf.Clone()
 	n.cores = make([]*cpu.Core, len(s.cores))
 	for i, c := range s.cores {
@@ -160,7 +174,7 @@ type Warmed struct {
 	// configuration (canonical Config string). Priming is a pure function
 	// of the immutable resident LLC and the configuration's metadata
 	// geometry, so the first fork of each configuration computes it and
-	// later forks adopt a clone — which turns the dominant per-fork cost
+	// later forks copy it — which turns the dominant per-fork cost
 	// in mixed-fidelity sweeps (every grid point forks once per fidelity)
 	// into a small memcpy.
 	mu     sync.Mutex
@@ -208,13 +222,17 @@ func (w *Warmed) Fork(opt Options) (Result, error) {
 		// nothing to memoize); nothing has run yet, so this is exactly
 		// the state every later fork of the same configuration adopts.
 		if mc := s.engine.MetaCache(); mc != nil {
-			w.storePrimed(pk, mc.Clone())
+			w.storePrimed(pk, mc.Clone(nil))
 		}
 	}
 	if err := s.runMeasuredRegion(); err != nil {
 		return Result{}, err
 	}
-	return s.collect(), nil
+	res := s.collect()
+	// The Result holds no reference into s, and s is dropped here: its
+	// LLC storage goes to the next fork or warmup.
+	llcPool.Put(s.llc)
+	return res, nil
 }
 
 // lookupPrimed returns the memoized primed metadata cache for a measured

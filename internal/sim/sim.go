@@ -842,7 +842,7 @@ func warmSystem(opt Options, tickLoop bool) (*system, error) {
 		return nil, err
 	}
 	engine.SetEventDriven(!tickLoop)
-	llc, err := cache.New(wopt.Config.LLC)
+	llc, err := takeLLC().Reset(wopt.Config.LLC)
 	if err != nil {
 		return nil, err
 	}
@@ -912,10 +912,10 @@ func (s *system) drained() bool {
 // with the DRAM channels' bank/timing/refresh state grafted from warm, the
 // drained warmup engine: the system's own on a cold run, the snapshot's on
 // a fork, only read either way. The metadata cache is functionally primed
-// from the resident LLC, or, when primed is non-nil, adopted as a clone of
-// that pass's memoized output for this configuration. Everything here is a
-// deterministic function of the warmed state plus opt, which is what makes
-// a fork identical to a cold run.
+// from the resident LLC, or, when primed is non-nil, overwritten with a
+// copy of that pass's memoized output for this configuration. Everything
+// here is a deterministic function of the warmed state plus opt, which is
+// what makes a fork identical to a cold run.
 func (s *system) resume(opt Options, warm *secmem.Engine, primed *cache.Cache) error {
 	opt = opt.withDefaults()
 	// Re-validated here (not only in warmSystem) because a fork resumes
@@ -935,19 +935,16 @@ func (s *system) resume(opt Options, warm *secmem.Engine, primed *cache.Cache) e
 	}
 	s.engine = engine
 	s.opt = opt
-	if engine.MetaCache() != nil {
-		if primed != nil {
-			// The warmed snapshot already served this measured
-			// configuration: the priming pass below is a pure function of
-			// the (immutable) resident LLC and the engine geometry, so its
-			// output was memoized and adopting a clone is byte-identical
-			// to re-running it.
-			engine.AdoptMetaCache(primed.Clone())
-		} else {
-			s.llc.VisitResident(func(addr uint64, dirty bool) {
-				engine.PrimeMeta(addr)
-			})
-		}
+	// A non-nil primed means the warmed snapshot already served this
+	// measured configuration: the priming pass is a pure function of the
+	// (immutable) resident LLC and the engine geometry, so its output was
+	// memoized, and copying it into the engine's fresh metadata cache is
+	// byte-identical to re-running the pass. The memo is keyed by
+	// configuration, so the geometries match and the copy is in place.
+	if primed == nil {
+		engine.PrimeResident(s.llc)
+	} else if mc := engine.MetaCache(); primed.Clone(mc) != mc {
+		return errors.New("sim: resume: memoized metadata cache does not match the configuration's geometry")
 	}
 	s.memEventAt = 0
 	s.memEventStale = true
