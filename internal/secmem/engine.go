@@ -88,9 +88,9 @@ type Engine struct {
 	metaCache *cache.Cache
 	tree      *integrity.Tree // tree or counter layout; nil for XTS non-tree
 
-	cryptoMem int64 // crypto latency converted to memory cycles
-	readAdder int64 // fixed addition to the data arrival (XTS, InvisiMem)
-	hasWalk   bool  // counter and/or tree metadata accesses exist
+	cryptoMem int64      // crypto latency converted to memory cycles
+	readAdder int64      // fixed addition to the data arrival (XTS, InvisiMem)
+	meta      MetaLayout // the metadata walk's shape; zero without metadata
 	walkBuf   []uint64
 
 	// txns is the transaction slab and freeTxns its free slot indexes.
@@ -149,31 +149,19 @@ func NewEngine(cfg config.Config) (*Engine, error) {
 	c := cfg.Security.CryptoLatency
 	e.cryptoMem = int64((c*cfg.DRAM.ClockMHz + cfg.Core.ClockMHz - 1) / cfg.Core.ClockMHz)
 
-	sec := cfg.Security
-	needMeta := sec.Encryption == config.EncCounterMode ||
-		sec.Mode == config.ModeIntegrityTree
-	if needMeta {
-		e.metaCache, err = cache.New(sec.MetadataCache)
+	if m := MetaLayoutOf(cfg); m.walk {
+		e.metaCache, err = cache.New(m.cache)
 		if err != nil {
 			return nil, err
 		}
-		perLeaf := sec.CountersPerLine
-		arity := sec.TreeArity
-		if sec.Mode != config.ModeIntegrityTree {
-			// Flat counters: a single-level "tree" (walk = counter line only).
-			arity = 2
-		}
-		if sec.HashTree {
-			perLeaf = 8 // 8 MACs of 8B per 64B line
-		}
-		e.tree, err = integrity.New(cfg.DRAM.CapacityBytes, cfg.LLC.LineBytes, perLeaf, arity, MetaBase)
+		e.tree, err = integrity.New(m.dataBytes, m.lineBytes, m.perLeaf, m.arity, MetaBase)
 		if err != nil {
 			return nil, err
 		}
-		e.hasWalk = true
+		e.meta = m
 	}
 
-	switch sec.Mode {
+	switch sec := cfg.Security; sec.Mode {
 	case config.ModeInvisiMem:
 		e.readAdder = 2 * e.cryptoMem
 	default:
@@ -224,7 +212,7 @@ func (e *Engine) StartRead(addr uint64, now int64) uint64 {
 	e.txns[t] = txn{token: e.nextTok, dataT: -1, metaT: -1}
 	e.starting = t
 	e.issue(t, addr, kindData, false, now)
-	if e.hasWalk {
+	if e.meta.walk {
 		e.walkReads(t, addr, now)
 	}
 	e.starting = noTxn
@@ -237,7 +225,7 @@ func (e *Engine) StartRead(addr uint64, now int64) uint64 {
 func (e *Engine) StartWrite(addr uint64, now int64) {
 	e.WritesStarted++
 	e.issue(noTxn, addr, kindData, true, now)
-	if e.hasWalk {
+	if e.meta.walk {
 		e.walkWrite(addr, now)
 	}
 }
@@ -282,7 +270,7 @@ func (e *Engine) walkWrite(addr uint64, now int64) {
 // traffic counters (MetaReads, MetaWritebacks) are untouched — only the
 // cache's own access/miss counters move, as any cache probe does.
 func (e *Engine) FuncAccess(addr uint64, write bool) {
-	if !e.hasWalk {
+	if !e.meta.walk {
 		return
 	}
 	for _, a := range e.walkAddrs(addr) {
@@ -298,7 +286,7 @@ func (e *Engine) FuncAccess(addr uint64, write bool) {
 // full leaf-to-root path.
 func (e *Engine) walkAddrs(addr uint64) []uint64 {
 	e.walkBuf = e.walkBuf[:0]
-	if e.cfg.Security.Mode == config.ModeIntegrityTree {
+	if e.meta.fullTree {
 		e.walkBuf = e.tree.WalkAddrs(e.walkBuf, addr)
 		return e.walkBuf
 	}

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"secddr/internal/cache"
+	"secddr/internal/config"
 )
 
 // leafBitmaps recycles the priming pass's leaf bitmaps (*[]uint64): each
@@ -11,6 +12,52 @@ import (
 // once per grid point allocates one bitmap per concurrent pass, not one
 // per point.
 var leafBitmaps sync.Pool
+
+// MetaLayout is everything about a configuration that NewEngine's
+// metadata walk and metadata cache depend on: whether metadata exists,
+// whether a walk covers the whole tree or only the counter line, the
+// tree's shape (data capacity, line size, entries per leaf line and
+// arity, which fix its leaf shift and node addresses), and the metadata
+// cache's geometry. NewEngine builds its tree and metadata cache from it
+// alone, so PrimeResident's output is a function of the LLC and the
+// layout: configurations with equal layouts, such as secddr+ctr and
+// encrypt-only-ctr, prime byte-identical metadata caches from one LLC,
+// and a primed cache may be memoized under its layout. Configurations
+// without metadata have the zero layout.
+type MetaLayout struct {
+	walk      bool
+	fullTree  bool
+	dataBytes int64
+	lineBytes int
+	perLeaf   int
+	arity     int
+	cache     config.CacheGeom
+}
+
+// MetaLayoutOf returns cfg's metadata layout.
+func MetaLayoutOf(cfg config.Config) MetaLayout {
+	sec := cfg.Security
+	if sec.Encryption != config.EncCounterMode && sec.Mode != config.ModeIntegrityTree {
+		return MetaLayout{}
+	}
+	m := MetaLayout{
+		walk:      true,
+		fullTree:  sec.Mode == config.ModeIntegrityTree,
+		dataBytes: cfg.DRAM.CapacityBytes,
+		lineBytes: cfg.LLC.LineBytes,
+		perLeaf:   sec.CountersPerLine,
+		arity:     sec.TreeArity,
+		cache:     sec.MetadataCache,
+	}
+	if !m.fullTree {
+		// Flat counters: a single-level "tree" (walk = counter line only).
+		m.arity = 2
+	}
+	if sec.HashTree {
+		m.perLeaf = 8 // 8 MACs of 8B per 64B line
+	}
+	return m
+}
 
 // PrimeResident installs, for every line resident in llc, the metadata
 // walk of that data line into the metadata cache as clean fills, without
@@ -34,7 +81,7 @@ func (e *Engine) PrimeResident(llc *cache.Cache) {
 
 // primeResident is PrimeResident drawing its bitmap from pool.
 func (e *Engine) primeResident(llc *cache.Cache, pool *sync.Pool) {
-	if !e.hasWalk {
+	if !e.meta.walk {
 		return
 	}
 	shift, ok := e.tree.LeafShift()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"secddr/internal/config"
@@ -171,6 +172,33 @@ func BenchmarkPrimeMeta(b *testing.B) {
 				}
 				e.PrimeResident(w.sys.llc)
 			}
+		})
+	}
+}
+
+// BenchmarkWarmup measures one timed Table 1 warmup: LLC set-up, the
+// per-core warm fill and hot-set install, and 30k warmup instructions per
+// core. A first snapshot of the same group stays live, as in a sweep that
+// still forks from it, so the measured generators' page tables come from
+// the memo and B/op is the warmup's own allocation: its LLC and the one
+// buffer its warm-fill streams shuffle their page tables into. mcf has a
+// 1.5 GiB footprint (a 1.5 MiB table), exchange2 64 MiB (64 KiB).
+func BenchmarkWarmup(b *testing.B) {
+	for _, wl := range []string{"mcf", "exchange2"} {
+		b.Run(wl, func(b *testing.B) {
+			opt := benchOptions(b)
+			opt.Workload, _ = trace.ByName(wl)
+			live, err := Warmup(opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := Warmup(opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+			runtime.KeepAlive(live)
 		})
 	}
 }

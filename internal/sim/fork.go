@@ -170,15 +170,16 @@ type Warmed struct {
 	sys  *system
 	warm *secmem.Engine
 
-	// primed memoizes the functionally-primed metadata cache per measured
-	// configuration (canonical Config string). Priming is a pure function
-	// of the immutable resident LLC and the configuration's metadata
-	// geometry, so the first fork of each configuration computes it and
-	// later forks copy it — which turns the dominant per-fork cost
-	// in mixed-fidelity sweeps (every grid point forks once per fidelity)
-	// into a small memcpy.
+	// primed memoizes the functionally-primed metadata cache per metadata
+	// layout (secmem.MetaLayout). Priming is a pure function of the
+	// immutable resident LLC and that layout, so the first fork of each
+	// layout computes it and later forks copy it — which turns the
+	// dominant per-fork cost in mixed-fidelity sweeps (every grid point
+	// forks once per fidelity) into a small memcpy, and lets modes that
+	// differ only outside the layout (secddr+ctr and encrypt-only-ctr)
+	// share one pass.
 	mu     sync.Mutex
-	primed map[string]*cache.Cache
+	primed map[secmem.MetaLayout]*cache.Cache
 }
 
 // Warmup runs the canonical warmup phase for opt and returns the snapshot
@@ -211,16 +212,16 @@ func (w *Warmed) Fork(opt Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	pk := opt.withDefaults().Config.String()
+	pk := secmem.MetaLayoutOf(opt.withDefaults().Config)
 	primed := w.lookupPrimed(pk)
 	if err := s.resume(opt, w.warm, primed); err != nil {
 		return Result{}, err
 	}
 	if primed == nil {
-		// resume just primed a fresh metadata cache for this
-		// configuration (or the configuration has none, and there is
-		// nothing to memoize); nothing has run yet, so this is exactly
-		// the state every later fork of the same configuration adopts.
+		// resume just primed a fresh metadata cache for this layout (or
+		// the configuration has none, and there is nothing to memoize);
+		// nothing has run yet, so this is exactly the state every later
+		// fork with the same layout adopts.
 		if mc := s.engine.MetaCache(); mc != nil {
 			w.storePrimed(pk, mc.Clone(nil))
 		}
@@ -235,22 +236,22 @@ func (w *Warmed) Fork(opt Options) (Result, error) {
 	return res, nil
 }
 
-// lookupPrimed returns the memoized primed metadata cache for a measured
-// configuration, or nil on first use.
-func (w *Warmed) lookupPrimed(k string) *cache.Cache {
+// lookupPrimed returns the memoized primed metadata cache for a metadata
+// layout, or nil on first use.
+func (w *Warmed) lookupPrimed(k secmem.MetaLayout) *cache.Cache {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.primed[k]
 }
 
-// storePrimed records a primed metadata cache for a measured configuration.
+// storePrimed records a primed metadata cache for a metadata layout.
 // Concurrent first forks may race to store: the values are identical (the
 // priming pass is deterministic), and the first store wins.
-func (w *Warmed) storePrimed(k string, c *cache.Cache) {
+func (w *Warmed) storePrimed(k secmem.MetaLayout, c *cache.Cache) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.primed == nil {
-		w.primed = make(map[string]*cache.Cache)
+		w.primed = make(map[secmem.MetaLayout]*cache.Cache)
 	}
 	if _, ok := w.primed[k]; !ok {
 		w.primed[k] = c

@@ -91,12 +91,44 @@ type opSource interface {
 // seed derivation; saltExtra distinguishes the warmup stream from the
 // measured one.
 func (o Options) newCoreSource(i int, saltExtra uint64) (opSource, error) {
-	base := uint64(i) * (2 << 30)
-	seed := o.Seed + uint64(i)*0x1234567 + saltExtra
+	base, seed := o.coreStream(i, saltExtra)
 	if !o.Scenario.IsZero() {
 		return scenario.NewSource(o.Scenario, i, base, seed)
 	}
 	return trace.NewGenerator(o.Workload, base, seed)
+}
+
+// coreStream returns core i's physical base and the seed of its stream
+// salted by saltExtra.
+func (o Options) coreStream(i int, saltExtra uint64) (base, seed uint64) {
+	return uint64(i) * (2 << 30), o.Seed + uint64(i)*0x1234567 + saltExtra
+}
+
+// warmSalt seeds each core's warm-fill stream apart from its measured one.
+const warmSalt = 0x9e3779b9
+
+// warmFill hands fn the first n ops of core i's warm-fill stream, the
+// op source newCoreSource(i, warmSalt) would build. A stationary
+// profile's stream shuffles its page table into buf, which the caller
+// reuses core to core (trace.RunOps): nothing reads that table after the
+// fill, so through the memo it would only be allocated to die. warmFill
+// returns buf for the next core. A scenario source keeps the memo on
+// purpose: its phase generators' tables are all live at once, so one
+// buffer cannot hold them (no perfbench workload runs a scenario).
+func (o Options) warmFill(i, n int, buf []uint32, fn func(cpu.Op)) ([]uint32, error) {
+	base, seed := o.coreStream(i, warmSalt)
+	if o.Scenario.IsZero() {
+		return trace.RunOps(o.Workload, base, seed, n, buf, fn)
+	}
+	src, err := scenario.NewSource(o.Scenario, i, base, seed)
+	if err != nil {
+		return buf, err
+	}
+	for range n {
+		op, _ := src.Next()
+		fn(op)
+	}
+	return buf, nil
 }
 
 // debugHook, when set by a test, observes the system after each simulated
@@ -863,6 +895,9 @@ func warmSystem(opt Options, tickLoop bool) (*system, error) {
 	s.finishCycle = make([]int64, n)
 	s.warmCycle = make([]int64, n)
 	s.frozen = make([]bool, n)
+	share := wopt.Config.LLC.SizeBytes / wopt.Config.LLC.LineBytes / n
+	fill := func(op cpu.Op) { s.llc.Fill(op.Addr&_lineMask, op.Store) }
+	var warmTable []uint32 // the warm-fill streams' page table, core to core
 	for i := 0; i < n; i++ {
 		gen, err := wopt.newCoreSource(i, 0)
 		if err != nil {
@@ -872,14 +907,8 @@ func warmSystem(opt Options, tickLoop bool) (*system, error) {
 		// a statistically equivalent address stream (different seed) so the
 		// measured region starts from a full cache — evictions and dirty
 		// writebacks flow from the first cycle, as in steady state.
-		warmGen, err := wopt.newCoreSource(i, 0x9e3779b9)
-		if err != nil {
+		if warmTable, err = wopt.warmFill(i, share, warmTable, fill); err != nil {
 			return nil, err
-		}
-		share := wopt.Config.LLC.SizeBytes / wopt.Config.LLC.LineBytes / n
-		for j := 0; j < share; j++ {
-			op, _ := warmGen.Next()
-			s.llc.Fill(op.Addr&_lineMask, op.Store)
 		}
 		// Part 2: install the hot set (most recently used, so it survives).
 		gen.VisitHotPages(func(page uint64) {
@@ -939,8 +968,8 @@ func (s *system) resume(opt Options, warm *secmem.Engine, primed *cache.Cache) e
 	// measured configuration: the priming pass is a pure function of the
 	// (immutable) resident LLC and the engine geometry, so its output was
 	// memoized, and copying it into the engine's fresh metadata cache is
-	// byte-identical to re-running the pass. The memo is keyed by
-	// configuration, so the geometries match and the copy is in place.
+	// byte-identical to re-running the pass. The memo is keyed by metadata
+	// layout, so the geometries match and the copy is in place.
 	if primed == nil {
 		engine.PrimeResident(s.llc)
 	} else if mc := engine.MetaCache(); primed.Clone(mc) != mc {

@@ -31,8 +31,38 @@ type Generator struct {
 var _ cpu.OpSource = (*Generator)(nil)
 
 // NewGenerator builds a generator for profile p. base is the core's
-// physical footprint base; seed derives all randomness.
+// physical footprint base; seed derives all randomness. Its page table
+// comes from the process-wide memo.
 func NewGenerator(p Profile, base uint64, seed uint64) (*Generator, error) {
+	return newGenerator(p, base, seed, pageTableFor)
+}
+
+// RunOps hands fn, in order, the first n ops of the stream that
+// NewGenerator(p, base, seed) produces. It is for throwaway streams, such
+// as a functional cache warmup's: the page table is shuffled into buf's
+// storage (allocated afresh only when buf is too short) instead of coming
+// from the memo, where a table nothing keeps would die at once. The
+// stream never outlives the call, so nothing can read buf's table after
+// the caller reuses buf. RunOps returns the buffer, grown as needed, for
+// the next stream.
+func RunOps(p Profile, base, seed uint64, n int, buf []uint32, fn func(cpu.Op)) ([]uint32, error) {
+	g, err := newGenerator(p, base, seed, func(pages uint64, r rng) *PageTable {
+		return buildPageTable(buf, pages, r)
+	})
+	if err != nil {
+		return buf, err
+	}
+	for range n {
+		op, _ := g.Next()
+		fn(op)
+	}
+	return g.pagePerm.perm, nil
+}
+
+// newGenerator builds a generator for profile p whose page table is
+// table(pages, r): the permutation of the footprint's pages shuffled from
+// r, with r's state after the shuffle.
+func newGenerator(p Profile, base, seed uint64, table func(pages uint64, r rng) *PageTable) (*Generator, error) {
 	if p.Footprint < _pageBytes || p.HotBytes < _pageBytes {
 		return nil, fmt.Errorf("trace: footprint/hot set too small in profile %q", p.Name)
 	}
@@ -47,7 +77,7 @@ func NewGenerator(p Profile, base uint64, seed uint64) (*Generator, error) {
 	g.hotPages = p.HotBytes / _pageBytes
 	// Random page mapping (Section IV-A), drawn first from the seed's
 	// stream; the rest of the stream continues where the shuffle stopped.
-	g.pagePerm = pageTableFor(g.pages, rng{state: seed ^ 0x9e3779b97f4a7c15})
+	g.pagePerm = table(g.pages, rng{state: seed ^ 0x9e3779b97f4a7c15})
 	g.rng = g.pagePerm.after
 	// Ops per kilo-instruction such that the cold (missing) fraction lands
 	// near the profile's target MPKI.

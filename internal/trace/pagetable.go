@@ -14,6 +14,10 @@ import (
 // same permutation share one table through a process-wide memo. At one
 // grid seed that is every workload with the same footprint, because
 // per-core seeds do not depend on the workload.
+//
+// The one table that is not immutable is RunOps's, built in a buffer the
+// caller rewrites for its next stream; it is never in the memo, and the
+// generator reading it does not outlive the RunOps call.
 type PageTable struct {
 	perm []uint32
 	// after is the generator RNG state once the shuffle has drawn from
@@ -48,7 +52,7 @@ func pageTableFor(pages uint64, r rng) *PageTable {
 	if t := tables.m[k].Value(); t != nil {
 		return t
 	}
-	t := buildPageTable(pages, r)
+	t := buildPageTable(nil, pages, r)
 	tables.m[k] = weak.Make(t)
 	runtime.AddCleanup(t, dropTable, k)
 	return t
@@ -66,9 +70,16 @@ func dropTable(k tableKey) {
 }
 
 // buildPageTable shuffles the identity permutation of pages pages with r
-// (Fisher-Yates) and records where r ends.
-func buildPageTable(pages uint64, r rng) *PageTable {
-	perm := make([]uint32, pages)
+// (Fisher-Yates) and records where r ends. It builds in buf's storage when
+// buf has room for pages entries and allocates otherwise; every entry is
+// rewritten, so whatever buf held before leaves no trace in the result.
+func buildPageTable(buf []uint32, pages uint64, r rng) *PageTable {
+	var perm []uint32
+	if uint64(cap(buf)) >= pages {
+		perm = buf[:pages]
+	} else {
+		perm = make([]uint32, pages)
+	}
 	for i := range perm {
 		perm[i] = uint32(i)
 	}

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"secddr/internal/cpu"
 )
 
 // TestPageTableMemoHitMatchesFreshBuild: a memo hit returns the live table
@@ -20,7 +22,7 @@ func TestPageTableMemoHitMatchesFreshBuild(t *testing.T) {
 	if hit != first {
 		t.Fatal("memo hit returned a different table while the first is live")
 	}
-	fresh := buildPageTable(pages, r)
+	fresh := buildPageTable(nil, pages, r)
 	if !slices.Equal(hit.perm, fresh.perm) {
 		t.Error("memoized permutation differs from a fresh build")
 	}
@@ -144,6 +146,92 @@ func TestPageTableMemoIsWeak(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// TestPageTableIntoStaleBuffer: a table built into a larger buffer that
+// still holds an earlier, different permutation equals a fresh build, in
+// its permutation and its post-shuffle RNG state, and reuses the buffer.
+func TestPageTableIntoStaleBuffer(t *testing.T) {
+	mcf, _ := ByName("mcf")
+	x, _ := ByName("exchange2")
+	big, small := mcf.Footprint/_pageBytes, x.Footprint/_pageBytes
+	if big != 393216 || small != 16384 {
+		t.Fatalf("mcf/exchange2 have %d/%d pages; the test wants a stale buffer larger than the table", big, small)
+	}
+	buf := buildPageTable(nil, big, rng{state: 1}).perm
+	for _, seed := range []uint64{2, 1 << 40, 0xfeedface} {
+		r := rng{state: seed}
+		got := buildPageTable(buf, small, r)
+		want := buildPageTable(nil, small, r)
+		if !slices.Equal(got.perm, want.perm) {
+			t.Errorf("state %#x: permutation built in a stale buffer differs from a fresh build", seed)
+		}
+		if got.after != want.after {
+			t.Errorf("state %#x: post-shuffle RNG state %#x, fresh build %#x", seed, got.after.state, want.after.state)
+		}
+		if &got.perm[0] != &buf[0] {
+			t.Errorf("state %#x: build allocated although the buffer had room", seed)
+		}
+	}
+	if got := buildPageTable(buf[:0:small-1], small, rng{}); len(got.perm) != int(small) || &got.perm[0] == &buf[0] {
+		t.Error("a build into a short buffer did not allocate a table of the right length")
+	}
+}
+
+// TestRunOpsMatchesGenerator: the borrowed-table stream RunOps hands out
+// is the stream NewGenerator builds from the memo, op for op, whatever
+// the reused buffer held before.
+func TestRunOpsMatchesGenerator(t *testing.T) {
+	var buf []uint32
+	for _, name := range []string{"mcf", "exchange2", "lbm", "pr", "mcf"} {
+		p, _ := ByName(name)
+		for _, seed := range []uint64{1, 42, 0x9e3779b9 + 7} {
+			g, err := NewGenerator(p, 2<<30, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const n = 3000
+			var got []cpu.Op
+			buf, err = RunOps(p, 2<<30, seed, n, buf, func(op cpu.Op) { got = append(got, op) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != n {
+				t.Fatalf("%s seed %d: RunOps handed out %d ops, want %d", name, seed, len(got), n)
+			}
+			for i, op := range got {
+				if want, _ := g.Next(); op != want {
+					t.Fatalf("%s seed %d: op %d is %+v, NewGenerator's is %+v", name, seed, i, op, want)
+				}
+			}
+		}
+	}
+	if _, err := RunOps(Profile{Name: "tiny"}, 0, 1, 1, nil, func(cpu.Op) {}); err == nil {
+		t.Error("RunOps accepted a profile NewGenerator rejects")
+	}
+}
+
+// FuzzPageTableInto: for any table size, RNG state and stale buffer
+// length, a build into the stale buffer equals a fresh build.
+func FuzzPageTableInto(f *testing.F) {
+	f.Add(uint16(4096), uint64(42), uint16(8192))
+	f.Add(uint16(1), uint64(0), uint16(0))
+	f.Add(uint16(300), uint64(0xfeedface), uint16(299))
+	f.Fuzz(func(t *testing.T, pages uint16, seed uint64, staleLen uint16) {
+		stale := make([]uint32, staleLen)
+		for i := range stale {
+			stale[i] = ^uint32(i) // anything but the identity
+		}
+		r := rng{state: seed}
+		got := buildPageTable(stale, uint64(pages), r)
+		want := buildPageTable(nil, uint64(pages), r)
+		if !slices.Equal(got.perm, want.perm) || got.after != want.after {
+			t.Fatalf("%d pages from state %#x: a build into a %d-entry stale buffer differs from a fresh build", pages, seed, staleLen)
+		}
+		if staleLen >= pages && pages > 0 && &got.perm[0] != &stale[0] {
+			t.Fatalf("%d pages: build allocated although the %d-entry buffer had room", pages, staleLen)
+		}
+	})
 }
 
 // BenchmarkNewGenerator measures generator construction on a 1.5 GiB
