@@ -260,11 +260,11 @@ func (d DRAM) Validate() error {
 		return fmt.Errorf("config: row size %d must be a positive multiple of line size %d", d.RowBytes, d.LineBytes)
 	case d.Rows() <= 0:
 		return errors.New("config: capacity too small for organization")
-	case d.Timing.TCCDL < d.Timing.TCCDS || d.Timing.TWTRL < d.Timing.TWTRS:
-		// The channel's shared column horizons rely on the same-group
-		// spacing never being the shorter one.
-		return fmt.Errorf("config: same-bank-group timing below different-group timing (tCCD_L %d, tCCD_S %d, tWTR_L %d, tWTR_S %d)",
-			d.Timing.TCCDL, d.Timing.TCCDS, d.Timing.TWTRL, d.Timing.TWTRS)
+	case d.Timing.TCCDL < d.Timing.TCCDS || d.Timing.TWTRL < d.Timing.TWTRS || d.Timing.TRRDL < d.Timing.TRRDS:
+		// The channel's shared horizons rely on the same-group spacing
+		// never being the shorter one.
+		return fmt.Errorf("config: same-bank-group timing below different-group timing (tCCD_L %d, tCCD_S %d, tWTR_L %d, tWTR_S %d, tRRD_L %d, tRRD_S %d)",
+			d.Timing.TCCDL, d.Timing.TCCDS, d.Timing.TWTRL, d.Timing.TWTRS, d.Timing.TRRDL, d.Timing.TRRDS)
 	}
 	return nil
 }

@@ -169,7 +169,9 @@ func TestDRAMValidateTimingOrder(t *testing.T) {
 		ccd.Timing.TCCDL = ccd.Timing.TCCDS - 1
 		wtr := d
 		wtr.Timing.TWTRL = wtr.Timing.TWTRS - 1
-		for _, bad := range []DRAM{ccd, wtr} {
+		rrd := d
+		rrd.Timing.TRRDL = rrd.Timing.TRRDS - 1
+		for _, bad := range []DRAM{ccd, wtr, rrd} {
 			if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "same-bank-group") {
 				t.Errorf("%s with %+v: err = %v, want the timing-order error", name, bad.Timing, err)
 			}

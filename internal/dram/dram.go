@@ -72,22 +72,26 @@ type bankState struct {
 	group   int32 // channel-wide bank group index (rank*BankGroups + bankGroup)
 }
 
-// rankState tracks rank-wide constraints (tFAW, refresh, tWTR_S).
+// rankState tracks rank-wide constraints (tFAW, tRRD_S, refresh, tWTR_S).
 type rankState struct {
-	actWindow  [4]int64 // cycle times of the last four ACTs (tFAW)
-	actIdx     int
-	nextREF    int64 // next refresh deadline
-	refBusy    int64 // rank unusable until this cycle due to refresh
-	pendingREF bool
-	wtr        int64 // earliest RD after this rank's last write (tWTR_S)
+	actWindow [4]int64 // cycle times of the last four ACTs (tFAW)
+	actIdx    int
+	nextREF   int64 // next refresh deadline
+	refBusy   int64 // rank unusable until this cycle due to refresh
+	wtr       int64 // earliest RD after this rank's last write (tWTR_S)
+	act       int64 // earliest ACT to another bank after the rank's last ACT (tRRD_S)
+	actBank   int32 // channel-wide index of the bank that last ACT opened
 }
 
-// groupState holds one bank group's column horizons: the earliest RD or
-// WR after the group's last column command (tCCD_L) and the earliest RD
-// after its last write (tWTR_L).
+// groupState holds one bank group's horizons: the earliest RD or WR after
+// the group's last column command (tCCD_L), the earliest RD after its last
+// write (tWTR_L), and the earliest ACT to another of its banks after its
+// last ACT (tRRD_L), which opened bank actBank.
 type groupState struct {
-	col int64
-	wtr int64
+	col     int64
+	wtr     int64
+	act     int64
+	actBank int32
 }
 
 // Channel is one DDR channel: ranks sharing a command bus and a data bus.
@@ -104,12 +108,13 @@ type Channel struct {
 	// bankState.group.
 	groups []groupState
 
-	// Shared column horizons, absolute cycles: a column command raises the
-	// horizon of every bank at once, so Issue updates one value instead of
-	// one per bank. EarliestIssueAt takes the maximum of the channel-wide,
+	// Shared horizons, absolute cycles: a column command or an ACT raises
+	// the horizon of every bank at once, so Issue updates one value instead
+	// of one per bank. EarliestIssueAt takes the maximum of the channel-wide,
 	// rank-wide and group-wide terms, which is each bank's exact constraint
-	// because tCCD_L >= tCCD_S and tWTR_L >= tWTR_S (config.DRAM.Validate):
-	// the wider term never exceeds what a bank's own group imposes.
+	// because tCCD_L >= tCCD_S, tWTR_L >= tWTR_S and tRRD_L >= tRRD_S
+	// (config.DRAM.Validate): the wider term never exceeds what a bank's
+	// own group imposes.
 	colAny    int64 // earliest RD or WR after the last column command (tCCD_S)
 	wrAfterRD int64 // earliest WR after the last read burst (read-to-write turnaround)
 
@@ -264,8 +269,15 @@ func (c *Channel) EarliestIssueAt(cmd Command, bi int, now int64) int64 {
 
 	switch cmd {
 	case CmdACT:
-		if b.nextACT > earliest {
-			earliest = b.nextACT
+		earliest = max(earliest, b.nextACT)
+		// tRRD: ACT-to-ACT spacing within the rank and the bank group. The
+		// bank the last ACT opened is exempt: it met every earlier ACT's
+		// spacing when it opened, and its own next ACT waits on its PRE.
+		if int32(bi) != rk.actBank {
+			earliest = max(earliest, rk.act)
+		}
+		if g := &c.groups[b.group]; int32(bi) != g.actBank {
+			earliest = max(earliest, g.act)
 		}
 		// tFAW: at most four ACTs per rank per window.
 		if oldest := rk.actWindow[rk.actIdx]; oldest+int64(c.t.TFAW) > earliest {
@@ -342,19 +354,9 @@ func (c *Channel) Issue(cmd Command, loc Loc, now int64) int64 {
 		b.nextRD = max64(b.nextRD, now+int64(c.t.TRCD))
 		b.nextWR = max64(b.nextWR, now+int64(c.t.TRCD))
 		b.nextPRE = max64(b.nextPRE, now+int64(c.t.TRAS))
-		// tRRD: ACT-to-ACT spacing within the rank.
-		rb := c.rankBanks(loc.Rank)
-		for i := range rb {
-			ob := &rb[i]
-			if ob == b {
-				continue
-			}
-			if i/c.banksPerGroup == loc.BankGroup {
-				ob.nextACT = max64(ob.nextACT, now+int64(c.t.TRRDL))
-			} else {
-				ob.nextACT = max64(ob.nextACT, now+int64(c.t.TRRDS))
-			}
-		}
+		g := &c.groups[b.group]
+		rk.act, rk.actBank = now+int64(c.t.TRRDS), int32(bi)
+		g.act, g.actBank = now+int64(c.t.TRRDL), int32(bi)
 		rk.actWindow[rk.actIdx] = now
 		rk.actIdx = (rk.actIdx + 1) % len(rk.actWindow)
 		return 0
@@ -398,11 +400,6 @@ func (c *Channel) Issue(cmd Command, loc Loc, now int64) int64 {
 		c.RefreshShadowCycles += uint64(c.t.TRFC)
 		rk.refBusy = now + int64(c.t.TRFC)
 		rk.nextREF += int64(c.t.TREFI)
-		rk.pendingREF = false
-		rb := c.rankBanks(loc.Rank)
-		for i := range rb {
-			rb[i].nextACT = max64(rb[i].nextACT, rk.refBusy)
-		}
 		return rk.refBusy
 
 	default:
@@ -498,7 +495,7 @@ func (c *Channel) DebugState() string {
 		c.dataBusFreeAt, c.lastBurstRank, c.lastCmdCycle, c.colAny, c.wrAfterRD, c.groups)
 	for r := range c.rank {
 		rk := &c.rank[r]
-		fmt.Fprintf(&s, "r%d(ref=%d,busy=%d,wtr=%d)[", r, rk.nextREF, rk.refBusy, rk.wtr)
+		fmt.Fprintf(&s, "r%d(ref=%d,busy=%d,wtr=%d,act=%d@%d)[", r, rk.nextREF, rk.refBusy, rk.wtr, rk.act, rk.actBank)
 		for b, bk := range c.rankBanks(r) {
 			fmt.Fprintf(&s, "%d:%d/%d,%d,%d,%d ", b, bk.openRow, bk.nextACT, bk.nextPRE, bk.nextRD, bk.nextWR)
 		}

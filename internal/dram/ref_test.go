@@ -198,7 +198,6 @@ func (c *refChannel) Issue(cmd Command, loc Loc, now int64) int64 {
 		st.RefreshShadowCycles += uint64(c.t.TRFC)
 		rk.refBusy = now + int64(c.t.TRFC)
 		rk.nextREF += int64(c.t.TREFI)
-		rk.pendingREF = false
 		rb := c.rankBanks(loc.Rank)
 		for i := range rb {
 			rb[i].nextACT = max64(rb[i].nextACT, rk.refBusy)

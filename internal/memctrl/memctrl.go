@@ -247,11 +247,8 @@ func (c *Controller) touch() { c.quietDirty = true }
 // next-event computation uses it to detect that a backlogged request could
 // drain on the next cycle.
 func (c *Controller) CanAccept(addr uint64, write bool) bool {
-	lineAddr := addr &^ uint64(c.cfg.LineBytes-1)
-	for i := range c.writeQ {
-		if c.writeQ[i].Addr == lineAddr {
-			return true // write coalesce or read forwarding
-		}
+	if _, queued := c.writeQueued(addr); queued {
+		return true // write coalesce or read forwarding
 	}
 	if write {
 		return c.CanEnqueueWrite()
@@ -263,13 +260,11 @@ func (c *Controller) CanAccept(addr uint64, write bool) bool {
 // read is served by store-forwarding: it completes immediately (forwarded
 // true) and never occupies a queue slot.
 func (c *Controller) EnqueueRead(addr uint64, now int64) (id uint64, forwarded bool, err error) {
-	lineAddr := addr &^ uint64(c.cfg.LineBytes-1)
-	for i := range c.writeQ {
-		if c.writeQ[i].Addr == lineAddr {
-			c.ReadsForwarded++
-			c.nextID++
-			return c.nextID, true, nil
-		}
+	lineAddr, queued := c.writeQueued(addr)
+	if queued {
+		c.ReadsForwarded++
+		c.nextID++
+		return c.nextID, true, nil
 	}
 	if !c.CanEnqueueRead() {
 		return 0, false, ErrQueueFull
@@ -279,6 +274,18 @@ func (c *Controller) EnqueueRead(addr uint64, now int64) (id uint64, forwarded b
 	c.ReadsEnqueued++
 	c.noteEnqueued(&c.readQ[len(c.readQ)-1], &c.sum[0], dram.CmdRD, now)
 	return c.nextID, false, nil
+}
+
+// writeQueued returns addr's line address and whether the write queue
+// holds a write to that line.
+func (c *Controller) writeQueued(addr uint64) (lineAddr uint64, queued bool) {
+	lineAddr = addr &^ uint64(c.cfg.LineBytes-1)
+	for i := range c.writeQ {
+		if c.writeQ[i].Addr == lineAddr {
+			return lineAddr, true
+		}
+	}
+	return lineAddr, false
 }
 
 // newRequest builds the queue entry for line lineAddr under ID c.nextID.
@@ -291,18 +298,14 @@ func (c *Controller) newRequest(lineAddr uint64, write bool, now int64) Request 
 // noteEnqueued folds a newly queued request into the quiet bound. Adding a
 // request can only add issue opportunities and touches no channel state, so
 // min-ing its own earliest issue into a still-valid bound stays sound at
-// O(1) instead of invalidating the span. Crossing the write-drain high
-// watermark must still invalidate: the pending drain toggle is next-cycle
-// scheduler work no per-request term covers. The request also joins its
-// queue's summary s.
+// O(1) instead of invalidating the span. A pending write-drain toggle, such
+// as a write crossing the high watermark, must still invalidate: it is
+// next-cycle scheduler work no per-request term covers. The request also
+// joins its queue's summary s.
 func (c *Controller) noteEnqueued(req *Request, s *queueSummary, col dram.Command, now int64) {
 	row, open := c.ch.OpenRowAt(int(req.bank))
 	s.add(req, open && row == req.loc.Row)
-	if !c.eventDriven || c.quietDirty {
-		c.quietDirty = true
-		return
-	}
-	if !c.draining && len(c.writeQ) >= c.drainHigh {
+	if !c.eventDriven || c.quietDirty || c.drainToggleDue() {
 		c.quietDirty = true
 		return
 	}
@@ -319,11 +322,9 @@ func (c *Controller) noteEnqueued(req *Request, s *queueSummary, col dram.Comman
 // EnqueueWrite queues a write-back for addr. Writes to a line already in
 // the write queue coalesce into the existing entry.
 func (c *Controller) EnqueueWrite(addr uint64, now int64) error {
-	lineAddr := addr &^ uint64(c.cfg.LineBytes-1)
-	for i := range c.writeQ {
-		if c.writeQ[i].Addr == lineAddr {
-			return nil // coalesced
-		}
+	lineAddr, queued := c.writeQueued(addr)
+	if queued {
+		return nil // coalesced
 	}
 	if !c.CanEnqueueWrite() {
 		return ErrQueueFull
@@ -434,7 +435,7 @@ func (c *Controller) issueBound(now int64) int64 {
 	// watermark and leave a toggle pending; deferring that toggle to the
 	// next wake would let an interleaved enqueue change the decision and
 	// diverge from the cycle-accurate reference.
-	if (!c.draining && len(c.writeQ) >= c.drainHigh) || (c.draining && len(c.writeQ) <= c.drainLow) {
+	if c.drainToggleDue() {
 		return now + 1
 	}
 	next := int64(1) << 62
@@ -489,33 +490,14 @@ func (c *Controller) foldBound(cmd dram.Command, b int, now, next int64) int64 {
 	return min(next, c.ch.EarliestIssueAt(cmd, b, now+1))
 }
 
-// nextRefreshStep lower-bounds the cycle at which tryRefresh could issue
-// its next command for a rank whose refresh deadline has passed: the
-// earliest PRE closing any still-open bank, or — once all banks are
-// precharged — the REF itself. Without this bound an in-progress refresh
-// sequence (tens of cycles waiting on tRAS/tRP) would collapse the
-// controller's next event to now+1 and force a full scheduler scan every
-// cycle of the wait.
+// nextRefreshStep lower-bounds the cycle after now at which tryRefresh
+// could issue its next command for a rank whose refresh deadline has
+// passed. Without this bound an in-progress refresh sequence (tens of
+// cycles waiting on tRAS/tRP) would collapse the controller's next event
+// to now+1 and force a full scheduler scan every cycle of the wait.
 func (c *Controller) nextRefreshStep(r int, now int64) int64 {
-	next := int64(1) << 62
-	anyOpen := false
-	for bg := 0; bg < c.cfg.BankGroups; bg++ {
-		for b := 0; b < c.cfg.BanksPerGroup(); b++ {
-			loc := dram.Loc{Rank: r, BankGroup: bg, Bank: b}
-			if _, open := c.ch.OpenRow(loc); open {
-				anyOpen = true
-				if t := c.ch.EarliestIssue(dram.CmdPRE, loc, now+1); t < next {
-					next = t
-				}
-			}
-		}
-	}
-	if anyOpen {
-		return next
-	}
-	// No open rows: EarliestIssue(REF) cannot return its caller-must-
-	// precharge sentinel here.
-	return c.ch.EarliestIssue(dram.CmdREF, dram.Loc{Rank: r}, now+1)
+	_, _, at := c.refreshStep(r, now+1)
+	return at
 }
 
 // nextIssuable lower-bounds the cycle at which the request's next command
@@ -557,14 +539,13 @@ func (c *Controller) issueOne(now int64) bool {
 		}
 	}
 
-	// Write-drain mode hysteresis.
-	if !c.draining && len(c.writeQ) >= c.drainHigh {
-		c.draining = true
-		c.DrainEpisodes++
-		c.touch()
-	}
-	if c.draining && len(c.writeQ) <= c.drainLow {
-		c.draining = false
+	// Write-drain mode hysteresis. A drain that starts at or below the low
+	// watermark (a high watermark not above the low one) ends at once.
+	if c.drainToggleDue() {
+		if !c.draining {
+			c.DrainEpisodes++
+		}
+		c.draining = len(c.writeQ) > c.drainLow
 		c.touch()
 	}
 
@@ -575,34 +556,53 @@ func (c *Controller) issueOne(now int64) bool {
 	return c.scheduleFrom(!primaryIsWrite, blocked, now)
 }
 
+// drainToggleDue reports whether issueOne's write-drain hysteresis would
+// flip the drain mode: the write queue has reached the high watermark
+// outside a drain, or fallen to the low watermark during one.
+func (c *Controller) drainToggleDue() bool {
+	if c.draining {
+		return len(c.writeQ) <= c.drainLow
+	}
+	return len(c.writeQ) >= c.drainHigh
+}
+
 // tryRefresh makes progress toward refreshing rank r; returns true if a
 // command was issued this cycle.
 func (c *Controller) tryRefresh(r int, now int64) bool {
-	anyOpen := false
-	for bg := 0; bg < c.cfg.BankGroups; bg++ {
-		for b := 0; b < c.cfg.BanksPerGroup(); b++ {
-			loc := dram.Loc{Rank: r, BankGroup: bg, Bank: b}
-			if _, open := c.ch.OpenRow(loc); open {
-				anyOpen = true
-				if c.ch.CanIssue(dram.CmdPRE, loc, now) {
-					c.ch.Issue(dram.CmdPRE, loc, now)
-					c.rowChanged(c.ch.BankIndex(loc))
-					c.touch()
-					return true
-				}
-			}
+	cmd, b, at := c.refreshStep(r, now)
+	if at != now {
+		return false // waiting on tRAS, tRP or tRFC
+	}
+	perGroup := c.cfg.BanksPerGroup()
+	c.ch.Issue(cmd, dram.Loc{Rank: r, BankGroup: b % c.cfg.Banks / perGroup, Bank: b % perGroup}, now)
+	if cmd == dram.CmdPRE {
+		c.rowChanged(b)
+	}
+	c.touch()
+	return true
+}
+
+// refreshStep returns the next command of rank r's refresh sequence, the
+// channel-wide index of its bank, and the earliest cycle >= now it can
+// issue: the PRE of the open bank that can issue soonest (the lowest index
+// on ties), or, once every bank of the rank is closed, REF.
+func (c *Controller) refreshStep(r int, now int64) (cmd dram.Command, b int, at int64) {
+	first := r * c.cfg.Banks
+	cmd, b, at = dram.CmdREF, first, int64(1)<<62
+	for bi := first; bi < first+c.cfg.Banks; bi++ {
+		if _, open := c.ch.OpenRowAt(bi); !open {
+			continue
+		}
+		if t := c.ch.EarliestIssueAt(dram.CmdPRE, bi, now); t < at {
+			cmd, b, at = dram.CmdPRE, bi, t
 		}
 	}
-	if anyOpen {
-		return false // waiting on tRAS etc.
+	if cmd == dram.CmdREF {
+		// No open rows: EarliestIssueAt(REF) cannot return its
+		// caller-must-precharge sentinel here.
+		at = c.ch.EarliestIssueAt(dram.CmdREF, first, now)
 	}
-	loc := dram.Loc{Rank: r}
-	if c.ch.CanIssue(dram.CmdREF, loc, now) {
-		c.ch.Issue(dram.CmdREF, loc, now)
-		c.touch()
-		return true
-	}
-	return false
+	return cmd, b, at
 }
 
 // scheduleFrom applies FR-FCFS to one queue. Pass 1 issues the first

@@ -56,7 +56,7 @@ func replay(e *Engine, ops []engineOp, now int64) int64 {
 		if op.write {
 			e.StartWrite(op.addr, now)
 		} else {
-			e.StartRead(op.addr, now)
+			e.StartRead(op.addr, now, 0)
 			inFlight++
 		}
 	}

@@ -32,8 +32,8 @@ const MetaBase = uint64(12) << 30
 
 // ReadDone reports a finished protected read.
 type ReadDone struct {
-	Token    uint64
-	ReadyMem int64 // memory cycle at which the line is usable by the core
+	Token    uint64 // the tag the read was started with (StartRead)
+	ReadyMem int64  // memory cycle at which the line is usable by the core
 }
 
 type reqKind uint8
@@ -105,7 +105,6 @@ type Engine struct {
 	pending map[chanReq]pendingRef
 	backlog []backlogEntry
 	ready   readyHeap
-	nextTok uint64
 	outBuf  []ReadDone // reused backing array for Tick's return value
 
 	// Stats.
@@ -196,10 +195,9 @@ func (e *Engine) MetaCache() *cache.Cache { return e.metaCache }
 // CryptoMemCycles returns the crypto latency in memory-clock cycles.
 func (e *Engine) CryptoMemCycles() int64 { return e.cryptoMem }
 
-// StartRead begins a protected read of addr and returns its token. The
-// caller learns completion from Tick.
-func (e *Engine) StartRead(addr uint64, now int64) uint64 {
-	e.nextTok++
+// StartRead begins a protected read of addr. The caller learns completion
+// from Tick, through a ReadDone whose Token is tag.
+func (e *Engine) StartRead(addr uint64, now int64, tag uint64) {
 	e.ReadsStarted++
 	var t int32
 	if n := len(e.freeTxns); n > 0 {
@@ -209,7 +207,7 @@ func (e *Engine) StartRead(addr uint64, now int64) uint64 {
 		t = int32(len(e.txns))
 		e.txns = append(e.txns, txn{})
 	}
-	e.txns[t] = txn{token: e.nextTok, dataT: -1, metaT: -1}
+	e.txns[t] = txn{token: tag, dataT: -1, metaT: -1}
 	e.starting = t
 	e.issue(t, addr, kindData, false, now)
 	if e.meta.walk {
@@ -217,7 +215,6 @@ func (e *Engine) StartRead(addr uint64, now int64) uint64 {
 	}
 	e.starting = noTxn
 	e.maybeFinish(t, now)
-	return e.nextTok
 }
 
 // StartWrite begins a protected write-back of addr (fire and forget from

@@ -39,7 +39,7 @@ func runUntil(t *testing.T, e *Engine, n int, budget int64) []ReadDone {
 func latencyOfSingleRead(t *testing.T, mode config.Mode, mutate func(*config.Config)) int64 {
 	t.Helper()
 	e := newEngine(t, mode, mutate)
-	e.StartRead(0x10000, 0)
+	e.StartRead(0x10000, 0, 0)
 	done := runUntil(t, e, 1, 5000)
 	return done[0].ReadyMem
 }
@@ -80,15 +80,15 @@ func TestCounterModeColdMissPaysCounterFetch(t *testing.T) {
 func TestCounterModeHitHidesDecryption(t *testing.T) {
 	// Second read sharing the counter line: OTP pre-computed, no adder.
 	e := newEngine(t, config.ModeEncryptOnlyCTR, nil)
-	e.StartRead(0x10000, 0)
+	e.StartRead(0x10000, 0, 0)
 	first := runUntil(t, e, 1, 5000)[0].ReadyMem
-	e.StartRead(0x10040, first+1) // same counter line (64 counters cover 4KB)
+	e.StartRead(0x10040, first+1, 0) // same counter line (64 counters cover 4KB)
 	second := runUntil(t, e, 1, 5000)[0].ReadyMem
 
 	eu := newEngine(t, config.ModeUnprotected, nil)
-	eu.StartRead(0x10000, 0)
+	eu.StartRead(0x10000, 0, 0)
 	f := runUntil(t, eu, 1, 5000)[0].ReadyMem
-	eu.StartRead(0x10040, f+1)
+	eu.StartRead(0x10040, f+1, 0)
 	s := runUntil(t, eu, 1, 5000)[0].ReadyMem
 
 	if (second - first) > (s - f) {
@@ -99,7 +99,7 @@ func TestCounterModeHitHidesDecryption(t *testing.T) {
 
 func TestTreeWalkGeneratesMetadataTraffic(t *testing.T) {
 	e := newEngine(t, config.ModeIntegrityTree, nil)
-	e.StartRead(0x200000, 0)
+	e.StartRead(0x200000, 0, 0)
 	runUntil(t, e, 1, 10000)
 	// 64-ary tree over 16GB: counter leaf + 3 upper levels on a cold walk.
 	if e.MetaReads != 4 {
@@ -109,12 +109,12 @@ func TestTreeWalkGeneratesMetadataTraffic(t *testing.T) {
 
 func TestTreeWalkStopsAtCachedAncestor(t *testing.T) {
 	e := newEngine(t, config.ModeIntegrityTree, nil)
-	e.StartRead(0x200000, 0)
+	e.StartRead(0x200000, 0, 0)
 	runUntil(t, e, 1, 10000)
 	before := e.MetaReads
 	// A distant address shares only upper tree levels: the walk must stop
 	// at the first cached ancestor rather than re-fetching everything.
-	e.StartRead(0x200000+64*64*64*64, 1000) // different leaf and L1 node
+	e.StartRead(0x200000+64*64*64*64, 1000, 0) // different leaf and L1 node
 	runUntil(t, e, 1, 10000)
 	delta := e.MetaReads - before
 	if delta == 0 || delta >= 4 {
@@ -190,7 +190,7 @@ func TestHashTreeDeepWalk(t *testing.T) {
 		c.Security.HashTree = true
 		c.Security.Encryption = config.EncXTS
 	})
-	e.StartRead(0x300000, 0)
+	e.StartRead(0x300000, 0, 0)
 	runUntil(t, e, 1, 20000)
 	// 8-ary hash tree over 16GB: 9 in-memory levels, all cold.
 	if e.MetaReads != 9 {
@@ -204,7 +204,8 @@ func TestBacklogDrainsUnderPressure(t *testing.T) {
 	tokens := make(map[uint64]bool)
 	for i := 0; i < 300; i++ {
 		// Random-ish pages: every read walks the tree, flooding the queue.
-		tok := e.StartRead(uint64(i*7919%2048)*4096, cyc)
+		tok := uint64(i)
+		e.StartRead(uint64(i*7919%2048)*4096, cyc, tok)
 		tokens[tok] = true
 		for _, d := range e.Tick(cyc) {
 			delete(tokens, d.Token)
@@ -232,11 +233,8 @@ func TestBacklogDrainsUnderPressure(t *testing.T) {
 
 func TestTokensUniqueAndOrdered(t *testing.T) {
 	e := newEngine(t, config.ModeSecDDRXTS, nil)
-	t1 := e.StartRead(0x1000, 0)
-	t2 := e.StartRead(0x2000, 0)
-	if t1 == t2 {
-		t.Error("duplicate tokens")
-	}
+	e.StartRead(0x1000, 0, 1)
+	e.StartRead(0x2000, 0, 2)
 	done := runUntil(t, e, 2, 10000)
 	seen := map[uint64]bool{}
 	for _, d := range done {
@@ -245,12 +243,15 @@ func TestTokensUniqueAndOrdered(t *testing.T) {
 		}
 		seen[d.Token] = true
 	}
+	if !seen[1] || !seen[2] {
+		t.Errorf("completions carry tokens %v, want the tags 1 and 2", seen)
+	}
 }
 
 func TestForwardedReadCompletesImmediately(t *testing.T) {
 	e := newEngine(t, config.ModeUnprotected, nil)
 	e.StartWrite(0x9000, 0)
-	e.StartRead(0x9000, 1)
+	e.StartRead(0x9000, 1, 0)
 	done := runUntil(t, e, 1, 100)
 	if done[0].ReadyMem > 10 {
 		t.Errorf("forwarded read ready at %d, want near-immediate", done[0].ReadyMem)
@@ -287,7 +288,7 @@ func TestForwardedReadHoldsSlotForWalk(t *testing.T) {
 		e.StartWrite(page*4096, 0)
 	}
 	metaBefore := e.MetaReads
-	e.StartRead(0, 1)
+	e.StartRead(0, 1, 0)
 	// Both arrive by forwarding: the data from the queued write, the
 	// counter line from its dirty eviction's queued writeback.
 	if e.ForwardedArrival != 2 {
@@ -318,7 +319,9 @@ func TestTxnSlabReuse(t *testing.T) {
 	var cyc int64
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 300; i++ {
-			tokens[e.StartRead(uint64((round*300+i)*7919%4096)*4096, cyc)] = true
+			tok := uint64(round*300 + i)
+			e.StartRead(uint64((round*300+i)*7919%4096)*4096, cyc, tok)
+			tokens[tok] = true
 			for _, d := range e.Tick(cyc) {
 				delete(tokens, d.Token)
 			}

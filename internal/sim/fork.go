@@ -121,7 +121,7 @@ func takeLLC() *cache.Cache {
 // snapshot completeness tests walk both state graphs and fail on any
 // aliasing), so many forks can resume concurrently from one snapshot.
 func (s *system) fork() (*system, error) {
-	if s.engine != nil || len(s.byToken) != 0 {
+	if s.engine != nil || len(s.byLine) != 0 {
 		return nil, errors.New("sim: fork: not a warmed template (engine attached or fills in flight)")
 	}
 	n := new(system)
@@ -144,7 +144,6 @@ func (s *system) fork() (*system, error) {
 	}
 	n.freeMSHRs = append([]int32(nil), s.freeMSHRs...)
 	n.byLine = make(map[uint64]int32)
-	n.byToken = make(map[uint64]int32)
 	n.pfBuf = append([]uint64(nil), s.pfBuf...)
 	n.mshrInUse = append([]int(nil), s.mshrInUse...)
 	n.coreNextAt = append([]int64(nil), s.coreNextAt...)

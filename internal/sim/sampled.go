@@ -356,7 +356,7 @@ func (s *system) runDetailedUntil(target []uint64, fin []int64, total uint64) er
 // window and biasing its bandwidth sample high.
 func (s *system) drainMemory() error {
 	return s.advance(stint{
-		settled: func() bool { return len(s.byToken) == 0 && s.engine.IdleExceptWrites() },
+		settled: func() bool { return len(s.byLine) == 0 && s.engine.IdleExceptWrites() },
 		what:    "sampled run (draining)",
 	})
 }

@@ -250,10 +250,9 @@ type system struct {
 	memNow     int64
 	cpuNow     int64
 	memAcc     int
-	mshrs      []mshrEntry      // fill slab, indexed by byLine and byToken
+	mshrs      []mshrEntry      // fill slab, indexed by byLine and engine read tags
 	freeMSHRs  []int32          // free mshrs slots
 	byLine     map[uint64]int32 // pending fills by line address
-	byToken    map[uint64]int32 // engine token -> fill slot
 	pfBuf      []uint64         // prefetch targets, reused per Observe
 	mshrInUse  []int
 	nextToken  uint64
@@ -523,9 +522,8 @@ func (s *system) startFill(line uint64, core int, dirty, prefetch bool) *mshrEnt
 	e.lineAddr, e.core, e.dirtyOnFill, e.prefetch = line, core, dirty, prefetch
 	e.waiters = e.waiters[:0]
 	s.byLine[line] = i
-	tok := s.engine.StartRead(line, s.memNow)
+	s.engine.StartRead(line, s.memNow, uint64(i))
 	s.memEventStale = true
-	s.byToken[tok] = i
 	if prefetch {
 		s.outstandPf++
 		s.prefetches++
@@ -576,11 +574,7 @@ func (s *system) memTick() {
 		return
 	}
 	for _, done := range s.engine.Tick(s.memNow) {
-		i, ok := s.byToken[done.Token]
-		if !ok {
-			continue
-		}
-		delete(s.byToken, done.Token)
+		i := int32(done.Token) // the fill slot startFill tagged the read with
 		e := &s.mshrs[i]
 		delete(s.byLine, e.lineAddr)
 		if e.prefetch {
@@ -884,7 +878,6 @@ func warmSystem(opt Options, tickLoop bool) (*system, error) {
 		llc:         llc,
 		pf:          cache.NewStreamPrefetcher(wopt.Config.Prefetch),
 		byLine:      make(map[uint64]int32),
-		byToken:     make(map[uint64]int32),
 		eventDriven: !tickLoop,
 	}
 	n := wopt.Config.Core.NumCores
@@ -932,7 +925,7 @@ func warmSystem(opt Options, tickLoop bool) (*system, error) {
 // no outstanding LLC fills and a fully idle engine (empty backlog, no
 // in-flight channel requests, no undelivered completions).
 func (s *system) drained() bool {
-	return len(s.byToken) == 0 && s.engine.Idle()
+	return len(s.byLine) == 0 && s.engine.Idle()
 }
 
 // resume switches a warmed system to the measured configuration opt and

@@ -260,7 +260,7 @@ func TestForkRefusesLiveSystem(t *testing.T) {
 	opt := tinyOpt(config.ModeIntegrityTree, "mcf")
 	tried := false
 	debugHook = func(s *system) {
-		if tried || len(s.byToken) < 4 {
+		if tried || len(s.byLine) < 4 {
 			return
 		}
 		tried = true
