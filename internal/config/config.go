@@ -236,6 +236,14 @@ const maxRanks = 64
 // BanksPerGroup returns the number of banks in each bank group.
 func (d DRAM) BanksPerGroup() int { return d.Banks / d.BankGroups }
 
+// DrainThresholds returns the write-drain watermarks in write-queue
+// entries: a drain starts once the queue holds high writes and ends once it
+// holds low or fewer. Validate requires 0 <= low < high <= WriteQueueEntries.
+func (d DRAM) DrainThresholds() (high, low int) {
+	n := float64(d.WriteQueueEntries)
+	return int(n * d.WriteDrainHigh), int(n * d.WriteDrainLow)
+}
+
 // Rows returns the number of rows per bank implied by the capacity.
 func (d DRAM) Rows() int64 {
 	perBank := d.CapacityBytes / int64(d.Channels) / int64(d.Ranks) / int64(d.Banks)
@@ -244,6 +252,7 @@ func (d DRAM) Rows() int64 {
 
 // Validate checks the organization for internal consistency.
 func (d DRAM) Validate() error {
+	high, low := d.DrainThresholds()
 	switch {
 	case d.CapacityBytes <= 0:
 		return errors.New("config: DRAM capacity must be positive")
@@ -265,6 +274,14 @@ func (d DRAM) Validate() error {
 		// never being the shorter one.
 		return fmt.Errorf("config: same-bank-group timing below different-group timing (tCCD_L %d, tCCD_S %d, tWTR_L %d, tWTR_S %d, tRRD_L %d, tRRD_S %d)",
 			d.Timing.TCCDL, d.Timing.TCCDS, d.Timing.TWTRL, d.Timing.TWTRS, d.Timing.TRRDL, d.Timing.TRRDS)
+	case d.ReadQueueEntries < 1 || d.WriteQueueEntries < 1:
+		return fmt.Errorf("config: read and write queues need at least one entry (%d, %d)",
+			d.ReadQueueEntries, d.WriteQueueEntries)
+	case low < 0 || low >= high || high > d.WriteQueueEntries:
+		// A drain must end below where it starts: with high <= low the
+		// controller would start and end one every cycle.
+		return fmt.Errorf("config: write-drain watermarks %v/%v are %d/%d of %d entries, want 0 <= low < high <= entries",
+			d.WriteDrainHigh, d.WriteDrainLow, high, low, d.WriteQueueEntries)
 	}
 	return nil
 }

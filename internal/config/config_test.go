@@ -179,6 +179,42 @@ func TestDRAMValidateTimingOrder(t *testing.T) {
 	}
 }
 
+// TestDRAMValidateDrainWatermarks: the presets' watermarks pass, and
+// watermarks that cannot make a drain end below where it starts, or queues
+// with no entry, are rejected.
+func TestDRAMValidateDrainWatermarks(t *testing.T) {
+	for name, d := range map[string]DRAM{
+		"ddr4": Table1(ModeUnprotected).DRAM,
+		"ddr5": Table1DDR5(ModeUnprotected).DRAM,
+	} {
+		if err := d.Validate(); err != nil {
+			t.Errorf("%s rejected: %v", name, err)
+		}
+		if high, low := d.DrainThresholds(); high != 48 || low != 16 {
+			t.Errorf("%s drain thresholds = %d/%d, want 48/16", name, high, low)
+		}
+	}
+	const marks, queues = "watermarks", "queues need"
+	cases := map[string]struct {
+		mutate func(d *DRAM)
+		want   string
+	}{
+		"high below low": {func(d *DRAM) { d.WriteDrainHigh, d.WriteDrainLow = 0.25, 0.5 }, marks},
+		"equal":          {func(d *DRAM) { d.WriteDrainHigh, d.WriteDrainLow = 0.5, 0.5 }, marks},
+		"high above 1":   {func(d *DRAM) { d.WriteDrainHigh = 1.5 }, marks},
+		"low below 0":    {func(d *DRAM) { d.WriteDrainLow = -0.25 }, marks},
+		"no read entry":  {func(d *DRAM) { d.ReadQueueEntries = 0 }, queues},
+		"no write entry": {func(d *DRAM) { d.WriteQueueEntries = 0 }, queues},
+	}
+	for name, c := range cases {
+		d := Table1(ModeUnprotected).DRAM
+		c.mutate(&d)
+		if err := d.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want an error naming %q", name, err, c.want)
+		}
+	}
+}
+
 func TestDRAMGeometry(t *testing.T) {
 	d := Table1(ModeIntegrityTree).DRAM
 	if d.BanksPerGroup() != 4 {

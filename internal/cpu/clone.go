@@ -13,7 +13,7 @@ type CloneableSource interface {
 
 // Clone returns a deep copy of the core wired to mem instead of the
 // original's memory port. The copy carries the full in-flight state — ROB
-// entries, outstanding-load tokens, fetch gap, buffered next op, and
+// entries, fetch gap, buffered next op, and
 // statistics — so ticking it produces exactly the cycles the original
 // would have produced. It fails if the op source cannot be cloned.
 func (c *Core) Clone(mem Memory) (*Core, error) {
@@ -26,9 +26,5 @@ func (c *Core) Clone(mem Memory) (*Core, error) {
 	n.mem = mem
 	n.src = cs.CloneSource()
 	n.rob = append([]robEntry(nil), c.rob...)
-	n.tokens = make(map[uint64]int, len(c.tokens))
-	for k, v := range c.tokens {
-		n.tokens[k] = v
-	}
 	return n, nil
 }

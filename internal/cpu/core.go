@@ -35,12 +35,13 @@ type LoadResult struct {
 	Accepted bool  // false: structural stall, retry next cycle
 	Async    bool  // completion will arrive via Core.CompleteLoad
 	ReadyAt  int64 // CPU cycle data is ready (valid when !Async)
-	Token    uint64
 }
 
 // Memory is the core's port into the cache hierarchy and security engine.
 type Memory interface {
-	Load(addr uint64, now int64) LoadResult
+	// Load issues a load for the ROB slot slot. An asynchronous load
+	// completes through CompleteLoad(slot, readyAt).
+	Load(addr uint64, now int64, slot int) LoadResult
 	// Store submits a committed store; false applies backpressure.
 	Store(addr uint64, now int64) bool
 }
@@ -59,7 +60,6 @@ type robEntry struct {
 	addr    uint64
 	ready   bool
 	readyAt int64
-	token   uint64
 }
 
 // Core is one out-of-order core.
@@ -73,14 +73,12 @@ type Core struct {
 	slots  int // occupied ring entries
 	instrs int // instructions in flight (sum of entry n)
 
-	tokens map[uint64]int // async load token -> rob slot
-
 	gapLeft int
 	nextOp  Op
 	haveOp  bool
 	srcDone bool
 
-	lastLoadToken uint64
+	lastLoadSlot  int   // ROB slot of the last asynchronous load
 	lastLoadReady int64 // -1: in flight; otherwise ready cycle
 	haveLastLoad  bool
 
@@ -124,7 +122,6 @@ func NewCore(cfg config.Core, mem Memory, src OpSource) *Core {
 		mem:           mem,
 		src:           src,
 		rob:           make([]robEntry, cfg.ROBEntries),
-		tokens:        make(map[uint64]int),
 		lastLoadReady: 0,
 	}
 }
@@ -149,18 +146,18 @@ func (c *Core) IPC() float64 {
 	return float64(c.Retired) / float64(c.Cycles)
 }
 
-// CompleteLoad delivers an asynchronous load completion. readyAt is the CPU
-// cycle at which the data became usable.
-func (c *Core) CompleteLoad(token uint64, readyAt int64) {
-	slot, ok := c.tokens[token]
-	if !ok {
-		return // e.g. prefetch or stale token
-	}
-	delete(c.tokens, token)
+// CompleteLoad delivers the completion of the asynchronous load the core
+// issued for ROB slot slot. readyAt is the CPU cycle at which the data
+// became usable. The slot still holds that load: a load blocks retirement
+// until it is ready, so its slot is not reused before this call; warmup and
+// the sampled drain deliver every fill before a snapshot or a
+// FastForwardTo empties the ROB; and the simulator drops deliveries to a
+// core whose finishCycle is set.
+func (c *Core) CompleteLoad(slot int, readyAt int64) {
 	e := &c.rob[slot]
 	e.ready = true
 	e.readyAt = readyAt
-	if c.haveLastLoad && token == c.lastLoadToken {
+	if c.haveLastLoad && slot == c.lastLoadSlot {
 		c.lastLoadReady = readyAt
 	}
 }
@@ -335,7 +332,8 @@ func (c *Core) fetch(now int64) {
 			c.FetchStalls++
 			return
 		}
-		res := c.mem.Load(c.nextOp.Addr, now)
+		slot := (c.head + c.slots) % len(c.rob)
+		res := c.mem.Load(c.nextOp.Addr, now, slot)
 		if !res.Accepted {
 			c.FetchStalls++
 			return
@@ -343,9 +341,7 @@ func (c *Core) fetch(now int64) {
 		c.LoadsIssued++
 		e := robEntry{kind: kindLoad, n: 1, addr: c.nextOp.Addr}
 		if res.Async {
-			e.token = res.Token
-			c.tokens[res.Token] = (c.head + c.slots) % len(c.rob)
-			c.lastLoadToken = res.Token
+			c.lastLoadSlot = slot
 			c.lastLoadReady = -1
 		} else {
 			e.ready = true

@@ -25,19 +25,17 @@ func (s *sliceSource) Next() (Op, bool) {
 type fakeMem struct {
 	latency   int64
 	async     bool
-	nextTok   uint64
-	inflight  map[uint64]int64 // token -> issue cycle
-	completed []uint64
-	rejectN   int // reject the first N loads
+	inflight  map[int]int64 // ROB slot -> issue cycle
+	rejectN   int           // reject the first N loads
 	storeFull bool
 	stores    int
 }
 
 func newFakeMem(latency int64, async bool) *fakeMem {
-	return &fakeMem{latency: latency, async: async, inflight: map[uint64]int64{}}
+	return &fakeMem{latency: latency, async: async, inflight: map[int]int64{}}
 }
 
-func (m *fakeMem) Load(addr uint64, now int64) LoadResult {
+func (m *fakeMem) Load(addr uint64, now int64, slot int) LoadResult {
 	if m.rejectN > 0 {
 		m.rejectN--
 		return LoadResult{}
@@ -45,9 +43,8 @@ func (m *fakeMem) Load(addr uint64, now int64) LoadResult {
 	if !m.async {
 		return LoadResult{Accepted: true, ReadyAt: now + m.latency}
 	}
-	m.nextTok++
-	m.inflight[m.nextTok] = now
-	return LoadResult{Accepted: true, Async: true, Token: m.nextTok}
+	m.inflight[slot] = now
+	return LoadResult{Accepted: true, Async: true}
 }
 
 func (m *fakeMem) Store(addr uint64, now int64) bool {
@@ -60,10 +57,10 @@ func (m *fakeMem) Store(addr uint64, now int64) bool {
 
 // deliver completes all async loads that have aged past the latency.
 func (m *fakeMem) deliver(c *Core, now int64) {
-	for tok, issued := range m.inflight {
+	for slot, issued := range m.inflight {
 		if now-issued >= m.latency {
-			c.CompleteLoad(tok, now)
-			delete(m.inflight, tok)
+			c.CompleteLoad(slot, now)
+			delete(m.inflight, slot)
 		}
 	}
 }
@@ -156,7 +153,7 @@ func TestLoadBlocksRetirementUntilReady(t *testing.T) {
 	if c.Retired != 0 {
 		t.Fatalf("load retired before completion: retired=%d", c.Retired)
 	}
-	c.CompleteLoad(1, 50)
+	c.CompleteLoad(0, 50)
 	c.Tick(51)
 	if c.Retired != 1 {
 		t.Errorf("load did not retire after completion: retired=%d", c.Retired)

@@ -14,10 +14,11 @@ type FuncMemory interface {
 // target (or the trace ends): the current ROB contents retire
 // architecturally — stores apply through mem, loads were already issued at
 // dispatch — and further instructions stream straight from the op source,
-// applying their memory effects with no timing model. In-flight
-// asynchronous loads are abandoned: their tokens are dropped, so late
-// CompleteLoad deliveries hit the unknown-token path and are ignored, and
-// the load-load dependency chain restarts cold (the sampled loop's detailed
+// applying their memory effects with no timing model. The caller must have
+// delivered every asynchronous load first (the sampled loop drains the
+// memory system before it fast-forwards): the ROB slots are reused
+// afterwards, so a late CompleteLoad would land on another entry. The
+// load-load dependency chain restarts cold (the sampled loop's detailed
 // warmrun re-primes it before the next measurement window). The partially
 // consumed op cursor (a half-dispatched gap batch) carries over, so the
 // instruction stream continues exactly where detailed execution stopped.
@@ -44,9 +45,6 @@ func (c *Core) FastForwardTo(target uint64, mem FuncMemory) {
 		}
 		c.head = (c.head + 1) % len(c.rob)
 		c.slots--
-	}
-	for t := range c.tokens {
-		delete(c.tokens, t)
 	}
 	c.haveLastLoad = false
 	c.lastLoadReady = 0

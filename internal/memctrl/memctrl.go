@@ -22,18 +22,17 @@ var ErrQueueFull = errors.New("memctrl: queue full")
 // Request is one line-granularity memory request. The queues hold requests
 // by value; the field order keeps the struct at 64 bytes.
 type Request struct {
-	ID      uint64
+	ID      uint64 // enqueue order: queue order is ID order
 	Addr    uint64
 	Arrival int64 // memory cycle at enqueue
 	loc     dram.Loc
 	bank    int32 // channel-wide bank index (dram.Channel.BankIndex) of loc
-	Write   bool
+	Tag     int32 // a read's caller tag (EnqueueRead), echoed in its Completion
 }
 
-// Completion reports a finished read.
+// Completion reports a finished read by the tag it was enqueued with.
 type Completion struct {
-	ID   uint64
-	Addr uint64
+	Tag  int32
 	Done int64 // memory cycle the data burst completed
 }
 
@@ -94,17 +93,18 @@ func New(cfg config.DRAM) (*Controller, error) {
 		return nil, err
 	}
 	nbanks := cfg.Ranks * cfg.Banks
+	// The hysteresis thresholds are derived once: the quiet-span machinery
+	// and the scheduler must agree on them exactly, or event-driven runs
+	// would diverge from the reference loop.
+	high, low := cfg.DrainThresholds()
 	return &Controller{
-		cfg:    cfg,
-		ch:     ch,
-		mapper: mapper,
-		sum:    [2]queueSummary{newQueueSummary(cfg), newQueueSummary(cfg)},
-		ready:  make([]uint64, maskWords(nbanks)),
-		// The hysteresis thresholds are derived once: the quiet-span
-		// machinery and the scheduler must agree on them exactly, or
-		// event-driven runs would diverge from the reference loop.
-		drainHigh: int(float64(cfg.WriteQueueEntries) * cfg.WriteDrainHigh),
-		drainLow:  int(float64(cfg.WriteQueueEntries) * cfg.WriteDrainLow),
+		cfg:       cfg,
+		ch:        ch,
+		mapper:    mapper,
+		sum:       [2]queueSummary{newQueueSummary(cfg), newQueueSummary(cfg)},
+		ready:     make([]uint64, maskWords(nbanks)),
+		drainHigh: high,
+		drainLow:  low,
 	}, nil
 }
 
@@ -256,24 +256,23 @@ func (c *Controller) CanAccept(addr uint64, write bool) bool {
 	return c.CanEnqueueRead()
 }
 
-// EnqueueRead queues a read for addr. If the line has a pending write, the
-// read is served by store-forwarding: it completes immediately (forwarded
-// true) and never occupies a queue slot.
-func (c *Controller) EnqueueRead(addr uint64, now int64) (id uint64, forwarded bool, err error) {
+// EnqueueRead queues a read for addr; Tick reports its data in a
+// Completion carrying tag. If the line has a pending write, the read is
+// served by store-forwarding: it completes immediately (forwarded true),
+// never occupies a queue slot and produces no Completion.
+func (c *Controller) EnqueueRead(addr uint64, now int64, tag int32) (forwarded bool, err error) {
 	lineAddr, queued := c.writeQueued(addr)
 	if queued {
 		c.ReadsForwarded++
-		c.nextID++
-		return c.nextID, true, nil
+		return true, nil
 	}
 	if !c.CanEnqueueRead() {
-		return 0, false, ErrQueueFull
+		return false, ErrQueueFull
 	}
-	c.nextID++
-	c.readQ = append(c.readQ, c.newRequest(lineAddr, false, now))
+	c.readQ = append(c.readQ, c.newRequest(lineAddr, tag, now))
 	c.ReadsEnqueued++
 	c.noteEnqueued(&c.readQ[len(c.readQ)-1], &c.sum[0], dram.CmdRD, now)
-	return c.nextID, false, nil
+	return false, nil
 }
 
 // writeQueued returns addr's line address and whether the write queue
@@ -288,11 +287,12 @@ func (c *Controller) writeQueued(addr uint64) (lineAddr uint64, queued bool) {
 	return lineAddr, false
 }
 
-// newRequest builds the queue entry for line lineAddr under ID c.nextID.
-func (c *Controller) newRequest(lineAddr uint64, write bool, now int64) Request {
+// newRequest builds the queue entry for line lineAddr under the next ID.
+func (c *Controller) newRequest(lineAddr uint64, tag int32, now int64) Request {
+	c.nextID++
 	_, loc := c.mapper.Map(lineAddr)
 	return Request{ID: c.nextID, Addr: lineAddr, Arrival: now, loc: loc,
-		bank: int32(c.ch.BankIndex(loc)), Write: write}
+		bank: int32(c.ch.BankIndex(loc)), Tag: tag}
 }
 
 // noteEnqueued folds a newly queued request into the quiet bound. Adding a
@@ -329,8 +329,7 @@ func (c *Controller) EnqueueWrite(addr uint64, now int64) error {
 	if !c.CanEnqueueWrite() {
 		return ErrQueueFull
 	}
-	c.nextID++
-	c.writeQ = append(c.writeQ, c.newRequest(lineAddr, true, now))
+	c.writeQ = append(c.writeQ, c.newRequest(lineAddr, 0, now))
 	c.WritesEnqueued++
 	c.noteEnqueued(&c.writeQ[len(c.writeQ)-1], &c.sum[writeIdx], dram.CmdWR, now)
 	return nil
@@ -539,13 +538,12 @@ func (c *Controller) issueOne(now int64) bool {
 		}
 	}
 
-	// Write-drain mode hysteresis. A drain that starts at or below the low
-	// watermark (a high watermark not above the low one) ends at once.
+	// Write-drain mode hysteresis.
 	if c.drainToggleDue() {
 		if !c.draining {
 			c.DrainEpisodes++
 		}
-		c.draining = len(c.writeQ) > c.drainLow
+		c.draining = !c.draining
 		c.touch()
 	}
 
@@ -702,7 +700,7 @@ func (c *Controller) issueColumn(col dram.Command, idx int, isWrite bool, now in
 	}
 	c.ReadsCompleted++
 	c.ReadLatencySum += uint64(done - req.Arrival)
-	c.pending.push(Completion{ID: req.ID, Addr: req.Addr, Done: done})
+	c.pending.push(Completion{Tag: req.Tag, Done: done})
 }
 
 // AvgReadLatency returns the mean enqueue-to-data latency in memory cycles.

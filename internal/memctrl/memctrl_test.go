@@ -42,13 +42,14 @@ func run(t *testing.T, c *Controller, n int, maxCycles int64) []Completion {
 
 func TestSingleReadCompletes(t *testing.T) {
 	c := newCtl(t, testCfg())
-	id, fwd, err := c.EnqueueRead(0x1000, 0)
+	const tag = 7
+	fwd, err := c.EnqueueRead(0x1000, 0, tag)
 	if err != nil || fwd {
-		t.Fatalf("enqueue: id=%d fwd=%v err=%v", id, fwd, err)
+		t.Fatalf("enqueue: fwd=%v err=%v", fwd, err)
 	}
 	comps := run(t, c, 1, 1000)
-	if comps[0].ID != id {
-		t.Errorf("completion id = %d, want %d", comps[0].ID, id)
+	if comps[0].Tag != tag {
+		t.Errorf("completion tag = %d, want %d", comps[0].Tag, tag)
 	}
 	// Idle-bank read latency: ACT + tRCD + tCL + burst, plus a few cycles of
 	// scheduling. Must be at least tRCD+tCL+4 and far below 200.
@@ -64,8 +65,8 @@ func TestRowHitFasterThanConflict(t *testing.T) {
 	// PRE+ACT.
 	cfgD := testCfg()
 	c := newCtl(t, cfgD)
-	c.EnqueueRead(0x0, 0)
-	c.EnqueueRead(0x0+4096, 0) // same row (within 8KB row, different column)
+	c.EnqueueRead(0x0, 0, 0)
+	c.EnqueueRead(0x0+4096, 0, 1) // same row (within 8KB row, different column)
 	comps := run(t, c, 2, 2000)
 	gap := comps[1].Done - comps[0].Done
 	if gap > int64(cfgD.Timing.TCCDL)+8 {
@@ -81,7 +82,7 @@ func TestReadPriorityOverWrites(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.EnqueueRead(0x5000, 0)
+	c.EnqueueRead(0x5000, 0, 0)
 	comps := run(t, c, 1, 2000)
 	if c.WritesCompleted >= 8 {
 		t.Errorf("all %d writes drained before the read completed at %d", c.WritesCompleted, comps[0].Done)
@@ -111,7 +112,7 @@ func TestWriteDrainWatermark(t *testing.T) {
 func TestReadForwardedFromWriteQueue(t *testing.T) {
 	c := newCtl(t, testCfg())
 	c.EnqueueWrite(0x2000, 0)
-	_, fwd, err := c.EnqueueRead(0x2010, 0) // same line
+	fwd, err := c.EnqueueRead(0x2010, 0, 0) // same line
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 	c := newCtl(t, cfgD)
 	var err error
 	for i := 0; i <= cfgD.ReadQueueEntries; i++ {
-		_, _, err = c.EnqueueRead(uint64(i)*128*64, 0)
+		_, err = c.EnqueueRead(uint64(i)*128*64, 0, int32(i))
 		if i < cfgD.ReadQueueEntries && err != nil {
 			t.Fatalf("enqueue %d failed early: %v", i, err)
 		}
@@ -149,28 +150,28 @@ func TestQueueFullBackpressure(t *testing.T) {
 
 func TestAllReadsEventuallyComplete(t *testing.T) {
 	c := newCtl(t, testCfg())
-	want := make(map[uint64]bool)
+	want := make(map[int32]bool)
 	var cycle int64
 	for i := 0; i < 200; i++ {
 		// Mixed pattern: some row hits, some conflicts, both ranks.
 		addr := uint64(i%7)*1<<21 + uint64(i)*64
 		for {
-			id, fwd, err := c.EnqueueRead(addr, cycle)
+			fwd, err := c.EnqueueRead(addr, cycle, int32(i))
 			if err == nil {
 				if !fwd {
-					want[id] = true
+					want[int32(i)] = true
 				}
 				break
 			}
 			for _, comp := range c.Tick(cycle) {
-				delete(want, comp.ID)
+				delete(want, comp.Tag)
 			}
 			cycle++
 		}
 	}
 	for len(want) > 0 && cycle < 200000 {
 		for _, comp := range c.Tick(cycle) {
-			delete(want, comp.ID)
+			delete(want, comp.Tag)
 		}
 		cycle++
 	}
@@ -190,7 +191,7 @@ func TestRefreshProgress(t *testing.T) {
 	issued := 0
 	for cycle = 0; cycle < 4*int64(cfgD.Timing.TREFI); cycle++ {
 		if cycle%512 == 0 && c.CanEnqueueRead() {
-			c.EnqueueRead(uint64(cycle)*64, cycle)
+			c.EnqueueRead(uint64(cycle)*64, cycle, int32(issued))
 			issued++
 		}
 		completed += len(c.Tick(cycle))
@@ -208,7 +209,7 @@ func TestAvgReadLatency(t *testing.T) {
 	if c.AvgReadLatency() != 0 {
 		t.Error("idle controller has nonzero avg latency")
 	}
-	c.EnqueueRead(0, 0)
+	c.EnqueueRead(0, 0, 0)
 	run(t, c, 1, 1000)
 	if c.AvgReadLatency() <= 0 {
 		t.Error("avg read latency not recorded")
@@ -426,7 +427,7 @@ func (c *Controller) refIssueColumn(req Request, col dram.Command, idx int, isWr
 	c.readQ = append(c.readQ[:idx], c.readQ[idx+1:]...)
 	c.ReadsCompleted++
 	c.ReadLatencySum += uint64(done - req.Arrival)
-	heap.Push(stdHeap{&c.pending}, Completion{ID: req.ID, Addr: req.Addr, Done: done})
+	heap.Push(stdHeap{&c.pending}, Completion{Tag: req.Tag, Done: done})
 }
 
 // ---------------------------------------------------------------------------
@@ -572,6 +573,7 @@ const stateEvery = 16
 type differ struct {
 	t        testing.TB
 	got, ref *Controller
+	tags     int32 // the last read's tag
 	// Recount scratch, one entry per bank, reused by every check.
 	n, hits []int32
 	head    []*Request
@@ -600,11 +602,12 @@ func (d *differ) enqueue(addr uint64, write bool, now int64) {
 			t.Fatalf("cycle %d: EnqueueWrite(%#x) = %v, reference %v", now, addr, e1, e2)
 		}
 	} else {
-		id1, f1, e1 := got.EnqueueRead(addr, now)
-		id2, f2, e2 := ref.EnqueueRead(addr, now)
-		if id1 != id2 || f1 != f2 || e1 != e2 {
-			t.Fatalf("cycle %d: EnqueueRead(%#x) = (%d,%v,%v), reference (%d,%v,%v)",
-				now, addr, id1, f1, e1, id2, f2, e2)
+		d.tags++ // a distinct tag per read: completions compare by tag
+		f1, e1 := got.EnqueueRead(addr, now, d.tags)
+		f2, e2 := ref.EnqueueRead(addr, now, d.tags)
+		if f1 != f2 || e1 != e2 {
+			t.Fatalf("cycle %d: EnqueueRead(%#x) = (%v,%v), reference (%v,%v)",
+				now, addr, f1, e1, f2, e2)
 		}
 	}
 	d.checkSummaries(now)
@@ -815,7 +818,7 @@ func TestCompletionHeapMatchesContainerHeap(t *testing.T) {
 	var typed, std completionHeap
 	for i := 0; i < 5000; i++ {
 		if len(typed) == 0 || rng.IntN(3) != 0 {
-			c := Completion{ID: uint64(i), Done: int64(rng.IntN(20))}
+			c := Completion{Tag: int32(i), Done: int64(rng.IntN(20))}
 			typed.push(c)
 			heap.Push(stdHeap{&std}, c)
 			continue
@@ -839,7 +842,7 @@ func saturate(c *Controller, s *stream, now int64) {
 		if write {
 			c.EnqueueWrite(addr, now)
 		} else {
-			c.EnqueueRead(addr, now)
+			c.EnqueueRead(addr, now, 0)
 		}
 	}
 }
@@ -870,7 +873,7 @@ func fillTo(c *Controller, s *stream, now int64, depth int) {
 		if write {
 			c.EnqueueWrite(addr, now)
 		} else {
-			c.EnqueueRead(addr, now)
+			c.EnqueueRead(addr, now, 0)
 		}
 	}
 }
@@ -931,7 +934,7 @@ func BenchmarkControllerTick(b *testing.B) {
 				if write {
 					c.EnqueueWrite(addr, now)
 				} else {
-					c.EnqueueRead(addr, now)
+					c.EnqueueRead(addr, now, 0)
 				}
 				arrive = now + 100 + int64(s.rng.IntN(400))
 			}

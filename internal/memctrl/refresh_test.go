@@ -97,7 +97,7 @@ func TestRefreshStepMatchesReference(t *testing.T) {
 						if write {
 							_ = c.EnqueueWrite(addr, now)
 						} else {
-							_, _, _ = c.EnqueueRead(addr, now)
+							_, _ = c.EnqueueRead(addr, now, 0)
 						}
 					}
 					for r := 0; r < ranks; r++ {

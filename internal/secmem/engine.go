@@ -39,7 +39,7 @@ type ReadDone struct {
 type reqKind uint8
 
 const (
-	kindData reqKind = iota + 1
+	kindData reqKind = iota
 	kindMeta
 )
 
@@ -60,24 +60,22 @@ type txn struct {
 // fire-and-forget writes and metadata read-modify-write fetches.
 const noTxn int32 = -1
 
+// readTag is the controller tag of a read for transaction slot t: the slot
+// and the read's kind, or noTxn for a read no transaction waits on. Tick
+// decodes it from the read's Completion, so no lookup sits between the
+// controller and the transaction.
+func readTag(t int32, kind reqKind) int32 {
+	if t == noTxn {
+		return noTxn
+	}
+	return t<<1 | int32(kind)
+}
+
 type backlogEntry struct {
 	addr  uint64
 	t     int32 // txn slot, or noTxn
 	kind  reqKind
 	write bool
-}
-
-type pendingRef struct {
-	t    int32 // txn slot, or noTxn
-	kind reqKind
-}
-
-// chanReq identifies one in-flight controller read: request IDs are
-// per-controller counters, so multi-channel configurations need the channel
-// index to disambiguate them.
-type chanReq struct {
-	ch int
-	id uint64
 }
 
 // Engine is the security-mode-aware memory front end.
@@ -95,14 +93,14 @@ type Engine struct {
 
 	// txns is the transaction slab and freeTxns its free slot indexes.
 	// A slot is taken by StartRead and returned by maybeFinish once its
-	// outstanding count reaches zero; starting is the slot StartRead is
-	// still issuing, which a forwarded data arrival may finish but must
-	// not free before the metadata walk goes out.
+	// outstanding count reaches zero, so no queued or in-flight read still
+	// carries its tag; starting is the slot StartRead is still issuing,
+	// which a forwarded data arrival may finish but must not free before
+	// the metadata walk goes out.
 	txns     []txn
 	freeTxns []int32
 	starting int32
 
-	pending map[chanReq]pendingRef
 	backlog []backlogEntry
 	ready   readyHeap
 	outBuf  []ReadDone // reused backing array for Tick's return value
@@ -142,7 +140,6 @@ func NewEngine(cfg config.Config) (*Engine, error) {
 		ctls:     ctls,
 		mapper:   mapper,
 		starting: noTxn,
-		pending:  make(map[chanReq]pendingRef),
 	}
 	// Crypto latency in memory cycles, preserving nanoseconds.
 	c := cfg.Security.CryptoLatency
@@ -316,8 +313,7 @@ func (e *Engine) issue(t int32, addr uint64, kind reqKind, write bool, now int64
 
 // tryIssue attempts the controller enqueue; returns false when full.
 func (e *Engine) tryIssue(t int32, addr uint64, kind reqKind, write bool, now int64) bool {
-	ch := e.channelOf(addr)
-	ctl := e.ctls[ch]
+	ctl := e.ctls[e.channelOf(addr)]
 	if write {
 		if err := ctl.EnqueueWrite(addr, now); err != nil {
 			return false
@@ -327,7 +323,7 @@ func (e *Engine) tryIssue(t int32, addr uint64, kind reqKind, write bool, now in
 		}
 		return true
 	}
-	id, forwarded, err := ctl.EnqueueRead(addr, now)
+	forwarded, err := ctl.EnqueueRead(addr, now, readTag(t, kind))
 	if err != nil {
 		return false
 	}
@@ -336,9 +332,7 @@ func (e *Engine) tryIssue(t int32, addr uint64, kind reqKind, write bool, now in
 		if t != noTxn {
 			e.complete(t, kind, now)
 		}
-		return true
 	}
-	e.pending[chanReq{ch, id}] = pendingRef{t: t, kind: kind}
 	return true
 }
 
@@ -358,7 +352,8 @@ func (e *Engine) complete(i int32, kind reqKind, at int64) {
 }
 
 // maybeFinish computes the ready time once all arrivals are in and frees
-// the slot: at zero outstanding no pending or backlog entry names it. A
+// the slot: at zero outstanding no controller read or backlog entry names
+// it. A
 // read whose data was forwarded finishes before StartRead issues its walk;
 // the walk's fetches then hold the finished slot until they complete.
 func (e *Engine) maybeFinish(i int32, now int64) {
@@ -411,15 +406,10 @@ func (e *Engine) Tick(now int64) []ReadDone {
 			e.backlog = e.backlog[:copy(e.backlog, e.backlog[k:])]
 		}
 	}
-	for ch, ctl := range e.ctls {
+	for _, ctl := range e.ctls {
 		for _, comp := range ctl.Tick(now) {
-			ref, ok := e.pending[chanReq{ch, comp.ID}]
-			if !ok {
-				continue
-			}
-			delete(e.pending, chanReq{ch, comp.ID})
-			if ref.t != noTxn {
-				e.complete(ref.t, ref.kind, comp.Done)
+			if comp.Tag != noTxn {
+				e.complete(comp.Tag>>1, reqKind(comp.Tag&1), comp.Done)
 			}
 		}
 	}
@@ -466,8 +456,9 @@ func (e *Engine) NextEvent(now int64) int64 {
 func (e *Engine) BacklogLen() int { return len(e.backlog) }
 
 // Idle reports whether all queues, backlogs, and pending work are drained.
+// Reads in flight are the controllers' own to report.
 func (e *Engine) Idle() bool {
-	if len(e.backlog) != 0 || len(e.pending) != 0 || len(e.ready) != 0 {
+	if len(e.backlog) != 0 || len(e.ready) != 0 {
 		return false
 	}
 	for _, ctl := range e.ctls {
@@ -484,7 +475,7 @@ func (e *Engine) Idle() bool {
 // memctrl.Controller.ReadsIdle for why queued writes may safely persist
 // across a clock jump.
 func (e *Engine) IdleExceptWrites() bool {
-	if len(e.backlog) != 0 || len(e.pending) != 0 || len(e.ready) != 0 {
+	if len(e.backlog) != 0 || len(e.ready) != 0 {
 		return false
 	}
 	for _, ctl := range e.ctls {
@@ -497,8 +488,8 @@ func (e *Engine) IdleExceptWrites() bool {
 
 // String summarizes engine state.
 func (e *Engine) String() string {
-	return fmt.Sprintf("engine{mode=%v backlog=%d pending=%d}",
-		e.cfg.Security.Mode, len(e.backlog), len(e.pending))
+	return fmt.Sprintf("engine{mode=%v backlog=%d ready=%d}",
+		e.cfg.Security.Mode, len(e.backlog), len(e.ready))
 }
 
 // readyHeap is a min-heap of completions on ReadyMem. push and pop sift

@@ -38,23 +38,27 @@ func TestForkReusesStorage(t *testing.T) {
 		// and a dirty flag.
 		g := w.sys.llc.Geom()
 		llcBytes := uint64(g.SizeBytes/g.LineBytes) * (8 + 8 + 1)
+		// With one P and the GC off the pool keeps what every fork gives
+		// back, so the count shows recycling, not where the scheduler ran
+		// the test or whether a collection happened to run. sync.Pool
+		// keeps a Put item in the putting P's private slot, which a Get on
+		// another P never sees: with two Ps, a preemption that moved the
+		// test between one fork's Put and the next fork's Get cost a fresh
+		// LLC, about 1 run in 60 under load.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		if _, err := w.Fork(opt); err != nil {
 			t.Fatal(err)
 		}
-		// With the GC off the pool keeps what the forks give back, so the
-		// count shows recycling, not whether a collection happened to run.
-		gc := debug.SetGCPercent(-1)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		const forks = 5
 		for range forks {
 			if _, err := w.Fork(opt); err != nil {
-				debug.SetGCPercent(gc)
 				t.Fatal(err)
 			}
 		}
 		runtime.ReadMemStats(&after)
-		debug.SetGCPercent(gc)
 		per := (after.TotalAlloc - before.TotalAlloc) / forks
 		t.Logf("%d bytes allocated per fork; the LLC's arrays are %d bytes", per, llcBytes)
 		if per >= llcBytes/4 {

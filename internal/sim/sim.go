@@ -235,9 +235,11 @@ type mshrEntry struct {
 	prefetch    bool
 }
 
+// waiter is a load merged into a fill: the core and the ROB slot it
+// issued the load from, which CompleteLoad indexes directly.
 type waiter struct {
-	core  int
-	token uint64
+	core int
+	slot int
 }
 
 type system struct {
@@ -255,7 +257,6 @@ type system struct {
 	byLine     map[uint64]int32 // pending fills by line address
 	pfBuf      []uint64         // prefetch targets, reused per Observe
 	mshrInUse  []int
-	nextToken  uint64
 	outstandPf int
 
 	// memEventAt caches engine.NextEvent: the bound stays valid until the
@@ -452,7 +453,7 @@ var _ cpu.Memory = (*corePort)(nil)
 const _lineMask = ^uint64(63)
 
 // Load implements cpu.Memory.
-func (p *corePort) Load(addr uint64, now int64) cpu.LoadResult {
+func (p *corePort) Load(addr uint64, now int64, slot int) cpu.LoadResult {
 	s := p.s
 	line := addr & _lineMask
 	s.llcAccess++
@@ -465,21 +466,18 @@ func (p *corePort) Load(addr uint64, now int64) cpu.LoadResult {
 	s.demandMiss++
 	// Merge into an existing fill.
 	if i, ok := s.byLine[line]; ok {
-		s.nextToken++
 		e := &s.mshrs[i]
-		e.waiters = append(e.waiters, waiter{core: p.id, token: s.nextToken})
-		return cpu.LoadResult{Accepted: true, Async: true, Token: s.nextToken}
+		e.waiters = append(e.waiters, waiter{core: p.id, slot: slot})
+		return cpu.LoadResult{Accepted: true, Async: true}
 	}
 	if s.mshrInUse[p.id] >= s.opt.MSHRsPerCore {
 		s.mshrRejects[p.id]++
 		return cpu.LoadResult{} // structural stall
 	}
 	s.trainPrefetcher(line)
-	s.nextToken++
-	tok := s.nextToken
 	e := s.startFill(line, p.id, false, false)
-	e.waiters = append(e.waiters, waiter{core: p.id, token: tok})
-	return cpu.LoadResult{Accepted: true, Async: true, Token: tok}
+	e.waiters = append(e.waiters, waiter{core: p.id, slot: slot})
+	return cpu.LoadResult{Accepted: true, Async: true}
 }
 
 // Store implements cpu.Memory (write-allocate: a store miss fetches the
@@ -589,7 +587,7 @@ func (s *system) memTick() {
 		}
 		for _, w := range e.waiters {
 			if s.finishCycle[w.core] == 0 {
-				s.cores[w.core].CompleteLoad(w.token, s.cpuNow)
+				s.cores[w.core].CompleteLoad(w.slot, s.cpuNow)
 				s.coreNextAt[w.core] = 0 // async wake: bound invalid
 			}
 		}
