@@ -1,10 +1,13 @@
 package harness
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sync"
 
 	"secddr/internal/sim"
+	"secddr/internal/trace"
 )
 
 // This file holds the one campaign scheduler. RunContext runs it over a
@@ -41,9 +44,46 @@ type point struct {
 // forks from the warmed snapshot.
 type group struct {
 	key     string
-	members []point     // waiting on the warmup
-	warmed  *sim.Warmed // nil while warming
-	forks   int         // forks queued or running
+	class   tableClass
+	tables  *trace.Tables // its class's page tables; nil under a substituted Sim
+	members []point       // waiting on the warmup
+	warmed  *sim.Warmed   // nil while warming
+	forks   int           // forks queued or running
+}
+
+// tableClass names the measured page tables a point's streams read. A
+// profile's are a function of its footprint, the seed and the core count,
+// since each core's stream seed derives from the seed alone: every
+// workload of one footprint reads the same tables. A scenario point's
+// class is its own group.
+type tableClass struct {
+	footprint uint64 // zero for a scenario
+	seed      uint64
+	cores     int
+	scenario  string // the group key of a scenario point
+}
+
+func classOf(p point) tableClass {
+	c := tableClass{seed: p.Opt.Seed, cores: p.Opt.Config.Core.NumCores}
+	if p.Opt.Scenario.IsZero() {
+		c.footprint = p.Opt.Workload.Footprint
+	} else {
+		c.scenario = p.group
+	}
+	return c
+}
+
+// compare orders classes largest footprint first, then by seed and core
+// count; scenario classes come last.
+func (c tableClass) compare(d tableClass) int {
+	return cmp.Or(cmp.Compare(d.footprint, c.footprint), cmp.Compare(c.seed, d.seed), cmp.Compare(c.cores, d.cores))
+}
+
+// tableSet is one class's page tables, shared by the warmups and cold runs
+// of every group in the class, and how many held groups read them.
+type tableSet struct {
+	tables *trace.Tables
+	groups int
 }
 
 type forkTask struct {
@@ -54,14 +94,23 @@ type forkTask struct {
 // sched is the dispatch loop behind RunContext and Serve. Slots claim
 // fork tasks in preference to warmups, so snapshots retire (and free
 // their memory) before new ones are created. Fork tasks are claimed
-// oldest-first, so a group's points start in arrival (grid) order: the
-// figure grids list their slowest mode, the 64-ary tree, first in every
-// group, and claimed last it would run alone at the sweep's tail while
-// the other slots idle. Groups are formed in arrival order, never map
-// order: map iteration would randomize group and store-append order
-// between identical runs (the emitted JSON stays byte-identical either
-// way, but determinism everywhere is what keeps that property easy to
-// trust).
+// oldest-first, so a group's points start in arrival order: the figure
+// grids list their slowest mode, the 64-ary tree, first in every group,
+// and claimed last it would run alone at the sweep's tail while the
+// other slots idle. Groups are formed in arrival order, never map order:
+// map iteration would randomize group and store-append order between
+// identical runs (the emitted JSON stays byte-identical either way, but
+// determinism everywhere is what keeps that property easy to trust).
+// A fixed job list arrives in table class order, a stable sort of the
+// grid, so it is as deterministic as the grid.
+//
+// The scheduler owns the sweep's measured page tables: one trace.Tables
+// set per table class, held from the first group of the class it files
+// to the last one it lets go. In class order a fixed list shuffles each
+// table once, and only one class's tables are live at a time. On a feed
+// it sees only the lease window; a set stays while any group it holds
+// reads it, the kept newest group included, and a new group takes its
+// set before the group it replaces lets go.
 //
 // With a feed, a feeder goroutine tops up whenever a slot would
 // otherwise wait (no fork is ready and no group is left to warm) and the
@@ -87,6 +136,9 @@ type sched struct {
 	demand *sync.Cond // the feeder waits for an idle slot with nothing to run
 	held   map[string]bool
 	groups map[string]*group
+	sets   map[tableClass]*tableSet
+	// builds counts the page tables shuffled by sets already let go.
+	builds int
 	warms  []*group
 	forks  []forkTask
 	newest *group // the group opened last
@@ -109,12 +161,16 @@ func (s *sched) point(j Job, digest string) point {
 	return p
 }
 
-// run schedules pts, then jobs from feed (nil: none), and returns once
-// every task has run — or, after ctx ends, once in-flight tasks have
-// finished; tasks not started by then are dropped.
+// run schedules pts in table class order, then jobs from feed (nil:
+// none), and returns once every task has run — or, after ctx ends, once
+// in-flight tasks have finished; tasks not started by then are dropped.
 func (s *sched) run(ctx context.Context, pts []point, feed Feed) {
 	s.work, s.demand = sync.NewCond(&s.mu), sync.NewCond(&s.mu)
 	s.held, s.groups = make(map[string]bool), make(map[string]*group)
+	s.sets = make(map[tableClass]*tableSet)
+	if s.simFn == nil {
+		slices.SortStableFunc(pts, func(a, b point) int { return classOf(a).compare(classOf(b)) })
+	}
 	s.mu.Lock()
 	s.add(pts)
 	s.ended = feed == nil
@@ -158,10 +214,11 @@ func (s *sched) add(pts []point) {
 		s.unstarted++
 		switch g := s.groups[p.group]; {
 		case g == nil:
+			g = &group{key: p.group, class: classOf(p), members: []point{p}}
+			s.hold(g)
 			if old := s.newest; old != nil && old.warmed != nil && old.forks == 0 {
-				delete(s.groups, old.key) // retired and no longer the newest
+				s.drop(old) // retired and no longer the newest
 			}
-			g = &group{key: p.group, members: []point{p}}
 			s.groups[p.group] = g
 			s.newest = g
 			s.warms = append(s.warms, g)
@@ -255,10 +312,10 @@ func (s *sched) warmGroup(g *group) {
 	p := g.members[0]
 	if len(g.members) == 1 && (s.simFn != nil || s.ended) {
 		g.members = nil
-		delete(s.groups, g.key)
+		s.drop(g)
 		s.unstarted--
 		s.mu.Unlock()
-		run := sim.Run
+		run := func(o sim.Options) (sim.Result, error) { return sim.RunShared(o, g.tables) }
 		if s.simFn != nil {
 			run = s.simFn
 		} else {
@@ -274,14 +331,14 @@ func (s *sched) warmGroup(g *group) {
 		return
 	}
 	s.mu.Unlock()
-	warmed, err := sim.Warmup(p.Opt)
+	warmed, err := sim.WarmupShared(p.Opt, g.tables)
 	s.mu.Lock()
 	members := g.members
 	g.members = nil
 	if err != nil {
 		// The whole group is doomed, members that joined during the
 		// warmup included: report each one.
-		delete(s.groups, g.key)
+		s.drop(g)
 		s.unstarted -= len(members)
 		s.mu.Unlock()
 		for _, m := range members {
@@ -305,7 +362,40 @@ func (s *sched) warmGroup(g *group) {
 // them until a newer group opens. Caller holds s.mu.
 func (s *sched) retire(g *group) {
 	if s.ended || g != s.newest {
-		delete(s.groups, g.key)
+		s.drop(g)
+	}
+}
+
+// hold gives new group g its class's page tables, opening the class's set
+// for its first group. A substituted Sim reads no tables. Caller holds
+// s.mu.
+func (s *sched) hold(g *group) {
+	if s.simFn != nil {
+		return
+	}
+	ts := s.sets[g.class]
+	if ts == nil {
+		ts = &tableSet{tables: new(trace.Tables)}
+		s.sets[g.class] = ts
+	}
+	ts.groups++
+	g.tables = ts.tables
+}
+
+// drop lets go of group g, and of its table set when no other held group
+// reads it; a group already let go stays so. Caller holds s.mu.
+func (s *sched) drop(g *group) {
+	if s.groups[g.key] != g {
+		return
+	}
+	delete(s.groups, g.key)
+	if g.tables == nil {
+		return
+	}
+	ts := s.sets[g.class]
+	if ts.groups--; ts.groups == 0 {
+		delete(s.sets, g.class)
+		s.builds += ts.tables.Builds()
 	}
 }
 

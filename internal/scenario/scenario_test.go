@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"secddr/internal/trace"
 )
 
 // Every built-in must validate against the Table I core count, carry a
@@ -134,7 +136,7 @@ func TestSourceInstrBoundaries(t *testing.T) {
 			{Profile: "gcc"}, // terminal
 		},
 	}}}
-	src, err := NewSource(scn, 0, 0, 42)
+	src, err := NewSource(scn, 0, 0, 42, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +161,7 @@ func TestSourceInstrBoundaries(t *testing.T) {
 
 func TestSourceLoopRevisits(t *testing.T) {
 	scn := Scenario{Name: "t", Cores: []CoreScript{alternating(3_000, "mcf", "gcc")}}
-	src, err := NewSource(scn, 0, 0, 42)
+	src, err := NewSource(scn, 0, 0, 42, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +187,7 @@ func TestSourceMarkovDeterministicCycle(t *testing.T) {
 			Transition: [][]float64{{0, 1, 0}, {0, 0, 1}, {1, 0, 0}},
 		},
 	}}}
-	src, err := NewSource(scn, 0, 0, 42)
+	src, err := NewSource(scn, 0, 0, 42, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,11 +218,11 @@ func TestSourceMarkovDeterministicCycle(t *testing.T) {
 // Same seed, same stream; the scenario engine must be bit-deterministic.
 func TestSourceDeterminism(t *testing.T) {
 	scn, _ := ByName("markov-server")
-	a, err := NewSource(scn, 0, 0, 7)
+	a, err := NewSource(scn, 0, 0, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewSource(scn, 0, 0, 7)
+	b, err := NewSource(scn, 0, 0, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,6 +235,35 @@ func TestSourceDeterminism(t *testing.T) {
 	}
 	if a.Phase() != b.Phase() {
 		t.Fatalf("phase diverged: %d vs %d", a.Phase(), b.Phase())
+	}
+}
+
+// TestSourceSharesTables: a source built through a table set takes its
+// phase generators' page tables from it, one shuffle per phase, and a
+// second source of the same core and seed shuffles none; both stream
+// exactly what a source with tables of its own streams.
+func TestSourceSharesTables(t *testing.T) {
+	scn, _ := ByName("markov-server")
+	phases := len(scn.Script(0).Phases)
+	set := new(trace.Tables)
+	var srcs []*Source
+	for _, tables := range []*trace.Tables{nil, set, set} {
+		src, err := NewSource(scn, 0, 0, 7, tables)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs = append(srcs, src)
+	}
+	if n := set.Builds(); n != phases {
+		t.Errorf("two sources shuffled %d tables into the set, want one per phase (%d)", n, phases)
+	}
+	for i := range 50_000 {
+		want, _ := srcs[0].Next()
+		for k, src := range srcs[1:] {
+			if op, _ := src.Next(); op != want {
+				t.Fatalf("shared source %d diverges at op %d: %+v, private %+v", k, i, op, want)
+			}
+		}
 	}
 }
 
@@ -367,7 +398,7 @@ func TestSourceOvershootPreservesSchedule(t *testing.T) {
 		},
 		Loop: true,
 	}}}
-	src, err := NewSource(scn, 0, 0, 42)
+	src, err := NewSource(scn, 0, 0, 42, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

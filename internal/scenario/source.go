@@ -34,8 +34,10 @@ var _ cpu.OpSource = (*Source)(nil)
 // NewSource builds the op source core executes under s. base is the
 // core's physical footprint base (every phase reuses it: the phases are
 // one program's address space over time, not co-resident programs); seed
-// derives all per-phase generator randomness and the Markov draws.
-func NewSource(s Scenario, core int, base, seed uint64) (*Source, error) {
+// derives all per-phase generator randomness and the Markov draws. The
+// phase generators take their page tables from tables, which may be nil:
+// then each shuffles its own.
+func NewSource(s Scenario, core int, base, seed uint64, tables *trace.Tables) (*Source, error) {
 	if err := s.Validate(0); err != nil {
 		return nil, err
 	}
@@ -55,7 +57,7 @@ func NewSource(s Scenario, core int, base, seed uint64) (*Source, error) {
 		}
 		// Distinct deterministic seed per phase slot, so two phases running
 		// the same profile still draw independent streams.
-		g, err := trace.NewGenerator(prof, base, seed+uint64(i+1)*0xa0761d6478bd642f)
+		g, err := tables.NewGenerator(prof, base, seed+uint64(i+1)*0xa0761d6478bd642f)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %q phase %d: %w", s.Name, i, err)
 		}

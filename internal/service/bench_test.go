@@ -1,15 +1,19 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"os"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
 
 	"secddr/internal/harness"
+	"secddr/internal/sim"
 )
 
 // BenchmarkServiceSweep times the 2×3 QuickScale grid through the sweep
@@ -77,4 +81,46 @@ func cpuTime() time.Duration {
 		return 0
 	}
 	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
+// BenchmarkResultWire measures one result upload on the wire: encode is
+// the worker's json.Marshal of its ResultUpload, decode the server's
+// json.Decoder read of the body. The Result is recorded, so the body is
+// the same on every run: testdata/result-mcf-sampled.json is the sampled
+// QuickScale mcf secddr+ctr point at seed 42, with its estimates and
+// cycle-attribution profile (2.7 KB on the wire).
+// Report-only; run with -benchmem.
+func BenchmarkResultWire(b *testing.B) {
+	raw, err := os.ReadFile("testdata/result-mcf-sampled.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var res sim.Result
+	if err := json.Unmarshal(raw, &res); err != nil {
+		b.Fatal(err)
+	}
+	up := ResultUpload{WorkerID: "bench-0", Result: &res, DurationMS: 120}
+	body, err := json.Marshal(up)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for b.Loop() {
+			if _, err := json.Marshal(up); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for b.Loop() {
+			var got ResultUpload
+			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&got); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

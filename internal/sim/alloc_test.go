@@ -17,7 +17,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 	opt := tinyOpt(config.ModeSecDDRCTR, "mcf")
 	opt.InstrPerCore = 1_000_000 // a cycle cap far beyond the spans below
-	s, err := warmSystem(opt, false)
+	s, err := warmSystem(opt, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

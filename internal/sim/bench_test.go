@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"runtime"
 	"testing"
 
 	"secddr/internal/config"
@@ -144,7 +143,7 @@ func BenchmarkWarmedFork(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		llcPool.Put(f.llc)
+		putLLC(f.llc)
 	}
 }
 
@@ -178,27 +177,26 @@ func BenchmarkPrimeMeta(b *testing.B) {
 
 // BenchmarkWarmup measures one timed Table 1 warmup: LLC set-up, the
 // per-core warm fill and hot-set install, and 30k warmup instructions per
-// core. A first snapshot of the same group stays live, as in a sweep that
-// still forks from it, so the measured generators' page tables come from
-// the memo and B/op is the warmup's own allocation: its LLC and the one
-// buffer its warm-fill streams shuffle their page tables into. mcf has a
-// 1.5 GiB footprint (a 1.5 MiB table), exchange2 64 MiB (64 KiB).
+// core. Every warmup takes its measured page tables from one set, as the
+// warmups of one table class in a sweep do, and a first warmup fills it,
+// so B/op is the warmup's own allocation: its LLC and the one buffer its
+// warm-fill streams shuffle their page tables into. mcf has a 1.5 GiB
+// footprint (a 1.5 MiB table), exchange2 64 MiB (64 KiB).
 func BenchmarkWarmup(b *testing.B) {
 	for _, wl := range []string{"mcf", "exchange2"} {
 		b.Run(wl, func(b *testing.B) {
 			opt := benchOptions(b)
 			opt.Workload, _ = trace.ByName(wl)
-			live, err := Warmup(opt)
-			if err != nil {
+			tables := new(trace.Tables)
+			if _, err := WarmupShared(opt, tables); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, err := Warmup(opt); err != nil {
+				if _, err := WarmupShared(opt, tables); err != nil {
 					b.Fatal(err)
 				}
 			}
-			runtime.KeepAlive(live)
 		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -13,6 +14,7 @@ import (
 	"secddr/internal/cpu"
 	"secddr/internal/scenario"
 	"secddr/internal/secmem"
+	"secddr/internal/trace"
 )
 
 // Fork-after-warmup. Grid points in one figure differ only in their
@@ -101,14 +103,38 @@ func (o Options) clone() Options {
 // finished point's LLC back once its Result is collected; fork copies the
 // template into a pooled LLC, and warmSystem resets one for a new warmup,
 // so a sweep allocates LLC arrays once per concurrent point, not once per
-// point. Only caches nothing else references are put here.
-var llcPool sync.Pool
+// point. Only caches nothing else references are put here. It is a plain
+// free list, so any goroutine takes what any other gave back, and it
+// keeps at most one LLC per P: no more points than that run at once on a
+// default harness pool.
+var llcPool struct {
+	sync.Mutex
+	free []*cache.Cache
+}
 
 // takeLLC returns a recycled LLC, or nil when the pool is empty; the
 // cache.Cache Clone and Reset methods allocate for a nil or mismatched one.
 func takeLLC() *cache.Cache {
-	c, _ := llcPool.Get().(*cache.Cache)
+	llcPool.Lock()
+	defer llcPool.Unlock()
+	n := len(llcPool.free)
+	if n == 0 {
+		return nil
+	}
+	c := llcPool.free[n-1]
+	llcPool.free[n-1] = nil
+	llcPool.free = llcPool.free[:n-1]
 	return c
+}
+
+// putLLC gives c to the pool, or to the garbage collector when the pool
+// is full.
+func putLLC(c *cache.Cache) {
+	llcPool.Lock()
+	defer llcPool.Unlock()
+	if len(llcPool.free) < runtime.GOMAXPROCS(0) {
+		llcPool.free = append(llcPool.free, c)
+	}
 }
 
 // fork copies a warmed template for one measured run: the cores with
@@ -184,8 +210,15 @@ type Warmed struct {
 // Warmup runs the canonical warmup phase for opt and returns the snapshot
 // every point with the same WarmupKey can fork from. opt is validated
 // exactly as Run validates it.
-func Warmup(opt Options) (*Warmed, error) {
-	s, err := warmSystem(opt, false)
+func Warmup(opt Options) (*Warmed, error) { return WarmupShared(opt, nil) }
+
+// WarmupShared is Warmup with the measured streams' page tables taken
+// from tables, which shuffles each one on first use and keeps it for
+// later warmups and runs of the same table class. tables is not part of
+// the snapshot's key: the snapshot is the one Warmup(opt) returns, and
+// its forks read the shared tables in place.
+func WarmupShared(opt Options, tables *trace.Tables) (*Warmed, error) {
+	s, err := warmSystem(opt, false, tables)
 	if err != nil {
 		return nil, err
 	}
@@ -231,7 +264,7 @@ func (w *Warmed) Fork(opt Options) (Result, error) {
 	res := s.collect()
 	// The Result holds no reference into s, and s is dropped here: its
 	// LLC storage goes to the next fork or warmup.
-	llcPool.Put(s.llc)
+	putLLC(s.llc)
 	return res, nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"secddr/internal/config"
@@ -27,7 +26,7 @@ var fig6Modes = []config.Mode{
 func TestForkReusesStorage(t *testing.T) {
 	t.Run("sequential", func(t *testing.T) {
 		if raceEnabled {
-			t.Skip("the race detector drops pooled items at random and allocates on its own")
+			t.Skip("the race detector allocates on its own")
 		}
 		opt := tinyOpt(config.ModeSecDDRCTR, "mcf")
 		w, err := Warmup(opt)
@@ -38,15 +37,6 @@ func TestForkReusesStorage(t *testing.T) {
 		// and a dirty flag.
 		g := w.sys.llc.Geom()
 		llcBytes := uint64(g.SizeBytes/g.LineBytes) * (8 + 8 + 1)
-		// With one P and the GC off the pool keeps what every fork gives
-		// back, so the count shows recycling, not where the scheduler ran
-		// the test or whether a collection happened to run. sync.Pool
-		// keeps a Put item in the putting P's private slot, which a Get on
-		// another P never sees: with two Ps, a preemption that moved the
-		// test between one fork's Put and the next fork's Get cost a fresh
-		// LLC, about 1 run in 60 under load.
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		if _, err := w.Fork(opt); err != nil {
 			t.Fatal(err)
 		}

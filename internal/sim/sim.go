@@ -89,13 +89,14 @@ type opSource interface {
 // when a Scenario is set, the single stationary profile otherwise. Every
 // core keeps its established disjoint 2GB physical window and per-core
 // seed derivation; saltExtra distinguishes the warmup stream from the
-// measured one.
-func (o Options) newCoreSource(i int, saltExtra uint64) (opSource, error) {
+// measured one. The source's page tables come from tables, or are its
+// own when tables is nil.
+func (o Options) newCoreSource(i int, saltExtra uint64, tables *trace.Tables) (opSource, error) {
 	base, seed := o.coreStream(i, saltExtra)
 	if !o.Scenario.IsZero() {
-		return scenario.NewSource(o.Scenario, i, base, seed)
+		return scenario.NewSource(o.Scenario, i, base, seed, tables)
 	}
-	return trace.NewGenerator(o.Workload, base, seed)
+	return tables.NewGenerator(o.Workload, base, seed)
 }
 
 // coreStream returns core i's physical base and the seed of its stream
@@ -108,19 +109,19 @@ func (o Options) coreStream(i int, saltExtra uint64) (base, seed uint64) {
 const warmSalt = 0x9e3779b9
 
 // warmFill hands fn the first n ops of core i's warm-fill stream, the
-// op source newCoreSource(i, warmSalt) would build. A stationary
-// profile's stream shuffles its page table into buf, which the caller
-// reuses core to core (trace.RunOps): nothing reads that table after the
-// fill, so through the memo it would only be allocated to die. warmFill
-// returns buf for the next core. A scenario source keeps the memo on
-// purpose: its phase generators' tables are all live at once, so one
-// buffer cannot hold them (no perfbench workload runs a scenario).
+// op source newCoreSource(i, warmSalt, nil) would build. Nothing reads
+// its page tables after the fill, so none joins a shared set. A
+// stationary profile's stream shuffles its table into buf, which the
+// caller reuses core to core (trace.RunOps), and warmFill returns buf for
+// the next core. A scenario source shuffles a table of its own per phase
+// generator: those tables are all live at once, so one buffer cannot hold
+// them (no perfbench workload runs a scenario).
 func (o Options) warmFill(i, n int, buf []uint32, fn func(cpu.Op)) ([]uint32, error) {
 	base, seed := o.coreStream(i, warmSalt)
 	if o.Scenario.IsZero() {
 		return trace.RunOps(o.Workload, base, seed, n, buf, fn)
 	}
-	src, err := scenario.NewSource(o.Scenario, i, base, seed)
+	src, err := scenario.NewSource(o.Scenario, i, base, seed, nil)
 	if err != nil {
 		return buf, err
 	}
@@ -785,6 +786,21 @@ func (s *system) skip(jump int64) {
 // and channel counts.
 func Run(opt Options) (Result, error) { return run(opt, false, nil) }
 
+// RunShared is Run with the measured streams' page tables taken from
+// tables, which shuffles each one on first use and keeps it for later
+// runs and warmups of the same table class. tables is not part of the
+// point: the Result is byte-identical to Run(opt)'s.
+func RunShared(opt Options, tables *trace.Tables) (Result, error) {
+	s, err := warmSystem(opt, false, tables)
+	if err != nil {
+		return Result{}, err
+	}
+	if err := s.measure(opt, nil); err != nil {
+		return Result{}, err
+	}
+	return s.collect(), nil
+}
+
 // runTickLoop executes the same simulation with the reference cycle-by-
 // cycle loop. It exists so tests and benchmarks can compare the two
 // advance strategies; production callers should use Run.
@@ -807,21 +823,27 @@ func run(opt Options, tickLoop bool, tl *obs.Timeline) (Result, error) {
 // The timeline attaches between warmup and resume, so it covers the
 // measured region of either fidelity and never reaches a warmed snapshot.
 func runTraced(opt Options, tickLoop bool, tl *obs.Timeline) (*system, error) {
-	s, err := warmSystem(opt, tickLoop)
+	s, err := warmSystem(opt, tickLoop, nil)
 	if err != nil {
 		return nil, err
 	}
+	return s, s.measure(opt, tl)
+}
+
+// measure resumes the system warmSystem returned under opt, in place,
+// and runs its measured region, recording into tl (nil: no timeline).
+func (s *system) measure(opt Options, tl *obs.Timeline) error {
 	s.tl = tl
 	s.mark("warmup-done")
 	if err := s.resume(opt, s.engine, nil); err != nil {
-		return nil, err
+		return err
 	}
 	s.mark("measured-start")
 	if err := s.runMeasuredRegion(); err != nil {
-		return nil, err
+		return err
 	}
 	s.mark("measured-end")
-	return s, nil
+	return nil
 }
 
 // runMeasuredRegion dispatches the measured region to the driver the
@@ -838,8 +860,10 @@ func (s *system) runMeasuredRegion() error {
 // configuration (warmupOptions), and runs the warmup phase to its drained
 // fixpoint: every core frozen at its warmup target and the memory system
 // fully idle. The returned system is the state a Warmed snapshot captures;
-// it is a pure function of opt's WarmupKey.
-func warmSystem(opt Options, tickLoop bool) (*system, error) {
+// it is a pure function of opt's WarmupKey. The measured streams' page
+// tables come from tables, or are the streams' own when tables is nil;
+// the system keeps no reference to the set.
+func warmSystem(opt Options, tickLoop bool, tables *trace.Tables) (*system, error) {
 	if opt.InstrPerCore == 0 {
 		return nil, errors.New("sim: InstrPerCore must be positive")
 	}
@@ -890,7 +914,7 @@ func warmSystem(opt Options, tickLoop bool) (*system, error) {
 	fill := func(op cpu.Op) { s.llc.Fill(op.Addr&_lineMask, op.Store) }
 	var warmTable []uint32 // the warm-fill streams' page table, core to core
 	for i := 0; i < n; i++ {
-		gen, err := wopt.newCoreSource(i, 0)
+		gen, err := wopt.newCoreSource(i, 0, tables)
 		if err != nil {
 			return nil, err
 		}

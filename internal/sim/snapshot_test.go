@@ -275,7 +275,7 @@ func TestForkRefusesLiveSystem(t *testing.T) {
 	if !tried {
 		t.Fatal("no cycle with several in-flight fills; pick a heavier point")
 	}
-	s, err := warmSystem(opt, false)
+	s, err := warmSystem(opt, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,19 +7,21 @@ import (
 
 	"secddr/internal/config"
 	"secddr/internal/cpu"
+	"secddr/internal/trace"
 )
 
 // TestWarmupAllocatesOneWarmTable: a warmup shuffles its cores' warm-fill
-// page tables into one buffer, so with the measured tables already live
-// (a first snapshot of the same group holds them through the memo) a
-// second warmup allocates its LLC, one warm table and little else — not
-// one warm table per core.
+// page tables into one buffer, so with the measured tables already in a
+// shared set (a first warmup through the same set built them) a second
+// warmup allocates its LLC, one warm table and little else — not one warm
+// table per core.
 func TestWarmupAllocatesOneWarmTable(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
 	opt := tinyOpt(config.ModeSecDDRCTR, "mcf")
-	first, err := Warmup(opt)
+	tables := new(trace.Tables)
+	first, err := WarmupShared(opt, tables)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +34,7 @@ func TestWarmupAllocatesOneWarmTable(t *testing.T) {
 	gc := debug.SetGCPercent(-1)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	second, err := Warmup(opt)
+	second, err := WarmupShared(opt, tables)
 	runtime.ReadMemStats(&after)
 	debug.SetGCPercent(gc)
 	if err != nil {
@@ -57,7 +59,7 @@ func TestWarmFillMatchesSource(t *testing.T) {
 	for _, wl := range []string{"mcf", "exchange2", "lbm"} {
 		opt := tinyOpt(config.ModeSecDDRCTR, wl)
 		for i := range 4 {
-			src, err := opt.newCoreSource(i, warmSalt)
+			src, err := opt.newCoreSource(i, warmSalt, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -31,20 +31,21 @@ type Generator struct {
 var _ cpu.OpSource = (*Generator)(nil)
 
 // NewGenerator builds a generator for profile p. base is the core's
-// physical footprint base; seed derives all randomness. Its page table
-// comes from the process-wide memo.
+// physical footprint base; seed derives all randomness. It shuffles a
+// page table of its own; Tables.NewGenerator shares one.
 func NewGenerator(p Profile, base uint64, seed uint64) (*Generator, error) {
-	return newGenerator(p, base, seed, pageTableFor)
+	return newGenerator(p, base, seed, func(pages uint64, r rng) *PageTable {
+		return buildPageTable(nil, pages, r)
+	})
 }
 
 // RunOps hands fn, in order, the first n ops of the stream that
 // NewGenerator(p, base, seed) produces. It is for throwaway streams, such
 // as a functional cache warmup's: the page table is shuffled into buf's
-// storage (allocated afresh only when buf is too short) instead of coming
-// from the memo, where a table nothing keeps would die at once. The
-// stream never outlives the call, so nothing can read buf's table after
-// the caller reuses buf. RunOps returns the buffer, grown as needed, for
-// the next stream.
+// storage (allocated afresh only when buf is too short) instead of a
+// table of its own that would die at once. The stream never outlives the
+// call, so nothing can read buf's table after the caller reuses buf.
+// RunOps returns the buffer, grown as needed, for the next stream.
 func RunOps(p Profile, base, seed uint64, n int, buf []uint32, fn func(cpu.Op)) ([]uint32, error) {
 	g, err := newGenerator(p, base, seed, func(pages uint64, r rng) *PageTable {
 		return buildPageTable(buf, pages, r)

@@ -1,28 +1,24 @@
 package trace
 
-import (
-	"runtime"
-	"sync"
-	"weak"
-)
+import "sync"
 
 // PageTable is a generator's random virtual-to-physical page permutation
 // (Section IV-A: virtual pages scatter over the physical footprint,
 // fragmenting streams at page boundaries). It is immutable once built:
 // generators only read it, in translate. So a generator's clones share
-// its table rather than copying it, and generators that would build the
-// same permutation share one table through a process-wide memo. At one
-// grid seed that is every workload with the same footprint, because
-// per-core seeds do not depend on the workload.
+// its table rather than copying it, and generators built through one
+// Tables set share the tables they have in common. At one grid seed that
+// is every workload with the same footprint, because per-core seeds do
+// not depend on the workload.
 //
 // The one table that is not immutable is RunOps's, built in a buffer the
-// caller rewrites for its next stream; it is never in the memo, and the
+// caller rewrites for its next stream; it is never in a set, and the
 // generator reading it does not outlive the RunOps call.
 type PageTable struct {
 	perm []uint32
 	// after is the generator RNG state once the shuffle has drawn from
-	// it. A generator built from a memoized table resumes its stream
-	// here, so its addresses are bit-identical to a fresh build's.
+	// it. A generator built from a shared table resumes its stream here,
+	// so its addresses are bit-identical to a fresh build's.
 	after rng
 }
 
@@ -33,40 +29,53 @@ type tableKey struct {
 	state uint64
 }
 
-// tables memoizes page tables by key. It holds them weakly: a table lives
-// as long as some generator (or a warmed snapshot's clone of one) uses
-// it, and a cleanup drops its entry once it is collected, so the memo
-// never keeps a sweep's tables alive after the sweep has moved on.
-var tables = struct {
-	sync.Mutex
-	m map[tableKey]weak.Pointer[PageTable]
-}{m: make(map[tableKey]weak.Pointer[PageTable])}
-
-// pageTableFor returns the permutation of pages pages shuffled from r,
-// building it on a memo miss. The build runs under the memo lock, so
-// concurrent warmups that need the same table shuffle it once.
-func pageTableFor(pages uint64, r rng) *PageTable {
-	k := tableKey{pages: pages, state: r.state}
-	tables.Lock()
-	defer tables.Unlock()
-	if t := tables.m[k].Value(); t != nil {
-		return t
-	}
-	t := buildPageTable(nil, pages, r)
-	tables.m[k] = weak.Make(t)
-	runtime.AddCleanup(t, dropTable, k)
-	return t
+// Tables is a set of page tables that the generators built through it
+// share. It holds every table it has built for as long as the set itself
+// is reachable; how long that is belongs to its owner. The harness
+// scheduler keeps one set per table class for as long as it holds a
+// snapshot group of that class, so a sweep shuffles each measured table
+// once. A nil *Tables shares nothing: each generator built through it
+// shuffles a private table, as NewGenerator does.
+type Tables struct {
+	mu sync.Mutex
+	m  map[tableKey]*PageTable
+	// builds counts the tables shuffled into the set: one per key.
+	builds int
 }
 
-// dropTable removes k's memo entry once its table has been collected. A
-// later build may already have replaced the entry with a live table;
-// that one stays.
-func dropTable(k tableKey) {
-	tables.Lock()
-	defer tables.Unlock()
-	if tables.m[k].Value() == nil {
-		delete(tables.m, k)
+// NewGenerator is the package-level NewGenerator with the page table
+// taken from t, shuffled into it on first use.
+func (t *Tables) NewGenerator(p Profile, base, seed uint64) (*Generator, error) {
+	if t == nil {
+		return NewGenerator(p, base, seed)
 	}
+	return newGenerator(p, base, seed, t.table)
+}
+
+// Builds returns how many tables have been shuffled into t.
+func (t *Tables) Builds() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.builds
+}
+
+// table returns the permutation of pages pages shuffled from r, building
+// it on first use. The build runs under the set's lock, so concurrent
+// warmups that need the same table shuffle it once.
+func (t *Tables) table(pages uint64, r rng) *PageTable {
+	k := tableKey{pages: pages, state: r.state}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if tbl := t.m[k]; tbl != nil {
+		return tbl
+	}
+	if t.m == nil {
+		t.m = make(map[tableKey]*PageTable)
+	}
+	tbl := buildPageTable(nil, pages, r)
+	t.m[k] = tbl
+	t.builds++
+	return tbl
 }
 
 // buildPageTable shuffles the identity permutation of pages pages with r
