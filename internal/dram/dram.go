@@ -126,6 +126,12 @@ type Channel struct {
 	lastBurstRank int
 	lastCmdCycle  int64 // command bus: one command per cycle
 
+	// Checks counts timing checks: evaluations of a command's issue
+	// horizon at one bank (EarliestIssueAt, EarliestIssueOwn). A work
+	// counter for the host cost of scheduling; it feeds no simulated
+	// result.
+	Checks uint64
+
 	// Stats
 	NumACT, NumPRE, NumRD, NumWR, NumREF uint64
 	RowHits, RowMisses, RowConflicts     uint64
@@ -182,8 +188,8 @@ func (c *Channel) Config() config.DRAM { return c.cfg }
 
 // BankIndex returns the channel-wide index of loc's bank: rank*Banks +
 // bankGroup*banksPerGroup + bank. It is the key of the index-based
-// accessors (OpenRowAt, EarliestIssueAt, CanIssueAt) and of
-// Counters.BankCols, and lies in [0, Ranks*Banks).
+// accessors (OpenRowAt, OwnHorizon, EarliestIssueAt, EarliestIssueOwn)
+// and of Counters.BankCols, and lies in [0, Ranks*Banks).
 func (c *Channel) BankIndex(loc Loc) int {
 	return loc.Rank*c.cfg.Banks + loc.BankGroup*c.banksPerGroup + loc.Bank
 }
@@ -257,6 +263,36 @@ func (c *Channel) EarliestIssue(cmd Command, loc Loc, now int64) int64 {
 // EarliestIssueAt is EarliestIssue for the bank with channel-wide index bi
 // (BankIndex). For CmdREF any bank of the rank to refresh will do.
 func (c *Channel) EarliestIssueAt(cmd Command, bi int, now int64) int64 {
+	return c.EarliestIssueOwn(cmd, bi, c.OwnHorizon(cmd, bi), now)
+}
+
+// OwnHorizon returns bank bi's own horizon for cmd: the bank's nextACT,
+// nextPRE, nextRD or nextWR, the part of EarliestIssueAt that only a
+// command to bank bi moves (ACT moves tRCD and tRAS, PRE tRP, RD tRTP and
+// WR write recovery). CmdREF has no own horizon and returns 0. nextRD and
+// nextWR are always equal: only ACT sets them, both to the same cycle.
+func (c *Channel) OwnHorizon(cmd Command, bi int) int64 {
+	b := &c.banks[bi]
+	switch cmd {
+	case CmdACT:
+		return b.nextACT
+	case CmdPRE:
+		return b.nextPRE
+	case CmdRD:
+		return b.nextRD
+	case CmdWR:
+		return b.nextWR
+	}
+	return 0
+}
+
+// EarliestIssueOwn is EarliestIssueAt with bank bi's own horizon for cmd
+// taken to be own instead of OwnHorizon(cmd, bi): the maximum of now, own,
+// and every channel, rank and bank-group term of cmd at bi. A scheduler
+// that keeps own horizons itself passes now for a bank it knows is past
+// its own horizon. Each call is one timing check (Checks).
+func (c *Channel) EarliestIssueOwn(cmd Command, bi int, own, now int64) int64 {
+	c.Checks++
 	b := &c.banks[bi]
 	rk := &c.rank[b.rank]
 	earliest := now
@@ -269,7 +305,7 @@ func (c *Channel) EarliestIssueAt(cmd Command, bi int, now int64) int64 {
 
 	switch cmd {
 	case CmdACT:
-		earliest = max(earliest, b.nextACT)
+		earliest = max(earliest, own)
 		// tRRD: ACT-to-ACT spacing within the rank and the bank group. The
 		// bank the last ACT opened is exempt: it met every earlier ACT's
 		// spacing when it opened, and its own next ACT waits on its PRE.
@@ -284,15 +320,13 @@ func (c *Channel) EarliestIssueAt(cmd Command, bi int, now int64) int64 {
 			earliest = oldest + int64(c.t.TFAW)
 		}
 	case CmdPRE:
-		if b.nextPRE > earliest {
-			earliest = b.nextPRE
-		}
+		earliest = max(earliest, own)
 	case CmdRD:
 		g := &c.groups[b.group]
-		earliest = max(earliest, b.nextRD, c.colAny, g.col, rk.wtr, g.wtr)
+		earliest = max(earliest, own, c.colAny, g.col, rk.wtr, g.wtr)
 		earliest = c.busConstrained(earliest, int(b.rank), int64(c.t.TCL), c.readBL)
 	case CmdWR:
-		earliest = max(earliest, b.nextWR, c.colAny, c.groups[b.group].col, c.wrAfterRD)
+		earliest = max(earliest, own, c.colAny, c.groups[b.group].col, c.wrAfterRD)
 		earliest = c.busConstrained(earliest, int(b.rank), int64(c.t.TCWL), c.writeBL)
 	case CmdREF:
 		// All banks must be precharged and past their ACT->PRE windows.
@@ -306,6 +340,18 @@ func (c *Channel) EarliestIssueAt(cmd Command, bi int, now int64) int64 {
 		}
 	}
 	return earliest
+}
+
+// ColumnFloor returns the channel-wide part of a column command's issue
+// horizon (cmd is RD or WR): the command bus, tCCD_S after the last column
+// command, the read-to-write turnaround for WR, and the data bus without
+// the rank-switch gap. No cmd can issue to any bank before it.
+func (c *Channel) ColumnFloor(cmd Command) int64 {
+	floor := max(c.lastCmdCycle+1, c.colAny)
+	if cmd == CmdWR {
+		return max(floor, c.wrAfterRD, c.dataBusFreeAt-int64(c.t.TCWL))
+	}
+	return max(floor, c.dataBusFreeAt-int64(c.t.TCL))
 }
 
 // busConstrained pushes a column command until its data burst fits on the
@@ -323,12 +369,7 @@ func (c *Channel) busConstrained(cmdCycle int64, rank int, lat, bl int64) int64 
 
 // CanIssue reports whether cmd may issue exactly at cycle now.
 func (c *Channel) CanIssue(cmd Command, loc Loc, now int64) bool {
-	return c.CanIssueAt(cmd, c.BankIndex(loc), now)
-}
-
-// CanIssueAt is CanIssue for the bank with channel-wide index b (BankIndex).
-func (c *Channel) CanIssueAt(cmd Command, b int, now int64) bool {
-	e := c.EarliestIssueAt(cmd, b, now)
+	e := c.EarliestIssue(cmd, loc, now)
 	return e >= 0 && e == now
 }
 

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"strings"
 	"testing"
@@ -454,3 +455,106 @@ func BenchmarkChannelIssue(b *testing.B) {
 
 // benchSink keeps benchmarked results live.
 var benchSink int64
+
+// TestOwnHorizons checks the split of EarliestIssueAt that a scheduler
+// indexing own horizons relies on, on seeded legal command streams (with a
+// short refresh interval) over DDR4 and DDR5 geometries with 1, 2 and 4 ranks. At every
+// cycle up to each issue and for every bank and command: the full check is
+// the maximum of the bank's own horizon and EarliestIssueOwn with that
+// horizon taken as now; ColumnFloor never exceeds a column command's
+// earliest cycle; and nextRD equals nextWR. After every issue, no bank but
+// the target has a different own horizon for any command.
+func TestOwnHorizons(t *testing.T) {
+	geoms := []struct {
+		name string
+		dram config.DRAM
+	}{
+		{"ddr4", config.Table1(config.ModeUnprotected).DRAM},
+		{"ddr5", config.Table1DDR5(config.ModeUnprotected).DRAM},
+	}
+	seed := uint64(40)
+	for _, g := range geoms {
+		for _, ranks := range []int{1, 2, 4} {
+			seed++
+			cfg := g.dram
+			cfg.Ranks = ranks
+			cfg.RefreshEnabled = true
+			cfg.Timing.TREFI = 2000 // refresh several times per stream
+			t.Run(fmt.Sprintf("%s/ranks%d", g.name, ranks), func(t *testing.T) {
+				ch, err := NewChannel(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewPCG(seed, 0x0f1))
+				cmds := []Command{CmdACT, CmdPRE, CmdRD, CmdWR}
+				own := make([][4]int64, len(ch.banks))
+				check := func(now int64) {
+					for bi := range ch.banks {
+						if ch.OwnHorizon(CmdRD, bi) != ch.OwnHorizon(CmdWR, bi) {
+							t.Fatalf("cycle %d bank %d: nextRD %d, nextWR %d", now, bi, ch.OwnHorizon(CmdRD, bi), ch.OwnHorizon(CmdWR, bi))
+						}
+						for _, cmd := range cmds {
+							full := ch.EarliestIssueAt(cmd, bi, now)
+							if split := max(ch.OwnHorizon(cmd, bi), ch.EarliestIssueOwn(cmd, bi, now, now)); split != full {
+								t.Fatalf("cycle %d bank %d %v: own horizon with EarliestIssueOwn gives %d, EarliestIssueAt %d", now, bi, cmd, split, full)
+							}
+							if (cmd == CmdRD || cmd == CmdWR) && ch.ColumnFloor(cmd) > full {
+								t.Fatalf("cycle %d bank %d %v: ColumnFloor %d above earliest %d", now, bi, cmd, ch.ColumnFloor(cmd), full)
+							}
+						}
+					}
+				}
+				issue := func(cmd Command, loc Loc, now int64) int64 {
+					at := ch.EarliestIssue(cmd, loc, now)
+					for c := now; c <= at; c++ {
+						check(c)
+					}
+					for bi := range ch.banks {
+						for i, c := range cmds {
+							own[bi][i] = ch.OwnHorizon(c, bi)
+						}
+					}
+					ch.Issue(cmd, loc, at)
+					target := ch.BankIndex(loc)
+					for bi := range ch.banks {
+						for i, c := range cmds {
+							if bi != target && ch.OwnHorizon(c, bi) != own[bi][i] {
+								t.Fatalf("cycle %d: %v to bank %d moved bank %d's %v horizon %d -> %d", at, cmd, target, bi, c, own[bi][i], ch.OwnHorizon(c, bi))
+							}
+						}
+					}
+					return at + 1
+				}
+				var now int64
+				for step := 0; step < 600; step++ {
+					loc := Loc{
+						Rank:      rng.IntN(cfg.Ranks),
+						BankGroup: rng.IntN(cfg.BankGroups),
+						Bank:      rng.IntN(ch.banksPerGroup),
+						Row:       uint32(rng.IntN(2)),
+					}
+					if ch.RefreshDue(loc.Rank, now) {
+						for bi := loc.Rank * cfg.Banks; bi < (loc.Rank+1)*cfg.Banks; bi++ {
+							if _, open := ch.OpenRowAt(bi); open {
+								now = issue(CmdPRE, Loc{Rank: loc.Rank, BankGroup: bi % cfg.Banks / ch.banksPerGroup, Bank: bi % ch.banksPerGroup}, now)
+							}
+						}
+						now = issue(CmdREF, loc, now)
+						continue
+					}
+					cmd := CmdACT
+					switch row, open := ch.OpenRow(loc); {
+					case open && row == loc.Row:
+						cmd = []Command{CmdRD, CmdRD, CmdWR}[rng.IntN(3)]
+					case open:
+						cmd = CmdPRE
+					}
+					now = issue(cmd, loc, now)
+				}
+				if ch.NumREF == 0 || ch.NumWR == 0 {
+					t.Fatalf("stream missed a command kind: %+v", ch.Counters())
+				}
+			})
+		}
+	}
+}

@@ -60,6 +60,14 @@ type Controller struct {
 	// rewritten by every scheduleFrom: banks whose column command can
 	// issue this cycle. What it holds between scans is never read.
 	ready []uint64
+	needs []need // issueBound scratch: commands whose check waits
+
+	// row and col index the banks by their own horizons (eligible.go):
+	// row holds each bank's horizon for the row command its state needs
+	// (PRE when open, ACT when closed), col its tRCD horizon for RD and WR.
+	// The scheduler visits only eligible banks and leaves their own
+	// horizons to these sets; a command to a bank re-files it (rearm).
+	row, col horizonSet
 
 	// quietUntil memoizes the issue-side bound Tick computes after a no-op
 	// scheduler scan: no command can issue before it, so scans are skipped
@@ -71,6 +79,11 @@ type Controller struct {
 	quietDirty    bool
 	eventDriven   bool
 	lastIssueTick int64 // cycle of the most recent issued command
+
+	// Scans counts scheduler scans: Ticks that ran issueOne. A work
+	// counter for the host cost of scheduling; it feeds no simulated
+	// result.
+	Scans uint64
 
 	// Stats.
 	ReadsEnqueued   uint64
@@ -103,6 +116,9 @@ func New(cfg config.DRAM) (*Controller, error) {
 		mapper:    mapper,
 		sum:       [2]queueSummary{newQueueSummary(cfg), newQueueSummary(cfg)},
 		ready:     make([]uint64, maskWords(nbanks)),
+		needs:     make([]need, 0, 2*nbanks),
+		row:       newHorizonSet(nbanks),
+		col:       newHorizonSet(nbanks),
 		drainHigh: high,
 		drainLow:  low,
 	}, nil
@@ -209,21 +225,48 @@ func (s *queueSummary) recount(q []Request, b int, row uint32, open bool) {
 }
 
 // rowChanged refreshes both queues' hit counts for bank b after an ACT or
-// PRE changed its open row.
+// PRE changed its open row, and re-files the bank's horizons.
 func (c *Controller) rowChanged(b int) {
 	row, open := c.ch.OpenRowAt(b)
 	c.sum[0].recount(c.readQ, b, row, open)
 	c.sum[writeIdx].recount(c.writeQ, b, row, open)
+	c.rearm(b)
+}
+
+// rearm re-files bank b in both eligibility sets after a command to it
+// moved its own horizons. nextRD and nextWR are equal (dram.OwnHorizon),
+// so the column horizon is exact for either command.
+func (c *Controller) rearm(b int) {
+	rowCmd := dram.CmdACT
+	if _, open := c.ch.OpenRowAt(b); open {
+		rowCmd = dram.CmdPRE
+	}
+	c.row.set(b, c.ch.OwnHorizon(rowCmd, b))
+	c.col.set(b, max(c.ch.OwnHorizon(dram.CmdRD, b), c.ch.OwnHorizon(dram.CmdWR, b)))
 }
 
 func maskWords(n int) int        { return (n + 63) / 64 }
 func setBit(m []uint64, b int)   { m[b>>6] |= 1 << uint(b&63) }
 func clearBit(m []uint64, b int) { m[b>>6] &^= 1 << uint(b&63) }
 
-// Channel exposes the underlying DRAM channel (stats, tests). Callers may
-// change its open rows (AdoptState) only while both queues are empty: the
-// controller counts queued row hits against them.
+// Channel exposes the underlying DRAM channel for reading (stats, tests).
+// Its bank state must change only through the controller: AdoptChannel
+// grafts another channel's state.
 func (c *Controller) Channel() *dram.Channel { return c.ch }
+
+// AdoptChannel grafts src's dynamic DRAM state onto the controller's
+// channel (dram.Channel.AdoptState) and re-files every bank's own
+// horizons from it. Both queues must be empty: the controller counts
+// queued row hits against the open rows it replaces.
+func (c *Controller) AdoptChannel(src *dram.Channel) {
+	if len(c.readQ)+len(c.writeQ) != 0 {
+		panic("memctrl: AdoptChannel with queued requests")
+	}
+	c.ch.AdoptState(src)
+	for b := range c.row.at {
+		c.rearm(b)
+	}
+}
 
 // ReadQueueLen and WriteQueueLen return current occupancies.
 func (c *Controller) ReadQueueLen() int { return len(c.readQ) }
@@ -313,9 +356,11 @@ func (c *Controller) noteEnqueued(req *Request, s *queueSummary, col dram.Comman
 	// backlog is enqueued before this cycle's scheduler pass runs, so it
 	// can legally issue in the very cycle it arrives. For enqueues that
 	// land after the pass the bound is one cycle conservative, which only
-	// costs a no-op wake.
-	if t := c.nextIssuable(req, col, now-1); t < c.quietUntil {
-		c.quietUntil = t
+	// costs a no-op wake. The bank's own horizon bounds the issue cycle
+	// from below, so a horizon at or past quietUntil needs no check.
+	b, cmd := int(req.bank), c.nextCmd(req, col)
+	if c.ch.OwnHorizon(cmd, b) < c.quietUntil {
+		c.quietUntil = min(c.quietUntil, c.ch.EarliestIssueAt(cmd, b, now))
 	}
 }
 
@@ -360,8 +405,10 @@ func (c *Controller) ReadsIdle() bool {
 // spans: after a cycle in which nothing could issue, Tick computes the
 // earliest cycle at which anything could (quietUntil) and returns
 // immediately until the clock or an invalidating mutation (enqueue, issued
-// command) catches up. The scan itself — not the ticking — dominates
-// simulation cost, so this is where event-driven advance actually wins.
+// command) catches up. Skipped Ticks are what event-driven advance wins:
+// the scans and the bounds between them are most of the controller's
+// host cost, and the controller and the channel together take about 60%
+// of a Fig. 6 run's CPU (DESIGN.md, "Controller quiet spans").
 func (c *Controller) Tick(now int64) []Completion {
 	done := c.doneBuf[:0]
 	for len(c.pending) > 0 && c.pending[0].Done <= now {
@@ -454,28 +501,79 @@ func (c *Controller) issueBound(now int64) int64 {
 	// each queue's column command when it has hits there. The earliest
 	// issue cycle depends only on the bank and the command, so this is the
 	// per-request minimum without visiting requests.
+	//
+	// A command's own horizon, and for a column command the channel's
+	// column floor, bound its issue cycle from below (need.lo). The
+	// commands whose bound is at most now+1 are found from the eligibility
+	// masks as of now+1 and checked first; the first that can issue next
+	// cycle ends the search. The others wait in c.needs and are checked
+	// lowest bound first, until no bound is below the best cycle.
+	rdFloor, wrFloor := c.ch.ColumnFloor(dram.CmdRD), c.ch.ColumnFloor(dram.CmdWR)
+	c.row.advance(now + 1)
+	c.col.advance(now + 1)
 	rs, ws := &c.sum[0], &c.sum[writeIdx]
 	for w := range rs.occupied {
-		for word := rs.occupied[w] | ws.occupied[w]; word != 0; word &= word - 1 {
+		var rd, wr uint64
+		if rdFloor <= now+1 {
+			rd = rs.hasHits[w] & c.col.ok[w]
+		}
+		if wrFloor <= now+1 {
+			wr = ws.hasHits[w] & c.col.ok[w]
+		}
+		for word := rd; word != 0; word &= word - 1 {
+			next = min(next, c.earliest(dram.CmdRD, w<<6|bits.TrailingZeros64(word), now))
+		}
+		for word := wr; word != 0; word &= word - 1 {
+			next = min(next, c.earliest(dram.CmdWR, w<<6|bits.TrailingZeros64(word), now))
+		}
+		if next <= now+1 {
+			return now + 1
+		}
+		for word := (rs.occupied[w] | ws.occupied[w]) & c.row.ok[w]; word != 0; word &= word - 1 {
 			b := w<<6 | bits.TrailingZeros64(word)
 			if _, open := c.ch.OpenRowAt(b); !open {
-				next = c.foldBound(dram.CmdACT, b, now, next)
-			} else {
-				rb, wb := &rs.banks[b], &ws.banks[b]
-				if rb.hits < rb.n || wb.hits < wb.n {
-					next = c.foldBound(dram.CmdPRE, b, now, next)
-				}
-				if rb.hits > 0 {
-					next = c.foldBound(dram.CmdRD, b, now, next)
-				}
-				if wb.hits > 0 {
-					next = c.foldBound(dram.CmdWR, b, now, next)
-				}
+				next = min(next, c.earliest(dram.CmdACT, b, now))
+			} else if rb, wb := &rs.banks[b], &ws.banks[b]; rb.hits < rb.n || wb.hits < wb.n {
+				next = min(next, c.earliest(dram.CmdPRE, b, now))
 			}
 			if next <= now+1 {
 				return now + 1
 			}
 		}
+	}
+	c.needs = c.needs[:0]
+	for w := range rs.occupied {
+		for word := rs.occupied[w] | ws.occupied[w]; word != 0; word &= word - 1 {
+			b := w<<6 | bits.TrailingZeros64(word)
+			if _, open := c.ch.OpenRowAt(b); !open {
+				c.wait(need{c.row.at[b], b, dram.CmdACT}, now, next)
+				continue
+			}
+			rb, wb := &rs.banks[b], &ws.banks[b]
+			if rb.hits < rb.n || wb.hits < wb.n {
+				c.wait(need{c.row.at[b], b, dram.CmdPRE}, now, next)
+			}
+			if rb.hits > 0 {
+				c.wait(need{max(c.col.at[b], rdFloor), b, dram.CmdRD}, now, next)
+			}
+			if wb.hits > 0 {
+				c.wait(need{max(c.col.at[b], wrFloor), b, dram.CmdWR}, now, next)
+			}
+		}
+	}
+	for needs := c.needs; ; {
+		first := -1
+		for i := range needs {
+			if needs[i].lo < next && (first < 0 || needs[i].lo < needs[first].lo) {
+				first = i
+			}
+		}
+		if first < 0 {
+			break
+		}
+		next = min(next, c.earliest(needs[first].cmd, needs[first].bank, now))
+		needs[first] = needs[len(needs)-1]
+		needs = needs[:len(needs)-1]
 	}
 	if next <= now {
 		next = now + 1
@@ -483,10 +581,31 @@ func (c *Controller) issueBound(now int64) int64 {
 	return next
 }
 
-// foldBound returns the minimum of next and the earliest cycle after now
-// at which cmd could issue to bank b.
-func (c *Controller) foldBound(cmd dram.Command, b int, now, next int64) int64 {
-	return min(next, c.ch.EarliestIssueAt(cmd, b, now+1))
+// need is a command some queued request needs next, at its bank, with a
+// lower bound on its issue cycle: issueBound scratch.
+type need struct {
+	lo   int64
+	bank int
+	cmd  dram.Command
+}
+
+// wait keeps n in c.needs when its lower bound lies after now+1, where
+// the masks did not find it, and below next.
+func (c *Controller) wait(n need, now, next int64) {
+	if n.lo > now+1 && n.lo < next {
+		c.needs = append(c.needs, n)
+	}
+}
+
+// earliest returns the earliest cycle after now at which cmd could issue
+// to bank b, whose own horizon the eligibility sets hold: the column set
+// for RD and WR, the row set for the row command the bank's state needs.
+func (c *Controller) earliest(cmd dram.Command, b int, now int64) int64 {
+	own := c.row.at[b]
+	if cmd == dram.CmdRD || cmd == dram.CmdWR {
+		own = c.col.at[b]
+	}
+	return c.ch.EarliestIssueOwn(cmd, b, own, now+1)
 }
 
 // nextRefreshStep lower-bounds the cycle after now at which tryRefresh
@@ -497,14 +616,6 @@ func (c *Controller) foldBound(cmd dram.Command, b int, now, next int64) int64 {
 func (c *Controller) nextRefreshStep(r int, now int64) int64 {
 	_, _, at := c.refreshStep(r, now+1)
 	return at
-}
-
-// nextIssuable lower-bounds the cycle at which the request's next command
-// (column on a row hit, PRE on a conflict, ACT on a closed bank) could
-// legally issue, assuming no other command issues first — which holds
-// whenever the caller takes the minimum across all queued requests.
-func (c *Controller) nextIssuable(req *Request, col dram.Command, now int64) int64 {
-	return c.ch.EarliestIssueAt(c.nextCmd(req, col), int(req.bank), now+1)
 }
 
 // nextCmd returns the command the request needs next: its column command
@@ -524,6 +635,7 @@ func (c *Controller) nextCmd(req *Request, col dram.Command) dram.Command {
 // issueOne implements FR-FCFS with refresh priority and write draining.
 // It reports whether a DRAM command was issued this cycle.
 func (c *Controller) issueOne(now int64) bool {
+	c.Scans++
 	// Refresh has highest priority: close banks and refresh due ranks.
 	// Bit r of blocked marks rank r as refresh-due: its requests wait
 	// (config.DRAM.Validate caps Ranks at 64).
@@ -612,7 +724,11 @@ func (c *Controller) refreshStep(r int, now int64) (cmd dram.Command, b int, at 
 // only on bank, rank, data-bus and command-bus state, never on a request's
 // row or column, and nothing changes until the pass issues. So pass 1
 // checks the column command once per bank with hits and walks the queue
-// only when some bank is ready. In pass 2 only each bank's head (its
+// only when some bank is ready. Each pass visits only the banks past
+// their own horizon for its command (c.col, c.row), and checks them with
+// that horizon taken as passed (dram.Channel.EarliestIssueOwn); pass 1 is
+// skipped outright while the channel-wide column terms forbid col. In
+// pass 2 only each bank's head (its
 // oldest request) can act: when the head targets the open row, no younger
 // request may close that row (two conflicting requests would livelock,
 // each re-closing the other's row); otherwise every younger request needs
@@ -623,19 +739,23 @@ func (c *Controller) scheduleFrom(isWrite bool, blocked uint64, now int64) bool 
 	if isWrite {
 		col, q, s = dram.CmdWR, c.writeQ, &c.sum[writeIdx]
 	}
-	// Pass 1: row hits, oldest first.
+	// Pass 1: row hits, oldest first, among the banks past tRCD. When the
+	// channel-wide column terms forbid col at now, no bank is ready.
 	anyReady := false
-	for w, word := range s.hasHits {
-		var ready uint64
-		for ; word != 0; word &= word - 1 {
-			i := bits.TrailingZeros64(word)
-			b := w<<6 | i
-			if blocked>>uint(s.banks[b].rank)&1 == 0 && c.ch.CanIssueAt(col, b, now) {
-				ready |= 1 << uint(i)
+	if c.ch.ColumnFloor(col) <= now {
+		c.col.advance(now)
+		for w, word := range s.hasHits {
+			var ready uint64
+			for word &= c.col.ok[w]; word != 0; word &= word - 1 {
+				i := bits.TrailingZeros64(word)
+				b := w<<6 | i
+				if blocked>>uint(s.banks[b].rank)&1 == 0 && c.ch.EarliestIssueOwn(col, b, now, now) == now {
+					ready |= 1 << uint(i)
+				}
 			}
+			c.ready[w] = ready
+			anyReady = anyReady || ready != 0
 		}
-		c.ready[w] = ready
-		anyReady = anyReady || ready != 0
 	}
 	if anyReady {
 		for i := range q {
@@ -650,10 +770,12 @@ func (c *Controller) scheduleFrom(isWrite bool, blocked uint64, now int64) bool 
 		}
 		panic("memctrl: a ready bank has no queued row hit")
 	}
-	// Pass 2: the oldest bank head whose PRE or ACT can issue.
+	// Pass 2: the oldest bank head whose PRE or ACT can issue, among the
+	// banks past that command's own horizon.
 	best, bestID, bestCmd := -1, uint64(0), dram.Command(0)
+	c.row.advance(now)
 	for w, word := range s.occupied {
-		for ; word != 0; word &= word - 1 {
+		for word &= c.row.ok[w]; word != 0; word &= word - 1 {
 			b := w<<6 | bits.TrailingZeros64(word)
 			bq := &s.banks[b]
 			if (best >= 0 && bq.headID > bestID) || blocked>>uint(bq.rank)&1 != 0 {
@@ -666,7 +788,7 @@ func (c *Controller) scheduleFrom(isWrite bool, blocked uint64, now int64) bool 
 				}
 				cmd = dram.CmdPRE
 			}
-			if c.ch.CanIssueAt(cmd, b, now) {
+			if c.ch.EarliestIssueOwn(cmd, b, now, now) == now {
 				best, bestID, bestCmd = b, bq.headID, cmd
 			}
 		}
@@ -692,6 +814,7 @@ func (c *Controller) issueColumn(col dram.Command, idx int, isWrite bool, now in
 	req := (*q)[idx]
 	done := c.ch.Issue(col, req.loc, now)
 	c.ch.RecordRowOutcome(true, false)
+	c.rearm(int(req.bank))
 	*q = append((*q)[:idx], (*q)[idx+1:]...)
 	s.removeHit(*q, idx, &req)
 	if isWrite {

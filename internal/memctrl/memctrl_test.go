@@ -59,6 +59,20 @@ func TestSingleReadCompletes(t *testing.T) {
 	}
 }
 
+// TestTickClockRestart completes a read, then runs a read to another bank
+// with the clock restarted at cycle 0, as a caller that restarts its cycle
+// count does: the second read's ACT sets a tRCD horizon that the first
+// run's clock has already passed, and its RD must still wait for it.
+func TestTickClockRestart(t *testing.T) {
+	c := newCtl(t, testCfg())
+	c.EnqueueRead(0x0, 0, 1)
+	run(t, c, 1, 1000)
+	c.EnqueueRead(0x40, 0, 2)
+	if comps := run(t, c, 1, 1000); comps[0].Tag != 2 {
+		t.Fatalf("completion %+v, want tag 2", comps[0])
+	}
+}
+
 func TestRowHitFasterThanConflict(t *testing.T) {
 	// Two reads in the same row: the second should complete quickly after
 	// the first (row hit). A read to a different row in the same bank pays
@@ -320,6 +334,14 @@ func (c *Controller) refIssueBound(now int64) int64 {
 		next = now + 1
 	}
 	return next
+}
+
+// nextIssuable lower-bounds the cycle at which the request's next command
+// (column on a row hit, PRE on a conflict, ACT on a closed bank) could
+// legally issue, assuming no other command issues first — which holds
+// whenever the caller takes the minimum across all queued requests.
+func (c *Controller) nextIssuable(req *Request, col dram.Command, now int64) int64 {
+	return c.ch.EarliestIssueAt(c.nextCmd(req, col), int(req.bank), now+1)
 }
 
 func (c *Controller) refIssueOne(now int64) bool {
@@ -685,6 +707,45 @@ func (d *differ) checkSummaries(now int64) {
 			}
 		}
 	}
+	checkHorizons(d.t, c, now)
+}
+
+// checkHorizons recomputes both eligibility sets from the channel's bank
+// state and fails on any difference: each bank's horizon (row: nextPRE
+// when open, nextACT when closed; col: the later of nextRD and nextWR),
+// its bit in the mask as of the set's clock, which may run one cycle ahead
+// of now (issueBound brings the sets to now+1) and no further, and the
+// set's next expiry, which must not pass any pending bank's horizon.
+func checkHorizons(t testing.TB, c *Controller, now int64) {
+	for _, set := range []struct {
+		name string
+		h    *horizonSet
+	}{{"row", &c.row}, {"col", &c.col}} {
+		h := set.h
+		if h.now > now+1 {
+			t.Fatalf("cycle %d: %s set advanced to %d", now, set.name, h.now)
+		}
+		for b := range h.at {
+			var want int64
+			if set.h == &c.col {
+				want = max(c.ch.OwnHorizon(dram.CmdRD, b), c.ch.OwnHorizon(dram.CmdWR, b))
+			} else if _, open := c.ch.OpenRowAt(b); open {
+				want = c.ch.OwnHorizon(dram.CmdPRE, b)
+			} else {
+				want = c.ch.OwnHorizon(dram.CmdACT, b)
+			}
+			ok := h.ok[b>>6]>>uint(b&63)&1 != 0
+			if h.at[b] != want || ok != (want <= h.now) || (!ok && h.next > want) {
+				t.Fatalf("cycle %d: %s set bank %d: horizon %d eligible=%v as of cycle %d (next expiry %d), recount horizon %d",
+					now, set.name, b, h.at[b], ok, h.now, h.next, want)
+			}
+		}
+		for b := len(h.at); b < len(h.ok)*64; b++ {
+			if h.ok[b>>6]>>uint(b&63)&1 != 0 {
+				t.Fatalf("cycle %d: %s set marks bank %d of %d eligible", now, set.name, b, len(h.at))
+			}
+		}
+	}
 }
 
 func diffRun(t *testing.T, cfg config.DRAM, p pattern, event bool, seed uint64, cycles int64) {
@@ -729,6 +790,75 @@ func diffRun(t *testing.T, cfg config.DRAM, p pattern, event bool, seed uint64, 
 	}
 	if p.writeFrac >= 0.5 && got.DrainEpisodes == 0 {
 		t.Fatalf("write-heavy stream never crossed the drain watermark")
+	}
+}
+
+// TestAdoptedChannelMatchesReference runs a controller until its channel
+// has banks inside tRAS (open, PRE not yet legal) and inside tRP (closed,
+// ACT not yet legal), as a drained warmup can leave it, and grafts that
+// channel into a fresh controller (AdoptChannel) and a fresh reference
+// (dram.Channel.AdoptState). The two then run one request stream side by
+// side with every differential check, the eligibility sets included, on
+// DDR4 and DDR5 in tick-loop and event-driven mode.
+func TestAdoptedChannelMatchesReference(t *testing.T) {
+	geoms := []struct {
+		name string
+		dram config.DRAM
+	}{
+		{"ddr4", config.Table1(config.ModeUnprotected).DRAM},
+		{"ddr5", config.Table1DDR5(config.ModeUnprotected).DRAM},
+	}
+	seed := uint64(200)
+	for _, g := range geoms {
+		for _, event := range []bool{false, true} {
+			seed++
+			cfg := diffConfig(g.dram, 2, true)
+			t.Run(fmt.Sprintf("%s/event=%v", g.name, event), func(t *testing.T) {
+				src := newCtl(t, cfg)
+				s := newStream(t, cfg, patterns[1], seed) // conflict: many PREs and ACTs
+				now, midRAS, midRP := int64(0), false, false
+				for ; now < 20000 && !(midRAS && midRP); now++ {
+					for n := s.arrivals(); n > 0; n-- {
+						addr, write := s.next()
+						if write {
+							_ = src.EnqueueWrite(addr, now)
+						} else {
+							_, _ = src.EnqueueRead(addr, now, 0)
+						}
+					}
+					src.Tick(now)
+					midRAS, midRP = false, false
+					for b := range cfg.Ranks * cfg.Banks {
+						_, open := src.ch.OpenRowAt(b)
+						midRAS = midRAS || (open && src.ch.OwnHorizon(dram.CmdPRE, b) > now+1)
+						midRP = midRP || (!open && src.ch.OwnHorizon(dram.CmdACT, b) > now+1)
+					}
+				}
+				if !(midRAS && midRP) {
+					t.Fatalf("no cycle left banks inside both tRAS and tRP")
+				}
+				d := newDiffer(t, cfg, event)
+				d.got.AdoptChannel(src.Channel())
+				d.ref.ch.AdoptState(src.Channel())
+				d.checkSummaries(now)
+				d.checkState(now)
+				for end := now + 3000; now < end; {
+					for n := s.arrivals(); n > 0; n-- {
+						addr, write := s.next()
+						d.enqueue(addr, write, now)
+					}
+					next := d.tick(now)
+					if !event || s.rng.IntN(2) == 0 {
+						next = now + 1
+					}
+					if now/stateEvery != next/stateEvery {
+						d.checkState(now)
+					}
+					now = min(next, now+64)
+				}
+				d.checkState(now)
+			})
+		}
 	}
 }
 

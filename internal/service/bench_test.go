@@ -124,3 +124,63 @@ func BenchmarkResultWire(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkQueue times the job queue's two worker-side calls on an
+// in-memory store: lease takes one pending job for a remote worker
+// (Lease with max 1 and a one-minute TTL), complete acknowledges one
+// leased job with a fixed result, which the queue records and publishes.
+// The jobs are distinct digests of one client at one priority, enqueued
+// (and, for complete, leased) in untimed batches of 1024, each batch on a
+// fresh queue so memory stays flat. Report-only; run with -benchmem.
+func BenchmarkQueue(b *testing.B) {
+	const batch = 1024
+	const worker = "bench-0"
+	ctx := context.Background()
+	var res sim.Result
+	fill := func(q *Queue, start int, lease bool) []string {
+		subs := make([]Submission, batch)
+		digests := make([]string, batch)
+		for i := range subs {
+			digests[i] = fmt.Sprintf("d%08d", start+i)
+			subs[i] = Submission{Digest: digests[i], Key: "bench"}
+		}
+		q.Enqueue("bench", 0, subs...)
+		if lease {
+			if jobs, err := q.Lease(ctx, worker, batch, time.Minute); err != nil || len(jobs) != batch {
+				b.Fatalf("leased %d of %d jobs: %v", len(jobs), batch, err)
+			}
+		}
+		return digests
+	}
+	b.Run("lease", func(b *testing.B) {
+		var q *Queue
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if i%batch == 0 {
+				b.StopTimer()
+				q = newQueue(newMemStore())
+				fill(q, i, false)
+				b.StartTimer()
+			}
+			if jobs, err := q.Lease(ctx, worker, 1, time.Minute); err != nil || len(jobs) != 1 {
+				b.Fatalf("lease %d: %d jobs, %v", i, len(jobs), err)
+			}
+		}
+	})
+	b.Run("complete", func(b *testing.B) {
+		var q *Queue
+		var digests []string
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if i%batch == 0 {
+				b.StopTimer()
+				q = newQueue(newMemStore())
+				digests = fill(q, i, true)
+				b.StartTimer()
+			}
+			if !q.Complete(digests[i%batch], worker, res, nil, time.Millisecond) {
+				b.Fatalf("complete %d refused", i)
+			}
+		}
+	})
+}

@@ -975,7 +975,7 @@ func (s *system) resume(opt Options, warm *secmem.Engine, primed *cache.Cache) e
 	engine.SetEventDriven(s.eventDriven)
 	old := warm.Controllers()
 	for i, ctl := range engine.Controllers() {
-		ctl.Channel().AdoptState(old[i].Channel())
+		ctl.AdoptChannel(old[i].Channel())
 	}
 	s.engine = engine
 	s.opt = opt
